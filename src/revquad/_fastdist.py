@@ -1,115 +1,63 @@
 """Inner loops of the asymmetry metric.
 
-The hot path reflects every loop vertex through a trial center and needs the
-max over reflected points of the distance to the original polyline.  With
-numba present the point-to-segment scans run as fused JIT loops; otherwise
-vectorized numpy stands in with identical semantics.
+The hot path reflects every loop vertex through a trial center and needs,
+for each reflected point, the squared distance to the nearest segment of the
+original polyline.  Both kernels work on separate x and y columns:
+
+    t = clip((apx * dx + apy * dy) / len2, 0, 1)
+    d2 = gx * gx + gy * gy,    g = ap - t * d
+
+with ap the offset from the segment start a to the point and d the segment
+vector.  Each point's value depends on that point alone, so a kernel run on
+a subset of rows returns the very bits a run on all rows gives for them.
+The kernels return these per-point minima; the caller takes the maximum and
+its square root, which is the max-min distance the names refer to.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
+def max_min_dist_candidates(refl, seg_a, seg_d, seg_len2, cand):
+    """Per-point squared distance to the nearest of its candidate segments.
 
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return wrap
+    refl is (N, 2), the segment arrays are indexed by cand, an (N, K) array
+    of segment indices; returns an N-vector.
+    """
+    apx = refl[:, 0:1] - seg_a[:, 0][cand]
+    apy = refl[:, 1:2] - seg_a[:, 1][cand]
+    dx = seg_d[:, 0][cand]
+    dy = seg_d[:, 1][cand]
+    return _segment_dist2(apx, apy, dx, dy, seg_len2[cand]).min(axis=1)
 
 
-@njit(cache=True)
-def _max_min_dist_candidates_jit(refl, seg_a, seg_d, seg_len2, cand):
-    worst = 0.0
-    n_pts, n_cand = cand.shape
-    for i in range(n_pts):
-        px = refl[i, 0]
-        py = refl[i, 1]
-        best = 1e300
-        for j in range(n_cand):
-            s = cand[i, j]
-            ax = px - seg_a[s, 0]
-            ay = py - seg_a[s, 1]
-            dx = seg_d[s, 0]
-            dy = seg_d[s, 1]
-            t = (ax * dx + ay * dy) / seg_len2[s]
-            if t < 0.0:
-                t = 0.0
-            elif t > 1.0:
-                t = 1.0
-            gx = ax - t * dx
-            gy = ay - t * dy
-            d2 = gx * gx + gy * gy
-            if d2 < best:
-                best = d2
-        if best > worst:
-            worst = best
-    return np.sqrt(worst)
+def max_min_dist_all(refl, seg_a, seg_d, seg_len2, chunk=256):
+    """Per-point squared distance to the nearest segment of the whole polyline.
 
-
-@njit(cache=True)
-def _max_min_dist_all_jit(refl, seg_a, seg_d, seg_len2):
-    worst = 0.0
-    n_pts = refl.shape[0]
-    n_seg = seg_a.shape[0]
-    for i in range(n_pts):
-        px = refl[i, 0]
-        py = refl[i, 1]
-        best = 1e300
-        for s in range(n_seg):
-            ax = px - seg_a[s, 0]
-            ay = py - seg_a[s, 1]
-            dx = seg_d[s, 0]
-            dy = seg_d[s, 1]
-            t = (ax * dx + ay * dy) / seg_len2[s]
-            if t < 0.0:
-                t = 0.0
-            elif t > 1.0:
-                t = 1.0
-            gx = ax - t * dx
-            gy = ay - t * dy
-            d2 = gx * gx + gy * gy
-            if d2 < best:
-                best = d2
-        if best > worst:
-            worst = best
-    return np.sqrt(worst)
-
-
-def _max_min_dist_candidates_np(refl, seg_a, seg_d, seg_len2, cand):
-    a = seg_a[cand]
-    d = seg_d[cand]
-    ap = refl[:, None, :] - a
-    t = (ap * d).sum(axis=-1) / seg_len2[cand]
-    np.clip(t, 0.0, 1.0, out=t)
-    gap = ap - t[..., None] * d
-    d2 = (gap**2).sum(axis=-1).min(axis=1)
-    return float(np.sqrt(d2.max()))
-
-
-def _max_min_dist_all_np(refl, seg_a, seg_d, seg_len2, chunk=256):
-    worst = 0.0
+    Scans all point-segment pairs, chunk points at a time; returns an
+    N-vector.
+    """
+    ax, ay = seg_a[:, 0], seg_a[:, 1]
+    dx, dy = seg_d[:, 0], seg_d[:, 1]
+    out = np.empty(len(refl))
     for s in range(0, len(refl), chunk):
         p = refl[s : s + chunk]
-        ap = p[:, None, :] - seg_a[None, :, :]
-        t = (ap * seg_d[None, :, :]).sum(axis=-1) / seg_len2[None, :]
-        np.clip(t, 0.0, 1.0, out=t)
-        gap = ap - t[..., None] * seg_d[None, :, :]
-        worst = max(worst, float((gap**2).sum(axis=-1).min(axis=1).max()))
-    return float(np.sqrt(worst))
+        apx = p[:, 0:1] - ax
+        apy = p[:, 1:2] - ay
+        out[s : s + chunk] = _segment_dist2(apx, apy, dx, dy, seg_len2).min(axis=1)
+    return out
 
 
-if HAVE_NUMBA:
-    max_min_dist_candidates = _max_min_dist_candidates_jit
-    max_min_dist_all = _max_min_dist_all_jit
-else:  # pragma: no cover
-    max_min_dist_candidates = _max_min_dist_candidates_np
-    max_min_dist_all = _max_min_dist_all_np
+def _segment_dist2(apx, apy, dx, dy, len2):
+    """Squared point-to-segment distances; overwrites apx and apy."""
+    t = apx * dx
+    t += apy * dy
+    t /= len2
+    np.clip(t, 0.0, 1.0, out=t)
+    apx -= t * dx
+    apy -= t * dy
+    apx *= apx
+    apy *= apy
+    apx += apy
+    return apx

@@ -23,6 +23,16 @@ from .symmetry import centrality, max_midpoint_residual
 MVT_QUADRATIC_GATE = 1e-9
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_profile_arg(p, required=True):
     p.add_argument(
         "--profile",
@@ -76,7 +86,7 @@ def _build_parser():
     p.add_argument("--planes", type=int, default=17)
     p.add_argument("--samples", type=int, default=1024)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     _add_out_args(p)
     p.set_defaults(func=cmd_detect)
 

@@ -18,6 +18,7 @@ tolerance, so shallow planes alone cannot witness non-quadrics.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -254,9 +255,10 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
     verdict follows the fit residual; central loops with a failing fit are
     flagged rather than certified.
 
-    workers > 1 evaluates planes in a process pool; results are aggregated
-    in deterministic plane order, so the verdict does not depend on the
-    worker count.
+    workers > 1 evaluates planes in a process pool of
+    min(workers, planes, CPUs) processes (serially when that is 1); results
+    are aggregated in deterministic plane order, so the verdict does not
+    depend on the worker count.
     """
     q = profile.q
     if not (0.0 < delta < q / 3.0):
@@ -274,10 +276,11 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
     n_sweep = len(jobs)
     jobs += _probe_planes(profile, delta, mu)
 
-    if workers and workers > 1:
+    procs = min(workers or 1, len(jobs), os.cpu_count() or 1)
+    if procs > 1:
         args = [(profile, m, beta, n_samples, tol, delta if i < n_sweep else None)
                 for i, (m, beta) in enumerate(jobs)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
             records = list(pool.map(_test_plane_star, args))
     else:
         records = [

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -50,7 +50,10 @@ class QuadricParams:
     c: float
 
 
-@dataclass(frozen=True)
+_ARRAY_FIELDS = ("coeffs", "sample_z", "sample_f")
+
+
+@dataclass(frozen=True, eq=False)
 class Profile:
     """A profile function F on (-q, q).
 
@@ -58,6 +61,9 @@ class Profile:
     polynomial kinds carry ascending coefficients in ``coeffs``; the sampled
     kind carries the data table and a monotone piecewise-cubic interpolant.
     ``h`` is the step used for numeric differentiation of sampled profiles.
+
+    The arrays are private read-only copies.  Profiles compare equal and
+    hash alike when kind, q, h and the bytes of the arrays agree.
     """
 
     kind: str
@@ -66,7 +72,33 @@ class Profile:
     coeffs: np.ndarray | None = field(default=None, repr=False)
     sample_z: np.ndarray | None = field(default=None, repr=False)
     sample_f: np.ndarray | None = field(default=None, repr=False)
-    _interp: object = field(default=None, repr=False, compare=False)
+    _interp: object = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for name in _ARRAY_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                arr = np.array(value, dtype=float)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
+
+    def _key(self):
+        arrays = (getattr(self, name) for name in _ARRAY_FIELDS)
+        return (self.kind, self.q, self.h) + tuple(
+            None if arr is None else arr.tobytes() for arr in arrays
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Profile):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        # rebuild through __init__ so an unpickled copy is read-only too
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
     def eval(self, z):
         """Value F(z).  Accepts scalars or arrays of z with |z| < q.
@@ -152,7 +184,7 @@ def make_polynomial_profile(coeffs, q, h=None):
     arr = np.asarray(coeffs, dtype=float)
     if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
         raise InvalidDomain("polynomial coefficients must be a non-empty finite 1-d sequence")
-    prof = Profile(kind="polynomial", q=float(q), h=_default_h(q, h), coeffs=arr.copy())
+    prof = Profile(kind="polynomial", q=float(q), h=_default_h(q, h), coeffs=arr)
     _scan_positive(prof)
     return prof
 
@@ -190,8 +222,8 @@ def make_sampled_profile(z, f, q=None, h=None):
         kind="sampled",
         q=float(q),
         h=_default_h(q, h),
-        sample_z=zs.copy(),
-        sample_f=fs.copy(),
+        sample_z=zs,
+        sample_f=fs,
         _interp=interp,
     )
     _scan_positive(prof)

@@ -37,6 +37,10 @@ _BRUTE_PAIR_LIMIT = 250_000
 # segments of each neighbour vertex are checked.
 _KNN = 8
 
+# Vertices of the descent's best center that every trial is scored on
+# before its full evaluation (see _centroid_descent).
+_WORST_POINTS = 64
+
 
 @dataclass(frozen=True)
 class CentralityReport:
@@ -91,15 +95,27 @@ class _LoopGeometry:
             self._tree = cKDTree(pts)
             self._k = min(_KNN, n)
 
-    def max_reflect_distance(self, center):
-        refl = 2.0 * np.asarray(center, dtype=float) - self.pts
+    def reflect_dist2(self, center, rows=None):
+        """Squared distance from each reflected vertex to the polyline.
+
+        With rows given, only those vertices are reflected and scored; each
+        value is bit-identical to the one a full evaluation gives that row.
+        """
+        pts = self.pts if rows is None else self.pts[rows]
+        refl = 2.0 * np.asarray(center, dtype=float) - pts
         if self._brute:
-            return float(max_min_dist_all(refl, self.seg_a, self.seg_d, self.seg_len2))
+            return max_min_dist_all(refl, self.seg_a, self.seg_d, self.seg_len2)
         _, idx = self._tree.query(refl, k=self._k)
-        cand = np.concatenate([idx, idx - 1], axis=1) % len(self.pts)
-        return float(
-            max_min_dist_candidates(refl, self.seg_a, self.seg_d, self.seg_len2, cand)
-        )
+        # idx - 1 is -1 for vertex 0, which indexes the closing segment
+        cand = np.concatenate([idx, idx - 1], axis=1)
+        return max_min_dist_candidates(refl, self.seg_a, self.seg_d, self.seg_len2, cand)
+
+    def max_reflect_distance(self, center):
+        return _root_max(self.reflect_dist2(center))
+
+
+def _root_max(d2):
+    return float(np.sqrt(d2.max()))
 
 
 def _pairwise_max_dist2(a, b):
@@ -177,10 +193,18 @@ def centrality(loop, tol, free_center=False):
 
 
 def _centroid_descent(geom, loop, free_center):
-    """Coordinate descent from the centroid; returns (center, asymmetry)."""
+    """Coordinate descent from the centroid; returns (center, asymmetry).
+
+    A trial center is first scored on the worst-scoring vertices of the
+    current best center.  Those values are the bits a full evaluation gives
+    the same vertices, and the full score is their maximum or more, so a
+    trial that already reaches the best score there is rejected without a
+    full evaluation, exactly as the full evaluation would reject it.
+    """
     cy, cz = centroid(loop)
     center = np.array([cy, cz]) if free_center else np.array([0.0, cz])
-    best = geom.max_reflect_distance(center)
+    d2 = geom.reflect_dist2(center)
+    best, worst = _root_max(d2), _worst_rows(d2)
     dirs = [np.array([0.0, 1.0])]
     if free_center:
         dirs.append(np.array([1.0, 0.0]))
@@ -188,12 +212,20 @@ def _centroid_descent(geom, loop, free_center):
     for _ in range(20):
         for d in dirs:
             for cand in (center + step * d, center - step * d):
-                val = geom.max_reflect_distance(cand)
+                if _root_max(geom.reflect_dist2(cand, worst)) >= best:
+                    continue
+                d2 = geom.reflect_dist2(cand)
+                val = _root_max(d2)
                 if val < best:
-                    best, center = val, cand
+                    best, center, worst = val, cand, _worst_rows(d2)
                     break
         step *= 0.5
     return center, best / geom.diameter
+
+
+def _worst_rows(d2):
+    k = min(_WORST_POINTS, len(d2))
+    return np.argpartition(d2, -k)[-k:]
 
 
 def symmetric_quotient(f, zeta, t):

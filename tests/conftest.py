@@ -1,9 +1,11 @@
 """Shared fixtures and independent oracle implementations.
 
 The oracles here deliberately avoid the library's geometry code paths
-(KD-tree candidate pruning, compiled kernels, normal equations): they are
+(KD-tree candidate pruning, split-column kernels, normal equations): they are
 plain quadratic-cost numpy so that fast-path results can be checked against
-a second, independently written route.
+a second, independently written route.  The two reference kernels are the
+exception: they keep the library's earlier (N, K, 2) formulation, which the
+split-column kernels must reproduce bit for bit.
 """
 
 import numpy as np
@@ -42,6 +44,32 @@ def oracle_asymmetry(points, center):
         dist = np.sqrt(np.min(np.einsum("ij,ij->i", gap, gap)))
         worst = max(worst, float(dist))
     return worst / oracle_diameter(pts)
+
+
+def reference_max_min_dist_candidates(refl, seg_a, seg_d, seg_len2, cand):
+    """Max over reflected points of the distance to the nearest candidate
+    segment, on (N, K, 2) arrays reduced with sum(axis=-1)."""
+    a = seg_a[cand]
+    d = seg_d[cand]
+    ap = refl[:, None, :] - a
+    t = (ap * d).sum(axis=-1) / seg_len2[cand]
+    np.clip(t, 0.0, 1.0, out=t)
+    gap = ap - t[..., None] * d
+    d2 = (gap**2).sum(axis=-1).min(axis=1)
+    return float(np.sqrt(d2.max()))
+
+
+def reference_max_min_dist_all(refl, seg_a, seg_d, seg_len2, chunk=256):
+    """As above over all segments, on (chunk, M, 2) arrays."""
+    worst = 0.0
+    for s in range(0, len(refl), chunk):
+        p = refl[s : s + chunk]
+        ap = p[:, None, :] - seg_a[None, :, :]
+        t = (ap * seg_d[None, :, :]).sum(axis=-1) / seg_len2[None, :]
+        np.clip(t, 0.0, 1.0, out=t)
+        gap = ap - t[..., None] * seg_d[None, :, :]
+        worst = max(worst, float((gap**2).sum(axis=-1).min(axis=1).max()))
+    return float(np.sqrt(worst))
 
 
 def oracle_diameter(points):

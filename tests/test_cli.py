@@ -165,6 +165,13 @@ class TestDetectCommand:
         assert code == 2
         assert "delta" in err
 
+    def test_workers_below_one_is_usage_error(self, capsys):
+        for value in ("0", "-2"):
+            with pytest.raises(SystemExit) as exc:
+                main(["detect", "--profile", "sphere", "--workers", value])
+            assert exc.value.code == 2
+            assert "--workers" in capsys.readouterr().err
+
     def test_deterministic_output(self, capsys):
         args = ("detect", "--profile", "sphere", "--planes", "5", "--samples", "256")
         _, first, _ = run_cli(capsys, *args)

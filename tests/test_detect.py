@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import revquad as rq
+import revquad.detect as detect_module
 from revquad import (
     CenterCurve,
     CenterEntry,
@@ -252,6 +253,34 @@ class TestDetectQuadric:
         assert '"central_but_fit_failed": true' in text
         assert '"witness": null' in text
         assert '"a": null' in text
+
+    def test_pool_size_is_bounded(self, sphere, monkeypatch):
+        # min(workers, planes, CPUs) processes, serial when that is 1; the
+        # recording pool runs the planes in-process and starts nothing
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(detect_module, "ProcessPoolExecutor", RecordingPool)
+        serial = rq.verdict_json(rq.detect_quadric(sphere, 0.1, 5, 256, 1e-4))
+        for cpus, workers, want in ((2, 3, 2), (64, 100, 10), (1, 3, None), (None, 3, None)):
+            sizes.clear()
+            monkeypatch.setattr(detect_module.os, "cpu_count", lambda: cpus)
+            v = rq.detect_quadric(sphere, 0.1, 5, 256, 1e-4, workers=workers)
+            assert sizes == ([] if want is None else [want])
+            assert v.planes_tested == 10
+            assert rq.verdict_json(v) == serial
 
     def test_worker_pool_matches_serial(self, sphere):
         serial = rq.detect_quadric(sphere, 0.1, 5, 256, 1e-4, workers=1)

@@ -1,6 +1,7 @@
 """Profile construction, evaluation, differentiation, and spec-string parsing."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -78,6 +79,50 @@ class TestDerivative:
         quot = (p.eval(z + h) - p.eval(z - h)) / (2.0 * h)
         der = p.derivative(z)
         assert abs(quot - der) <= 1e-9 * max(1.0, abs(der))
+
+
+class TestValueSemantics:
+    def table(self):
+        z = np.linspace(-1.0, 1.0, 40)
+        return z, 2.0 + z**3
+
+    def test_equality(self):
+        assert rq.parse_profile("sphere") == rq.parse_profile("sphere")
+        assert rq.parse_profile("sphere") == rq.parse_profile("quadric:-1,0,1,1")
+        assert rq.parse_profile("sphere") != rq.parse_profile("cylinder:1,1")
+        assert rq.parse_profile("poly:2,0,0,1;1") != rq.parse_profile("poly:2,0,0,1;0.9")
+        assert rq.make_sampled_profile(*self.table()) == rq.make_sampled_profile(*self.table())
+        z, f = self.table()
+        assert rq.make_sampled_profile(z, f) != rq.make_sampled_profile(z, f + 1.0)
+        assert rq.parse_profile("sphere") != "sphere"
+
+    def test_hashing(self):
+        a, b = rq.parse_profile("sphere"), rq.parse_profile("sphere")
+        assert hash(a) == hash(b)
+        assert len({a, b, rq.parse_profile("cylinder:1,1")}) == 2
+        assert hash(rq.make_sampled_profile(*self.table())) == hash(
+            rq.make_sampled_profile(*self.table())
+        )
+
+    def test_arrays_are_read_only_copies(self):
+        coeffs = np.array([2.0, 0.0, 0.0, 1.0])
+        prof = rq.make_polynomial_profile(coeffs, 1.0)
+        with pytest.raises(ValueError):
+            prof.coeffs[0] = -5.0
+        coeffs[0] = -5.0  # the caller's array stays writable and detached
+        assert prof.eval(0.0) == 2.0
+        samp = rq.make_sampled_profile(*self.table())
+        for arr in (samp.sample_z, samp.sample_f):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_pickle_round_trip(self):
+        for prof in (rq.parse_profile("sphere"), rq.make_sampled_profile(*self.table())):
+            back = pickle.loads(pickle.dumps(prof))
+            assert back == prof
+            assert back.eval(0.3) == prof.eval(0.3)
+            arr = back.coeffs if back.coeffs is not None else back.sample_f
+            assert not arr.flags.writeable
 
 
 class TestSampled:

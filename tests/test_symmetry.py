@@ -6,11 +6,20 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.spatial import cKDTree
 
 import revquad as rq
 from revquad import DegenerateLoop, InvalidDomain, Plane
 
-from conftest import oracle_asymmetry, synthetic_loop
+from revquad import symmetry
+from revquad.symmetry import _LoopGeometry
+
+from conftest import (
+    oracle_asymmetry,
+    reference_max_min_dist_all,
+    reference_max_min_dist_candidates,
+    synthetic_loop,
+)
 
 
 def circle_points(cy, cz, r=1.0, n=64):
@@ -138,6 +147,93 @@ class TestAsymmetryAt:
             assert abs(fast - brute) <= 1e-12 + 1e-9 * brute
 
 
+def reference_score(geom, center):
+    """Unnormalized asymmetry routed as _LoopGeometry routes it, through the
+    (N, K, 2) reference kernels."""
+    refl = 2.0 * np.asarray(center, dtype=float) - geom.pts
+    if geom._brute:
+        return reference_max_min_dist_all(refl, geom.seg_a, geom.seg_d, geom.seg_len2)
+    _, idx = geom._tree.query(refl, k=geom._k)
+    cand = np.concatenate([idx, idx - 1], axis=1) % len(geom.pts)
+    return reference_max_min_dist_candidates(refl, geom.seg_a, geom.seg_d, geom.seg_len2, cand)
+
+
+def reference_centrality(loop, tol, free_center):
+    """centrality without the worst-point pre-check: the extent midpoint,
+    then, if it fails, the coordinate descent with every trial center
+    scored in full.  Returns (center, asymmetry, descent_ran)."""
+    geom = _LoopGeometry(loop)
+    center = 0.5 * (geom.pts.min(axis=0) + geom.pts.max(axis=0))
+    if not free_center:
+        center[0] = 0.0
+    asym = reference_score(geom, center) / geom.diameter
+    if asym <= tol:
+        return (float(center[0]), float(center[1])), asym, False
+    cy, cz = rq.centroid(loop)
+    center = np.array([cy, cz]) if free_center else np.array([0.0, cz])
+    best = reference_score(geom, center)
+    dirs = [np.array([0.0, 1.0])]
+    if free_center:
+        dirs.append(np.array([1.0, 0.0]))
+    step = geom.diameter / 8.0
+    for _ in range(20):
+        for d in dirs:
+            for cand in (center + step * d, center - step * d):
+                val = reference_score(geom, cand)
+                if val < best:
+                    best, center = val, cand
+                    break
+        step *= 0.5
+    return (float(center[0]), float(center[1])), best / geom.diameter, True
+
+
+def sampled_cubic():
+    z = np.linspace(-1.0, 1.0, 200)
+    return rq.make_sampled_profile(z, ((0.4 * z - 0.1) * z + 0.2) * z + 1.8)
+
+
+def kernel_loops():
+    """Seeded noisy circles and a traced cubic section, on both sides of
+    the all-pairs limit."""
+    for seed, n_pts in ((0, 96), (1, 254), (2, 700)):
+        rng = np.random.default_rng(seed)
+        yield circle_points(0.1, -0.2, 1.0, n_pts) + rng.normal(0.0, 0.01, (n_pts, 2))
+    for n in (128, 1024):
+        yield rq.trace_section(rq.parse_profile("poly:2,0,0,1;1"), Plane(0.4, 0.0), n).points
+
+
+class TestKernels:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_split_kernels_match_reference_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        paths = set()
+        for pts in kernel_loops():
+            geom = _LoopGeometry(synthetic_loop(pts))
+            paths.add(geom._brute)
+            args = (geom.seg_a, geom.seg_d, geom.seg_len2)
+            for _ in range(3):
+                center = rng.normal(0.0, 0.05, 2) + pts.mean(axis=0)
+                refl = 2.0 * center - pts
+                _, idx = cKDTree(pts).query(refl, k=8)
+                cand = np.concatenate([idx, idx - 1], axis=1) % len(pts)
+                d2 = symmetry.max_min_dist_candidates(refl, *args, cand)
+                assert float(np.sqrt(d2.max())) == reference_max_min_dist_candidates(
+                    refl, *args, cand
+                )
+                assert geom.max_reflect_distance(center) == reference_score(geom, center)
+                # the pre-check's premise: a subset of rows scores the very
+                # bits the full evaluation gives those rows
+                rows = rng.choice(len(pts), 64, replace=False)
+                assert np.array_equal(geom.reflect_dist2(center, rows),
+                                      geom.reflect_dist2(center)[rows])
+                if len(pts) > 700:
+                    continue  # the all-pairs scan of the 2046-point loop is slow
+                full = symmetry.max_min_dist_all(refl, *args)
+                assert float(np.sqrt(full.max())) == reference_max_min_dist_all(refl, *args)
+                assert np.array_equal(symmetry.max_min_dist_all(refl[rows], *args), full[rows])
+        assert paths == {True, False}
+
+
 class TestCentrality:
     def test_sphere_section(self, sphere):
         loop = rq.trace_section(sphere, Plane(0.5, 0.3), 1024)
@@ -201,6 +297,22 @@ class TestCentrality:
             assert rep.asymmetry == rq.asymmetry_at(loop, rep.center)
             # the descent improves on the failed midpoint
             assert rep.asymmetry < rq.asymmetry_at(loop, mid)
+
+    @pytest.mark.parametrize("free", [False, True])
+    @pytest.mark.parametrize("n", [128, 1024])
+    @pytest.mark.parametrize("spec, plane", [
+        ("poly:2,0,0,1;1", Plane(0.4, 0.0)),
+        ("poly:1,0,1,0,1;1", Plane(0.4, -0.2)),
+        ("sampled", Plane(0.5, 0.0)),
+    ])
+    def test_pruned_descent_reproduces_full_descent(self, spec, plane, n, free):
+        prof = sampled_cubic() if spec == "sampled" else rq.parse_profile(spec)
+        loop = rq.trace_section(prof, plane, n)
+        center, asym, descent_ran = reference_centrality(loop, 1e-4, free)
+        rep = rq.centrality(loop, 1e-4, free_center=free)
+        assert descent_ran
+        assert rep.center == center
+        assert rep.asymmetry == asym
 
     @given(case=scored_loops(), tol=st.sampled_from((1e-5, 1e-4, 3e-3)))
     def test_reported_center_reproduces_verdict(self, case, tol):
