@@ -32,21 +32,15 @@ def max_min_dist_candidates(refl, seg_a, seg_d, seg_len2, cand):
     return _segment_dist2(apx, apy, dx, dy, seg_len2[cand]).min(axis=1)
 
 
-def max_min_dist_all(refl, seg_a, seg_d, seg_len2, chunk=256):
+def max_min_dist_all(refl, seg_a, seg_d, seg_len2):
     """Per-point squared distance to the nearest segment of the whole polyline.
 
-    Scans all point-segment pairs, chunk points at a time; returns an
-    N-vector.
+    Scans all point-segment pairs at once, so the caller bounds
+    len(refl) * len(seg_a); returns an N-vector.
     """
-    ax, ay = seg_a[:, 0], seg_a[:, 1]
-    dx, dy = seg_d[:, 0], seg_d[:, 1]
-    out = np.empty(len(refl))
-    for s in range(0, len(refl), chunk):
-        p = refl[s : s + chunk]
-        apx = p[:, 0:1] - ax
-        apy = p[:, 1:2] - ay
-        out[s : s + chunk] = _segment_dist2(apx, apy, dx, dy, seg_len2).min(axis=1)
-    return out
+    apx = refl[:, 0:1] - seg_a[:, 0]
+    apy = refl[:, 1:2] - seg_a[:, 1]
+    return _segment_dist2(apx, apy, seg_d[:, 0], seg_d[:, 1], seg_len2).min(axis=1)
 
 
 def _segment_dist2(apx, apy, dx, dy, len2):

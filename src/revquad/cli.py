@@ -194,24 +194,11 @@ def cmd_mvt(args):
     if args.grid < 2:
         raise InvalidDomain("need at least a 2x2 grid")
 
-    def f(z):
-        acc = coeffs[-1]
-        for c in coeffs[-2::-1]:
-            acc = acc * z + c
-        return acc
-
-    dcoeffs = [k * c for k, c in enumerate(coeffs)][1:] or [0.0]
-
-    def fp(z):
-        acc = dcoeffs[-1]
-        for c in dcoeffs[-2::-1]:
-            acc = acc * z + c
-        return acc
-
+    f = np.polynomial.Polynomial(coeffs)
     k = args.grid
     zetas = np.linspace(-1.0, 1.0, k)
     ts = np.arange(1, k + 1) / k
-    worst = max_midpoint_residual(f, fp, zetas, ts)
+    worst = max_midpoint_residual(f, f.deriv(), zetas, ts)
     quadratic = worst <= MVT_QUADRATIC_GATE
     verdict = "quadratic" if quadratic else "not-quadratic"
     if args.json:

@@ -276,17 +276,14 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
     n_sweep = len(jobs)
     jobs += _probe_planes(profile, delta, mu)
 
-    procs = min(workers or 1, len(jobs), os.cpu_count() or 1)
+    args = [(profile, m, beta, n_samples, tol, delta if i < n_sweep else None)
+            for i, (m, beta) in enumerate(jobs)]
+    procs = min(workers or 1, len(args), os.cpu_count() or 1)
     if procs > 1:
-        args = [(profile, m, beta, n_samples, tol, delta if i < n_sweep else None)
-                for i, (m, beta) in enumerate(jobs)]
         with ProcessPoolExecutor(max_workers=procs) as pool:
             records = list(pool.map(_test_plane_star, args))
     else:
-        records = [
-            _test_plane(profile, m, beta, n_samples, tol, delta if i < n_sweep else None)
-            for i, (m, beta) in enumerate(jobs)
-        ]
+        records = [_test_plane(*a) for a in args]
 
     curve = CenterCurve(
         m=m_sweep,

@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 
+from .detect import derivative_from_centers
 from .sections import embed_3d
 
 __all__ = [
@@ -88,9 +89,7 @@ def verdict_json(verdict):
 def center_curve_csv(curve, profile):
     """Reconstruction table: one row per plane of the center curve."""
     lines = ["beta,zeta,fprime_reconstructed,fprime_analytic,abs_error"]
-    m2 = curve.m * curve.m
-    for e in curve.entries:
-        rec = 2.0 * (e.zeta - e.beta) / m2
+    for e, (_, rec) in zip(curve.entries, derivative_from_centers(curve)):
         ana = profile.derivative(e.zeta)
         lines.append(
             ",".join(fmt(v) for v in (e.beta, e.zeta, rec, ana, abs(rec - ana)))

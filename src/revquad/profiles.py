@@ -6,6 +6,13 @@ holds the three profile representations (exact quadratic, general polynomial,
 sampled data), their evaluation and differentiation, the text mini-language
 parser, and the slab infimum phi(delta) = inf sqrt(F) over |z| <= q - delta.
 
+Extrema of F over an interval are exact: F is evaluated at the interval ends
+and at every critical point inside it.  For quadratic and polynomial kinds
+those are the roots of F'; for the sampled kind, whose interpolant is a
+piecewise cubic, they are the roots of its piecewise-quadratic derivative.
+Construction checks positivity the same way, so a profile that dips to or
+below zero anywhere inside the domain is rejected.
+
 All profiles are immutable after construction and safe to share across
 threads or processes.
 """
@@ -17,6 +24,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from scipy.interpolate import PchipInterpolator
 
 from .errors import InvalidDomain, NonPositiveProfile, OutOfDomain, ParseError
@@ -30,15 +38,10 @@ __all__ = [
     "parse_profile",
     "infimum_radius",
     "preset_lines",
-    "SCAN_POINTS",
 ]
 
-SCAN_POINTS = 4097
-
-# Construction-time positivity scans stay this factor inside (-q, q).
+# Construction-time positivity checks stay this factor inside (-q, q).
 _EDGE = 1.0 - 2.0 ** -20
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -164,17 +167,40 @@ def _check_q(q):
         raise InvalidDomain(f"q must be a positive finite real, got {q!r}")
 
 
-def _scan_positive(profile):
-    lim = profile.q * _EDGE
-    profile.eval(np.linspace(-lim, lim, SCAN_POINTS))
+def _value_range(profile, lim):
+    """(min F, max F) over |z| <= lim, from the ends and the critical points.
+
+    Complex derivative roots contribute their real parts and flat pieces of
+    a sampled profile report nan; such extra candidates are harmless, since
+    only values of F at points of the interval are compared.  Raises
+    NonPositiveProfile, through eval, if any candidate value is <= 0.
+    """
+    if profile.kind == "sampled":
+        crit = profile._interp.derivative().roots(extrapolate=False)
+    else:
+        dc = P.polytrim(P.polyder(profile.coeffs))
+        # Leading terms of F' below one rounding unit of its largest term on
+        # |z| <= lim only add roots far outside the interval, and a tiny
+        # leading coefficient would overflow the companion matrix: drop them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            size = np.abs(dc) * lim ** np.arange(dc.size)
+        dc = dc[: np.flatnonzero(size >= 2.0 ** -52 * np.nanmax(size))[-1] + 1]
+        crit = P.polyroots(dc).real
+    crit = crit[np.abs(crit) < lim]
+    vals = profile.eval(np.concatenate(([-lim, lim], crit)))
+    return float(vals.min()), float(vals.max())
+
+
+def _check_positive(profile):
+    _value_range(profile, profile.q * _EDGE)
 
 
 def make_quadric_profile(params, q, h=None):
-    """Profile F(z) = a z^2 + b z + c on (-q, q), positivity-scanned."""
+    """Profile F(z) = a z^2 + b z + c on (-q, q), checked positive."""
     _check_q(q)
     coeffs = np.array([params.c, params.b, params.a], dtype=float)
     prof = Profile(kind="quadratic", q=float(q), h=_default_h(q, h), coeffs=coeffs)
-    _scan_positive(prof)
+    _check_positive(prof)
     return prof
 
 
@@ -185,7 +211,7 @@ def make_polynomial_profile(coeffs, q, h=None):
     if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
         raise InvalidDomain("polynomial coefficients must be a non-empty finite 1-d sequence")
     prof = Profile(kind="polynomial", q=float(q), h=_default_h(q, h), coeffs=arr)
-    _scan_positive(prof)
+    _check_positive(prof)
     return prof
 
 
@@ -226,43 +252,19 @@ def make_sampled_profile(z, f, q=None, h=None):
         sample_f=fs,
         _interp=interp,
     )
-    _scan_positive(prof)
+    _check_positive(prof)
     return prof
 
 
 def infimum_radius(profile, delta):
     """phi(delta): the infimum of sqrt(F) over the slab |z| <= q - delta.
 
-    A 4097-point uniform scan locates the minimal grid cell; golden-section
-    search refines the minimum inside it.
+    Exact: the minimum of F is taken over the slab ends and the critical
+    points of F inside the slab.
     """
     if not (0.0 < delta < profile.q):
         raise InvalidDomain(f"need 0 < delta < q, got delta = {delta!r}")
-    lim = profile.q - delta
-    grid = np.linspace(-lim, lim, SCAN_POINTS)
-    vals = profile.eval(grid)
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, SCAN_POINTS - 1)]
-    fmin = _golden_min(profile.eval, lo, hi)
-    return math.sqrt(min(fmin, float(vals[i])))
-
-
-def _golden_min(f, a, b, iters=80):
-    """Golden-section minimum of f on [a, b]; returns the best value found."""
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
-    return f1 if f1 <= f2 else f2
+    return math.sqrt(_value_range(profile, profile.q - delta)[0])
 
 
 # --- profile spec mini-language ---------------------------------------------

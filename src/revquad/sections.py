@@ -24,7 +24,7 @@ from .errors import (
     OutOfDomain,
     ZeroSlope,
 )
-from .profiles import SCAN_POINTS
+from .profiles import _value_range
 
 __all__ = [
     "Plane",
@@ -205,14 +205,14 @@ def embed_3d(loop):
 
 
 def slope_bound(profile, delta):
-    """mu = delta / (2 M), M = max sqrt(F) over a 4097-grid on |z| <= q - delta/2.
+    """mu = delta / (2 M), M = max sqrt(F) over |z| <= q - delta/2.
 
-    Planes with m < mu and |beta| < q - 2 delta cut sections that close
-    inside the slab |z - beta| < delta.
+    M is exact (the maximum of F over the interval ends and the critical
+    points of F inside), so it is a true upper bound and planes with
+    m < mu and |beta| < q - 2 delta cut sections that close inside the
+    slab |z - beta| < delta.
     """
     if not (0.0 < delta < profile.q):
         raise InvalidDomain(f"need 0 < delta < q, got delta = {delta!r}")
-    lim = profile.q - 0.5 * delta
-    grid = np.linspace(-lim, lim, SCAN_POINTS)
-    big = math.sqrt(float(np.max(profile.eval(grid))))
+    big = math.sqrt(_value_range(profile, profile.q - 0.5 * delta)[1])
     return float(delta / (2.0 * big))

@@ -256,6 +256,18 @@ class TestMvtCommand:
         assert obj["verdict"] == "not-quadratic"
         assert obj["max_residual"] == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["--poly=0.3,-1.2,0.7,2.5,-0.4", "--grid", "5"],
+         "max residual 4.1000000000000005\nnot-quadratic\n"),
+        (["--poly=-2.5,0.75,3.25", "--grid", "7"],
+         "max residual 5.329070518200751e-15\nquadratic\n"),
+        (["--poly=1.5,0,-0.25,0,0.125,0.01", "--json"],
+         '{\n  "max_residual": 0.6099999999999999,\n  "verdict": "not-quadratic"\n}\n'),
+    ], ids=["quartic", "quadratic", "quintic-json"])
+    def test_output_bytes(self, capsys, argv, expected):
+        _, out, _ = run_cli(capsys, "mvt", *argv)
+        assert out == expected
+
     def test_bad_poly_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "mvt", "--poly", "1,x,3")
         assert code == 2

@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import revquad as rq
 from revquad import (
@@ -15,6 +15,7 @@ from revquad import (
     ParseError,
     QuadricParams,
 )
+from revquad.profiles import _value_range
 
 
 class TestEval:
@@ -49,6 +50,24 @@ class TestEval:
         # 1 - 2 z^2 goes negative inside |z| < 1
         with pytest.raises(NonPositiveProfile):
             rq.make_polynomial_profile([1.0, 0.0, -2.0], 1.0)
+
+    def test_dip_between_grid_nodes_rejected(self):
+        # F = (z - z0)^2 - 1e-9 is negative only within 3.2e-5 of z0, which
+        # sits midway between two nodes of a 4097-point grid on |z| < 1
+        lim = 1.0 - 2.0 ** -20
+        z0 = -lim + 2500.5 * (2.0 * lim / 4096)
+        with pytest.raises(NonPositiveProfile):
+            rq.parse_profile(f"quadric:1,{-2.0 * z0!r},{z0 * z0 - 1e-9!r},1")
+
+    @pytest.mark.parametrize("coeffs, q, top", [
+        ([1.0, 0.5, 0.3, 1e-310], 1.0, 1.0 + 0.5 * 0.95 + 0.3 * 0.95**2),
+        ([1.0, 0.0, 0.0, 0.0], 1e200, 1.0),
+    ], ids=["subnormal-top", "huge-q"])
+    def test_degenerate_leading_terms_accepted(self, coeffs, q, top):
+        # a subnormal leading term, or zero terms whose powers of q
+        # overflow, must not break the critical-point search
+        p = rq.make_polynomial_profile(coeffs, q)
+        assert rq.slope_bound(p, 0.1 * q) == pytest.approx(0.05 * q / math.sqrt(top), rel=1e-14)
 
     def test_scalar_eval_returns_float(self, sphere):
         assert isinstance(sphere.eval(0.25), float)
@@ -192,6 +211,38 @@ class TestSampled:
         val = p.derivative(0.9499)
         assert np.isfinite(val)
         assert abs(val - (-1.8998)) < 1e-2
+
+
+def _assert_range_holds(p, lim):
+    lo, hi = _value_range(p, lim)
+    vals = p.eval(np.linspace(-lim, lim, 20001))
+    assert lo <= vals.min() + 1e-12 * abs(vals.min())
+    assert hi >= vals.max() - 1e-12 * abs(vals.max())
+
+
+class TestValueRange:
+    @given(
+        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=7),
+        lim=st.floats(0.05, 0.99),
+    )
+    def test_polynomial_range_holds_dense_grid(self, coeffs, lim):
+        # a constant term above the sum of the others keeps F positive on |z| < 1
+        p = rq.make_polynomial_profile([0.1 + sum(map(abs, coeffs))] + coeffs, 1.0)
+        _assert_range_holds(p, lim)
+
+    @given(seed=st.integers(0, 2**32 - 1), flat=st.booleans())
+    @example(seed=7, flat=True)
+    def test_table_range_holds_dense_grid(self, seed, flat):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 40))
+        z = np.linspace(-1.0, 1.0, n)
+        z[1:-1] += rng.uniform(-0.3, 0.3, n - 2) / n
+        f = rng.uniform(0.5, 2.0, n)
+        if flat:
+            start = int(rng.integers(0, n - 3))
+            f[start : start + 4] = f[start]
+        p = rq.make_sampled_profile(z, f)
+        _assert_range_holds(p, p.q * float(rng.uniform(0.5, 0.999)))
 
 
 class TestInfimumRadius:

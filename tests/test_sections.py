@@ -213,6 +213,13 @@ class TestSlopeBound:
     def test_sphere_value(self, sphere):
         assert rq.slope_bound(sphere, 0.4) == pytest.approx(0.2, abs=1e-14)
 
+    def test_interior_maximum_exact(self):
+        # the maximum of F sits at z = -b / 2a, between the nodes of any grid
+        a, b, c = -1.0, 0.3137, 1.5
+        p = rq.make_quadric_profile(rq.QuadricParams(a, b, c), 1.0)
+        exact = 0.1 / (2.0 * math.sqrt(c - b * b / (4.0 * a)))
+        assert rq.slope_bound(p, 0.1) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
     def test_delta_domain(self, sphere):
         with pytest.raises(InvalidDomain):
             rq.slope_bound(sphere, 0.0)
