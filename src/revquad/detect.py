@@ -34,7 +34,7 @@ from .errors import (
     SlabViolation,
 )
 from .profiles import QuadricParams, infimum_radius
-from .sections import Plane, section_extent, slope_bound, trace_section
+from .sections import Plane, _count, section_extent, slope_bound, trace_section
 from .symmetry import CentralityReport, centrality
 
 __all__ = [
@@ -263,6 +263,8 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
     q = profile.q
     if not (0.0 < delta < q / 3.0):
         raise InvalidDomain(f"need 0 < delta < q/3, got delta = {delta!r}")
+    n_planes = _count(n_planes, "plane count")
+    n_samples = _count(n_samples, "sample count")
     if n_planes < 5:
         raise InvalidDomain(f"need at least 5 planes, got {n_planes!r}")
     if n_samples < 256:

@@ -63,15 +63,13 @@ class Profile:
     kind is one of "quadratic", "polynomial", "sampled".  Quadratic and
     polynomial kinds carry ascending coefficients in ``coeffs``; the sampled
     kind carries the data table and a monotone piecewise-cubic interpolant.
-    ``h`` is the step used for numeric differentiation of sampled profiles.
 
     The arrays are private read-only copies.  Profiles compare equal and
-    hash alike when kind, q, h and the bytes of the arrays agree.
+    hash alike when kind, q and the bytes of the arrays agree.
     """
 
     kind: str
     q: float
-    h: float
     coeffs: np.ndarray | None = field(default=None, repr=False)
     sample_z: np.ndarray | None = field(default=None, repr=False)
     sample_f: np.ndarray | None = field(default=None, repr=False)
@@ -87,7 +85,7 @@ class Profile:
 
     def _key(self):
         arrays = (getattr(self, name) for name in _ARRAY_FIELDS)
-        return (self.kind, self.q, self.h) + tuple(
+        return (self.kind, self.q) + tuple(
             None if arr is None else arr.tobytes() for arr in arrays
         )
 
@@ -103,19 +101,23 @@ class Profile:
         # rebuild through __init__ so an unpickled copy is read-only too
         return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
+    def _in_domain(self, z):
+        arr = np.asarray(z, dtype=float)
+        if np.any(np.abs(arr) >= self.q):
+            raise OutOfDomain(f"evaluation needs |z| < q = {self.q!r}")
+        return arr
+
     def eval(self, z):
         """Value F(z).  Accepts scalars or arrays of z with |z| < q.
 
         Raises OutOfDomain outside the open interval and NonPositiveProfile
         if the value comes out <= 0 (re-checked on every call).
         """
-        arr = np.asarray(z, dtype=float)
-        if np.any(np.abs(arr) >= self.q):
-            raise OutOfDomain(f"evaluation needs |z| < q = {self.q!r}")
+        arr = self._in_domain(z)
         if self.kind == "sampled":
             val = self._interp(arr)
         else:
-            val = _horner(self.coeffs, arr)
+            val = P.polyval(arr, self.coeffs)
         if np.any(val <= 0.0):
             raise NonPositiveProfile("profile value <= 0 inside |z| < q")
         if arr.ndim == 0:
@@ -123,43 +125,20 @@ class Profile:
         return val
 
     def derivative(self, z):
-        """Derivative F'(z).
+        """Derivative F'(z), exact for every kind.
 
-        Exact for quadratic and polynomial kinds.  The sampled kind returns
-        the central difference of the interpolant with step
-        min(h, (q - |z|) / 2) so the stencil never leaves the domain.
+        Quadratic and polynomial kinds evaluate the differentiated
+        coefficients; the sampled kind evaluates the first derivative of its
+        piecewise-cubic interpolant, up to the edge of the open domain.
         """
-        arr = np.asarray(z, dtype=float)
-        if np.any(np.abs(arr) >= self.q):
-            raise OutOfDomain(f"evaluation needs |z| < q = {self.q!r}")
-        if self.kind != "sampled":
-            n = len(self.coeffs)
-            if n < 2:
-                der = np.zeros_like(arr)
-            else:
-                dc = self.coeffs[1:] * np.arange(1, n)
-                der = _horner(dc, arr)
+        arr = self._in_domain(z)
+        if self.kind == "sampled":
+            der = self._interp(arr, 1)
         else:
-            step = np.minimum(self.h, 0.5 * (self.q - np.abs(arr)))
-            der = (self._interp(arr + step) - self._interp(arr - step)) / (2.0 * step)
+            der = P.polyval(arr, P.polyder(self.coeffs))
         if arr.ndim == 0:
             return float(der)
         return der
-
-
-def _horner(coeffs, z):
-    acc = np.full_like(np.asarray(z, dtype=float), coeffs[-1])
-    for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def _default_h(q, h):
-    if h is None:
-        return 1e-5 * q
-    if h <= 0.0:
-        raise InvalidDomain("derivative step h must be positive")
-    return float(h)
 
 
 def _check_q(q):
@@ -195,34 +174,35 @@ def _check_positive(profile):
     _value_range(profile, profile.q * _EDGE)
 
 
-def make_quadric_profile(params, q, h=None):
+def make_quadric_profile(params, q):
     """Profile F(z) = a z^2 + b z + c on (-q, q), checked positive."""
     _check_q(q)
     coeffs = np.array([params.c, params.b, params.a], dtype=float)
-    prof = Profile(kind="quadratic", q=float(q), h=_default_h(q, h), coeffs=coeffs)
+    prof = Profile(kind="quadratic", q=float(q), coeffs=coeffs)
     _check_positive(prof)
     return prof
 
 
-def make_polynomial_profile(coeffs, q, h=None):
+def make_polynomial_profile(coeffs, q):
     """Profile with ascending coefficients c0..cn, evaluated by Horner."""
     _check_q(q)
     arr = np.asarray(coeffs, dtype=float)
     if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
         raise InvalidDomain("polynomial coefficients must be a non-empty finite 1-d sequence")
-    prof = Profile(kind="polynomial", q=float(q), h=_default_h(q, h), coeffs=arr)
+    prof = Profile(kind="polynomial", q=float(q), coeffs=arr)
     _check_positive(prof)
     return prof
 
 
-def make_sampled_profile(z, f, q=None, h=None):
+def make_sampled_profile(z, f, q=None):
     """Profile interpolating a (z, F) table.
 
     Abscissae must be strictly increasing and ordinates strictly positive.
     When q is omitted it is inferred as min(-z[0], z[-1]), the largest
     half-width the table can serve; an explicit q must not exceed that.
     Evaluation uses shape-preserving piecewise-cubic interpolation with
-    finite-difference endpoint slopes.
+    finite-difference endpoint slopes; the derivative is the interpolant's
+    own, exact to rounding.
     """
     zs = np.asarray(z, dtype=float)
     fs = np.asarray(f, dtype=float)
@@ -244,14 +224,7 @@ def make_sampled_profile(z, f, q=None, h=None):
         if q > span:
             raise InvalidDomain(f"samples span only (-{span!r}, {span!r}), cannot serve q = {q!r}")
     interp = PchipInterpolator(zs, fs, extrapolate=False)
-    prof = Profile(
-        kind="sampled",
-        q=float(q),
-        h=_default_h(q, h),
-        sample_z=zs,
-        sample_f=fs,
-        _interp=interp,
-    )
+    prof = Profile(kind="sampled", q=float(q), sample_z=zs, sample_f=fs, _interp=interp)
     _check_positive(prof)
     return prof
 

@@ -13,6 +13,7 @@ orthonormal coordinates instead and carry z_lo = z_hi = beta.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,6 +156,7 @@ def trace_section(profile, plane, n):
     z_lo and z_hi.  The returned loop has 2n - 2 distinct points.  For
     m = 0 it has n points uniformly spaced in angle.
     """
+    n = _count(n, "sample level count")
     if n < 16:
         raise InvalidDomain(f"need n >= 16 sample levels, got {n!r}")
     if abs(plane.beta) >= profile.q:
@@ -185,6 +187,14 @@ def trace_section(profile, plane, n):
     upper = np.column_stack([ys, zs])[::-1]            # (0, z_lo) ... (0, z_hi)
     lower = np.column_stack([-ys[1:-1], zs[1:-1]])     # back down, endpoints excluded
     return SectionLoop(plane=plane, points=np.vstack([upper, lower]), z_lo=z_lo, z_hi=z_hi)
+
+
+def _count(value, what):
+    """value as an int; floats and other non-integers raise InvalidDomain."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidDomain(f"{what} must be an integer, got {value!r}") from None
 
 
 def embed_3d(loop):

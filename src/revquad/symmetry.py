@@ -7,6 +7,17 @@ polyline (point-to-segment, closing segment included), takes the maximum,
 and normalizes by the loop's chart diameter.  The score is zero for exact
 symmetry in any affine chart, so chart coordinates are good enough to decide
 centrality even though they distort lengths.
+
+The distance kernels work on separate x and y columns:
+
+    t = clip((apx * dx + apy * dy) / len2, 0, 1)
+    d2 = gx * gx + gy * gy,    g = ap - t * d
+
+with ap the offset from the segment start a to the point and d the segment
+vector.  Each point's value depends on that point alone, so a kernel run on
+a subset of rows returns the very bits a run on all rows gives for them.
+The kernels return these per-point minima; the caller takes the maximum and
+its square root, which is the max-min distance the names refer to.
 """
 
 from __future__ import annotations
@@ -16,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._fastdist import max_min_dist_all, max_min_dist_candidates
 from .errors import DegenerateLoop, InvalidDomain
 
 __all__ = [
@@ -72,6 +82,44 @@ def centroid(loop):
     mids = 0.5 * (pts + nxt)
     c = (mids * lengths[:, None]).sum(axis=0) / total
     return float(c[0]), float(c[1])
+
+
+def max_min_dist_candidates(refl, seg_a, seg_d, seg_len2, cand):
+    """Per-point squared distance to the nearest of its candidate segments.
+
+    refl is (N, 2), the segment arrays are indexed by cand, an (N, K) array
+    of segment indices; returns an N-vector.
+    """
+    apx = refl[:, 0:1] - seg_a[:, 0][cand]
+    apy = refl[:, 1:2] - seg_a[:, 1][cand]
+    dx = seg_d[:, 0][cand]
+    dy = seg_d[:, 1][cand]
+    return _segment_dist2(apx, apy, dx, dy, seg_len2[cand]).min(axis=1)
+
+
+def max_min_dist_all(refl, seg_a, seg_d, seg_len2):
+    """Per-point squared distance to the nearest segment of the whole polyline.
+
+    Scans all point-segment pairs at once, so the caller bounds
+    len(refl) * len(seg_a); returns an N-vector.
+    """
+    apx = refl[:, 0:1] - seg_a[:, 0]
+    apy = refl[:, 1:2] - seg_a[:, 1]
+    return _segment_dist2(apx, apy, seg_d[:, 0], seg_d[:, 1], seg_len2).min(axis=1)
+
+
+def _segment_dist2(apx, apy, dx, dy, len2):
+    """Squared point-to-segment distances; overwrites apx and apy."""
+    t = apx * dx
+    t += apy * dy
+    t /= len2
+    np.clip(t, 0.0, 1.0, out=t)
+    apx -= t * dx
+    apy -= t * dy
+    apx *= apx
+    apy *= apy
+    apx += apy
+    return apx
 
 
 class _LoopGeometry:
@@ -183,7 +231,7 @@ def centrality(loop, tol, free_center=False):
         center[0] = 0.0
     asym = geom.max_reflect_distance(center) / geom.diameter
     if not asym <= tol:
-        center, asym = _centroid_descent(geom, loop, free_center)
+        center, asym = _centroid_descent(geom, free_center)
     return CentralityReport(
         center=(float(center[0]), float(center[1])),
         asymmetry=asym,
@@ -192,7 +240,7 @@ def centrality(loop, tol, free_center=False):
     )
 
 
-def _centroid_descent(geom, loop, free_center):
+def _centroid_descent(geom, free_center):
     """Coordinate descent from the centroid; returns (center, asymmetry).
 
     A trial center is first scored on the worst-scoring vertices of the
@@ -201,7 +249,7 @@ def _centroid_descent(geom, loop, free_center):
     trial that already reaches the best score there is rejected without a
     full evaluation, exactly as the full evaluation would reject it.
     """
-    cy, cz = centroid(loop)
+    cy, cz = centroid(geom.pts)
     center = np.array([cy, cz]) if free_center else np.array([0.0, cz])
     d2 = geom.reflect_dist2(center)
     best, worst = _root_max(d2), _worst_rows(d2)

@@ -5,7 +5,7 @@ The oracles here deliberately avoid the library's geometry code paths
 plain quadratic-cost numpy so that fast-path results can be checked against
 a second, independently written route.  The two reference kernels are the
 exception: they keep the library's earlier (N, K, 2) formulation, which the
-split-column kernels must reproduce bit for bit.
+split-column kernels of ``revquad.symmetry`` must reproduce bit for bit.
 """
 
 import numpy as np
@@ -72,10 +72,14 @@ def reference_max_min_dist_all(refl, seg_a, seg_d, seg_len2, chunk=256):
     return float(np.sqrt(worst))
 
 
-def oracle_diameter(points):
+def oracle_diameter(points, block=256):
+    """Brute-force diameter over all pairs, a block of rows at a time."""
     pts = np.asarray(points, dtype=float)
-    diff = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt(np.max(np.einsum("ijk,ijk->ij", diff, diff))))
+    best = 0.0
+    for i in range(0, len(pts), block):
+        diff = pts[i : i + block, None, :] - pts[None, :, :]
+        best = max(best, float(np.max(np.einsum("ijk,ijk->ij", diff, diff))))
+    return float(np.sqrt(best))
 
 
 def oracle_quadratic_fit(z, v):

@@ -187,6 +187,15 @@ class TestDetectQuadric:
         with pytest.raises(InvalidDomain):
             rq.detect_quadric(sphere, 0.1, 17, 1024, 0.0)
 
+    @pytest.mark.parametrize("n_planes, n_samples", [(5.5, 256), (17, 256.5), (17.0, 1024)])
+    def test_non_integer_counts_rejected(self, sphere, n_planes, n_samples):
+        with pytest.raises(InvalidDomain):
+            rq.detect_quadric(sphere, 0.1, n_planes, n_samples, 1e-4)
+
+    def test_numpy_integer_counts(self, sphere):
+        got = rq.detect_quadric(sphere, 0.1, np.int64(5), np.int32(256), 1e-4)
+        assert rq.verdict_json(got) == rq.verdict_json(rq.detect_quadric(sphere, 0.1, 5, 256, 1e-4))
+
     def test_sphere_small_budget(self, sphere):
         # structural checks at the smallest allowed budget; the full-budget
         # accuracy checks live in the acceptance suite

@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 import revquad as rq
 from revquad import (
@@ -198,19 +199,32 @@ class TestSampled:
             assert rel <= 1e-8
 
     def test_sampled_sphere_derivative(self):
-        # central difference through the interpolant; the error is dominated
-        # by the interpolant's O(h^2) node slopes and depends on where the
-        # query lands between nodes (measured 1.7e-6 for this table)
+        # the interpolant's exact derivative; the error against the sphere's
+        # F' comes from the interpolant's O(h^2) node slopes and depends on
+        # where the query lands between nodes
         p = self.build()
         assert abs(p.derivative(0.5) - (-1.0)) <= 2e-6
         assert abs(p.derivative(0.0) - 0.0) <= 2e-6
 
     def test_derivative_step_shrinks_near_edge(self):
         p = self.build()
-        # differentiable right up to the edge of the open domain
+        # differentiable right up to the edge of the open domain, where the
+        # interpolant's derivative is evaluated like anywhere else
         val = p.derivative(0.9499)
         assert np.isfinite(val)
         assert abs(val - (-1.8998)) < 1e-2
+
+    def test_derivative_is_the_interpolants(self):
+        # exact to rounding everywhere, including a hair inside the edge,
+        # where a difference quotient with a shrinking step cancels
+        z = np.linspace(-1.0, 1.0, 200)
+        f = 3.0 + z + z**3
+        p = rq.make_sampled_profile(z, f)
+        want = PchipInterpolator(z, f).derivative()
+        pts = np.concatenate([np.linspace(-0.99, 0.99, 101), [-1.0 + 1e-12, 1.0 - 1e-12]])
+        assert np.all(np.abs(p.derivative(pts) - want(pts)) <= 1e-15 * np.abs(want(pts)))
+        edge = 1.0 - 1e-12
+        assert abs(p.derivative(edge) - want(edge)) <= 1e-15 * abs(want(edge))
 
 
 def _assert_range_holds(p, lim):

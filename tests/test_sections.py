@@ -154,6 +154,15 @@ class TestTraceSection:
         with pytest.raises(InvalidDomain):
             rq.trace_section(sphere, Plane(1.0, 0.0), 15)
 
+    @pytest.mark.parametrize("n", [100.5, 100.0, "100", None])
+    def test_non_integer_sample_count_rejected(self, sphere, n):
+        with pytest.raises(InvalidDomain):
+            rq.trace_section(sphere, Plane(0.5, 0.1), n)
+
+    def test_numpy_integer_sample_count(self, sphere):
+        loop = rq.trace_section(sphere, Plane(0.5, 0.1), np.int64(100))
+        assert np.array_equal(loop.points, rq.trace_section(sphere, Plane(0.5, 0.1), 100).points)
+
     def test_non_simple_cut_detected(self):
         # a profile with a deep dip between the extent roots: the outward
         # walk finds the far root, but the gap goes negative in between

@@ -16,6 +16,7 @@ from revquad.symmetry import _LoopGeometry
 
 from conftest import (
     oracle_asymmetry,
+    oracle_diameter,
     reference_max_min_dist_all,
     reference_max_min_dist_candidates,
     synthetic_loop,
@@ -232,6 +233,27 @@ class TestKernels:
                 assert float(np.sqrt(full.max())) == reference_max_min_dist_all(refl, *args)
                 assert np.array_equal(symmetry.max_min_dist_all(refl[rows], *args), full[rows])
         assert paths == {True, False}
+
+
+class TestChartDiameter:
+    # (spec, steep plane); every profile is also cut at a shallow slope
+    CASES = (
+        ("sphere", Plane(0.8, 0.0)),
+        ("hyperboloid:1,2", Plane(0.6, 0.4)),
+        ("poly:2,0,0,1;1", Plane(0.45, -0.2)),
+        ("poly:1,0,-1,0,0.05;1", Plane(0.65, 0.2)),
+    )
+
+    @pytest.mark.parametrize("n", [128, 512, 1024, 2048])
+    def test_exact_on_traced_loops(self, n):
+        # 2n - 2 points: n = 128 and 512 take the full pairwise scan, 1024
+        # and 2048 the strided scan refined around the winning pair
+        for spec, steep in self.CASES:
+            prof = rq.parse_profile(spec)
+            for plane in (Plane(0.02, 0.3 * prof.q), steep):
+                pts = rq.trace_section(prof, plane, n).points
+                exact = oracle_diameter(pts)
+                assert abs(symmetry._chart_diameter(pts) - exact) <= 2.0**-51 * exact
 
 
 class TestCentrality:
