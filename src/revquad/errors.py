@@ -40,7 +40,7 @@ class NonSimpleSection(RevquadError):
 
 
 class DegenerateLoop(RevquadError):
-    """Loop has zero total length or too few points to carry any geometry."""
+    """Loop has zero total length, too few points, or a non-finite coordinate."""
 
 
 class RankDeficient(RevquadError):

@@ -8,6 +8,13 @@ and normalizes by the loop's chart diameter.  The score is zero for exact
 symmetry in any affine chart, so chart coordinates are good enough to decide
 centrality even though they distort lengths.
 
+The chart diameter is exact: the largest squared distance, dx*dx + dy*dy
+elementwise, over the antipodal vertex pairs of the loop's convex hull,
+which rotating calipers enumerate (Shamos 1978; Toussaint 1983).  A traced
+loop is a strictly convex polygon, so it serves as its own hull; other
+loops take theirs from Qhull.  No score goes through a matrix product, so
+none depends on the BLAS build or its thread count.
+
 The distance kernels work on separate x and y columns:
 
     t = clip((apx * dx + apy * dy) / len2, 0, 1)
@@ -25,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import DegenerateLoop, InvalidDomain
 
@@ -67,6 +74,8 @@ def _as_points(obj):
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise DegenerateLoop("need at least 3 chart points")
+    if not np.isfinite(pts).all():
+        raise DegenerateLoop("chart points must be finite")
     return pts
 
 
@@ -84,38 +93,55 @@ def centroid(loop):
     return float(c[0]), float(c[1])
 
 
-def max_min_dist_candidates(refl, seg_a, seg_d, seg_len2, cand):
+def max_min_dist_candidates(refl, seg_a, seg_d, seg_len2, cand, work=None):
     """Per-point squared distance to the nearest of its candidate segments.
 
     refl is (N, 2), the segment arrays are indexed by cand, an (N, K) array
-    of segment indices; returns an N-vector.
+    of segment indices; returns an N-vector.  work, if given, is a
+    (7, >= N, K) scratch array used in place of fresh temporaries.
     """
-    apx = refl[:, 0:1] - seg_a[:, 0][cand]
-    apy = refl[:, 1:2] - seg_a[:, 1][cand]
-    dx = seg_d[:, 0][cand]
-    dy = seg_d[:, 1][cand]
-    return _segment_dist2(apx, apy, dx, dy, seg_len2[cand]).min(axis=1)
+    apx, apy, dx, dy, len2, t, tmp = _scratch(work, 7, cand.shape)
+    # mode="wrap" reads index -1 as fancy indexing does, without buffering
+    np.take(seg_a[:, 0], cand, out=apx, mode="wrap")
+    np.subtract(refl[:, 0:1], apx, out=apx)
+    np.take(seg_a[:, 1], cand, out=apy, mode="wrap")
+    np.subtract(refl[:, 1:2], apy, out=apy)
+    np.take(seg_d[:, 0], cand, out=dx, mode="wrap")
+    np.take(seg_d[:, 1], cand, out=dy, mode="wrap")
+    np.take(seg_len2, cand, out=len2, mode="wrap")
+    return _segment_dist2(apx, apy, dx, dy, len2, t, tmp).min(axis=1)
 
 
-def max_min_dist_all(refl, seg_a, seg_d, seg_len2):
+def max_min_dist_all(refl, seg_a, seg_d, seg_len2, work=None):
     """Per-point squared distance to the nearest segment of the whole polyline.
 
     Scans all point-segment pairs at once, so the caller bounds
-    len(refl) * len(seg_a); returns an N-vector.
+    len(refl) * len(seg_a); returns an N-vector.  work, if given, is a
+    (4, >= N, len(seg_a)) scratch array used in place of fresh temporaries.
     """
-    apx = refl[:, 0:1] - seg_a[:, 0]
-    apy = refl[:, 1:2] - seg_a[:, 1]
-    return _segment_dist2(apx, apy, seg_d[:, 0], seg_d[:, 1], seg_len2).min(axis=1)
+    apx, apy, t, tmp = _scratch(work, 4, (len(refl), len(seg_a)))
+    np.subtract(refl[:, 0:1], seg_a[:, 0], out=apx)
+    np.subtract(refl[:, 1:2], seg_a[:, 1], out=apy)
+    return _segment_dist2(apx, apy, seg_d[:, 0], seg_d[:, 1], seg_len2, t, tmp).min(axis=1)
 
 
-def _segment_dist2(apx, apy, dx, dy, len2):
-    """Squared point-to-segment distances; overwrites apx and apy."""
-    t = apx * dx
-    t += apy * dy
+def _scratch(work, count, shape):
+    """count float arrays of the given 2-D shape: the leading rows of work,
+    or fresh ones when work is None."""
+    if work is None:
+        return np.empty((count, *shape))
+    return work[:count, : shape[0]]
+
+
+def _segment_dist2(apx, apy, dx, dy, len2, t, tmp):
+    """Squared point-to-segment distances, returned in apx; t and tmp are
+    scratch, and apy is overwritten."""
+    np.multiply(apx, dx, out=t)
+    t += np.multiply(apy, dy, out=tmp)
     t /= len2
     np.clip(t, 0.0, 1.0, out=t)
-    apx -= t * dx
-    apy -= t * dy
+    apx -= np.multiply(t, dx, out=tmp)
+    apy -= np.multiply(t, dy, out=tmp)
     apx *= apx
     apy *= apy
     apx += apy
@@ -123,7 +149,12 @@ def _segment_dist2(apx, apy, dx, dy, len2):
 
 
 class _LoopGeometry:
-    """Per-loop precomputation shared by repeated asymmetry evaluations."""
+    """Per-loop precomputation shared by repeated asymmetry evaluations.
+
+    The scratch arrays of the distance kernels are allocated once here and
+    reused by every evaluation, so the many evaluations of a centre search
+    do not allocate and release megabytes each.
+    """
 
     def __init__(self, points):
         pts = _as_points(points)
@@ -139,9 +170,13 @@ class _LoopGeometry:
             raise DegenerateLoop("loop has zero diameter")
         n = len(pts)
         self._brute = n * n <= _BRUTE_PAIR_LIMIT
-        if not self._brute:
+        if self._brute:
+            self._work = np.empty((4, n, n))
+        else:
             self._tree = cKDTree(pts)
             self._k = min(_KNN, n)
+            self._cand = np.empty((n, 2 * self._k), dtype=np.intp)
+            self._work = np.empty((7, n, 2 * self._k))
 
     def reflect_dist2(self, center, rows=None):
         """Squared distance from each reflected vertex to the polyline.
@@ -152,11 +187,15 @@ class _LoopGeometry:
         pts = self.pts if rows is None else self.pts[rows]
         refl = 2.0 * np.asarray(center, dtype=float) - pts
         if self._brute:
-            return max_min_dist_all(refl, self.seg_a, self.seg_d, self.seg_len2)
+            return max_min_dist_all(refl, self.seg_a, self.seg_d, self.seg_len2,
+                                    work=self._work)
         _, idx = self._tree.query(refl, k=self._k)
         # idx - 1 is -1 for vertex 0, which indexes the closing segment
-        cand = np.concatenate([idx, idx - 1], axis=1)
-        return max_min_dist_candidates(refl, self.seg_a, self.seg_d, self.seg_len2, cand)
+        cand = self._cand[: len(refl)]
+        cand[:, : self._k] = idx
+        np.subtract(idx, 1, out=cand[:, self._k :])
+        return max_min_dist_candidates(refl, self.seg_a, self.seg_d, self.seg_len2, cand,
+                                       work=self._work)
 
     def max_reflect_distance(self, center):
         return _root_max(self.reflect_dist2(center))
@@ -166,36 +205,91 @@ def _root_max(d2):
     return float(np.sqrt(d2.max()))
 
 
-def _pairwise_max_dist2(a, b):
-    sq_a = (a**2).sum(axis=1)
-    sq_b = (b**2).sum(axis=1)
-    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T)
-    flat = int(np.argmax(d2))
-    i, j = divmod(flat, len(b))
-    return float(d2[i, j]), i, j
-
-
 def _chart_diameter(pts):
-    """Max pairwise distance.
+    """Max pairwise distance, exact: the square root of the largest
+    dx*dx + dy*dy over the antipodal vertex pairs of the loop's convex hull.
 
-    Large loops use a strided coarse scan refined around the winning pair,
-    which is exact whenever consecutive points advance smoothly (every
-    traced loop does); small loops use the full pairwise scan.
+    A loop that is a strictly convex polygon winding once, as every traced
+    loop is, is its own hull; any other loop takes its hull from Qhull.
+    Points that Qhull finds flat (collinear or repeated) lie on one line,
+    whose diameter is the distance between its two ends.
     """
-    n = len(pts)
-    if n <= 700:
-        d2, _, _ = _pairwise_max_dist2(pts, pts)
-        return float(np.sqrt(max(d2, 0.0)))
-    stride = int(np.ceil(n / 600))
-    coarse = pts[::stride]
-    _, ci, cj = _pairwise_max_dist2(coarse, coarse)
-    half = 2 * stride + 2
-    i0 = ci * stride
-    j0 = cj * stride
-    win_i = pts[max(i0 - half, 0) : i0 + half + 1]
-    win_j = pts[max(j0 - half, 0) : j0 + half + 1]
-    d2, _, _ = _pairwise_max_dist2(win_i, win_j)
-    return float(np.sqrt(max(d2, 0.0)))
+    hull, phi = _convex_ccw(pts)
+    if hull is None:
+        try:
+            hull = pts[ConvexHull(pts).vertices]
+        except QhullError:
+            return _line_diameter(pts)
+        _, phi = _edges_and_angles(hull)
+        # a convex hull's edge angles rise; this irons out their rounding
+        phi = np.maximum.accumulate(phi)
+    return float(np.sqrt(_caliper_max_dist2(hull, phi)))
+
+
+def _convex_ccw(pts):
+    """(loop, edge angles), the loop counterclockwise, if it is a strictly
+    convex polygon that winds once; otherwise (None, None)."""
+    cross, phi = _edges_and_angles(pts)
+    if (cross < 0.0).all():
+        pts = pts[::-1]
+        cross, phi = _edges_and_angles(pts)
+    if not (cross > 0.0).all():
+        return None, None
+    # Every turn is a left turn below pi, so the anchored angles rise
+    # throughout exactly when the total turning is 2 pi.
+    if (phi[1:] < phi[:-1]).any():
+        return None, None
+    return pts, phi
+
+
+def _edges_and_angles(pts):
+    """The turn cross product at each vertex and the angle of each edge
+    pts[i] -> pts[i + 1], unwrapped to [phi_0, phi_0 + 2 pi)."""
+    e = np.diff(np.concatenate([pts, pts[:2]]), axis=0)  # edges 0 .. h-1, 0
+    cross = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
+    phi = np.arctan2(e[:-1, 1], e[:-1, 0])
+    phi[phi < phi[0]] += 2.0 * np.pi
+    return cross, phi
+
+
+def _caliper_max_dist2(hull, phi):
+    """Largest squared distance between antipodal vertices of a convex,
+    counterclockwise polygon with rising edge angles phi (rotating
+    calipers; Shamos 1978, Toussaint 1983).
+
+    The vertex farthest from edge i is where the edge angles pass
+    phi[i] + pi; both ends of the edge are antipodal to it, and every
+    antipodal pair arises this way from one of its edges.  The far
+    vertex's two neighbours are scored too, which covers parallel edges
+    and angles that round across a vertex.
+    """
+    h = len(hull)
+    target = phi + np.pi
+    target[target >= phi[0] + 2.0 * np.pi] -= 2.0 * np.pi
+    far = np.searchsorted(phi, target)  # in [0, h]
+    # wrap-padded columns: x[k + 1] is vertex k mod h, for k in [-1, h + 1]
+    x = np.concatenate([hull[-1:, 0], hull[:, 0], hull[:2, 0]])
+    y = np.concatenate([hull[-1:, 1], hull[:, 1], hull[:2, 1]])
+    best = 0.0
+    for end in (1, 2):  # vertex i, then vertex i + 1
+        for opp in (0, 1, 2):  # vertex far - 1, far, far + 1
+            dx = x[end : end + h] - x[far + opp]
+            dy = y[end : end + h] - y[far + opp]
+            best = max(best, float((dx * dx + dy * dy).max()))
+    return best
+
+
+def _line_diameter(pts):
+    """Diameter of points on one line: the point farthest from any point is
+    an end of the line, and the point farthest from that end is the other."""
+    end = pts[np.argmax(_dist2_from(pts, pts[0]))]
+    return float(np.sqrt(_dist2_from(pts, end).max()))
+
+
+def _dist2_from(pts, p):
+    dx = pts[:, 0] - p[0]
+    dy = pts[:, 1] - p[1]
+    return dx * dx + dy * dy
 
 
 def asymmetry_at(loop, center):

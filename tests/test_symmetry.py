@@ -47,6 +47,20 @@ def scored_loops(draw):
     return synthetic_loop(pts), draw(st.booleans())
 
 
+@st.composite
+def polygons(draw):
+    """A random polygon: convex (an ellipse's vertices), star-shaped, or a
+    scatter of points joined in drawn order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 120))
+    kind = draw(st.sampled_from(("convex", "star", "scatter")))
+    if kind == "scatter":
+        return rng.normal(0.0, 1.0, (n, 2))
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    rad = 1.0 if kind == "convex" else rng.uniform(0.2, 1.0, n)
+    return np.column_stack([rad * np.cos(ang), 0.6 * rad * np.sin(ang)]) + rng.normal(0.0, 3.0, 2)
+
+
 class TestCentroid:
     def test_circle(self):
         loop = synthetic_loop(circle_points(0.0, 0.3, 1.0, 64))
@@ -134,6 +148,16 @@ class TestAsymmetryAt:
         rng = np.random.default_rng(seed)
         pts = circle_points(0.0, 0.0, 1.0, 70) + rng.normal(0.0, 0.08, (70, 2))
         center = (rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
+        fast = rq.asymmetry_at(synthetic_loop(pts), center)
+        brute = oracle_asymmetry(pts, center)
+        assert abs(fast - brute) <= 1e-12 + 1e-9 * brute
+
+    def test_matches_oracle_on_large_noisy_loop(self):
+        # 1500 points: the diameter comes from the hull, the distances from
+        # the candidate path
+        rng = np.random.default_rng(1500)
+        pts = circle_points(0.0, 0.0, 1.0, 1500) + rng.normal(0.0, 0.05, (1500, 2))
+        center = (0.02, -0.01)
         fast = rq.asymmetry_at(synthetic_loop(pts), center)
         brute = oracle_asymmetry(pts, center)
         assert abs(fast - brute) <= 1e-12 + 1e-9 * brute
@@ -234,6 +258,14 @@ class TestKernels:
                 assert np.array_equal(symmetry.max_min_dist_all(refl[rows], *args), full[rows])
         assert paths == {True, False}
 
+    def test_index_minus_one_is_the_closing_segment(self):
+        # reflect_dist2 passes idx - 1 = -1 for vertex 0
+        pts = circle_points(0.0, 0.0, 1.0, 8)
+        geom = _LoopGeometry(synthetic_loop(pts))
+        mid = 0.5 * (pts[-1] + pts[0])
+        args = (geom.seg_a, geom.seg_d, geom.seg_len2, np.array([[-1]]))
+        assert symmetry.max_min_dist_candidates(mid[None, :], *args)[0] <= 1e-30
+
 
 class TestChartDiameter:
     # (spec, steep plane); every profile is also cut at a shallow slope
@@ -246,14 +278,75 @@ class TestChartDiameter:
 
     @pytest.mark.parametrize("n", [128, 512, 1024, 2048])
     def test_exact_on_traced_loops(self, n):
-        # 2n - 2 points: n = 128 and 512 take the full pairwise scan, 1024
-        # and 2048 the strided scan refined around the winning pair
+        # 2n - 2 points, 254 to 4094; every traced loop is a strictly convex
+        # polygon, so it serves as its own hull for the calipers
         for spec, steep in self.CASES:
             prof = rq.parse_profile(spec)
             for plane in (Plane(0.02, 0.3 * prof.q), steep):
                 pts = rq.trace_section(prof, plane, n).points
                 exact = oracle_diameter(pts)
                 assert abs(symmetry._chart_diameter(pts) - exact) <= 2.0**-51 * exact
+
+    @pytest.mark.parametrize("noise", [0.01, 0.05, 0.3])
+    def test_exact_on_noisy_circles(self, noise):
+        # non-convex loops of 100-3000 points take their hull from Qhull
+        for seed in range(6):
+            rng = np.random.default_rng([seed, int(noise * 100)])
+            n = int(rng.integers(100, 3001))
+            pts = circle_points(0.0, 0.0, 1.0, n) + rng.normal(0.0, noise, (n, 2))
+            exact = oracle_diameter(pts)
+            assert abs(symmetry._chart_diameter(pts) - exact) <= 2.0**-51 * exact
+
+    @pytest.mark.parametrize("n", [16, 1024])
+    def test_orientation_start_and_winding(self, cubic, n):
+        pts = rq.trace_section(cubic, Plane(0.45, -0.2), n).points
+        assert symmetry._convex_ccw(pts)[0] is pts
+        exact = oracle_diameter(pts)
+        copies = {
+            "clockwise": pts[::-1],
+            "start-rotated": np.roll(pts, n // 3, axis=0),
+            "doubly wound": np.vstack([pts, pts]),
+        }
+        for name, copy in copies.items():
+            got = symmetry._chart_diameter(copy)
+            assert abs(got - exact) <= 2.0**-51 * exact, name
+        assert symmetry._convex_ccw(copies["doubly wound"])[0] is None
+
+    def test_parallel_opposite_edges(self):
+        # a centrally symmetric hexagon: every edge has an exactly parallel
+        # opposite edge, so far vertices tie and the diameter pair is found
+        # only through a far vertex's neighbour
+        hexagon = np.array([[4.0, -6.0], [5.0, -6.0], [1.0, 5.0],
+                            [-4.0, 6.0], [-5.0, 6.0], [-1.0, -5.0]])
+        for pts in (hexagon, hexagon[::-1], np.roll(hexagon, 2, axis=0)):
+            assert symmetry._chart_diameter(pts) == oracle_diameter(hexagon)
+
+    def test_collinear_and_repeated_points(self):
+        line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        assert symmetry._chart_diameter(line) == 2.0
+        back_and_forth = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]])
+        assert symmetry._chart_diameter(back_and_forth) == 2.0 * math.sqrt(2.0)
+        assert rq.asymmetry_at(synthetic_loop(back_and_forth), (1.0, 1.0)) == 0.0
+        # rounded coordinates on a slanted line, in shuffled order
+        t = np.random.default_rng(5).permutation(np.linspace(-1.0, 3.0, 9))
+        slanted = np.column_stack([0.1 * t, 0.7 * t])
+        exact = oracle_diameter(slanted)
+        assert abs(symmetry._chart_diameter(slanted) - exact) <= 2.0**-51 * exact
+
+    def test_degenerate_loops_rejected(self):
+        for pts in (np.tile([[0.3, -0.1]], (5, 1)),
+                    [[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]],
+                    [[0.0, 0.0], [np.inf, 0.0], [0.0, 1.0]]):
+            with pytest.raises(DegenerateLoop):
+                rq.asymmetry_at(pts, (0.0, 0.0))
+
+    @given(poly=polygons(), shift=st.integers(0, 200))
+    def test_matches_oracle_and_ignores_vertex_order(self, poly, shift):
+        got = symmetry._chart_diameter(poly)
+        exact = oracle_diameter(poly)
+        assert abs(got - exact) <= 2.0**-51 * exact
+        assert symmetry._chart_diameter(np.roll(poly, shift, axis=0)) == got
+        assert symmetry._chart_diameter(poly[::-1]) == got
 
 
 class TestCentrality:
