@@ -191,6 +191,8 @@ def cmd_mvt(args):
         coeffs = [float(tok) for tok in args.poly.split(",")]
     except ValueError:
         raise ParseError(f"bad coefficient list {args.poly!r}") from None
+    if not np.all(np.isfinite(coeffs)):
+        raise ParseError(f"coefficients must be finite, got {args.poly!r}")
     if args.grid < 2:
         raise InvalidDomain("need at least a 2x2 grid")
 

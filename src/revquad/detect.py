@@ -34,7 +34,11 @@ from .errors import (
     SlabViolation,
 )
 from .profiles import QuadricParams, infimum_radius
-from .sections import Plane, _count, section_extent, slope_bound, trace_section
+# section_extent is unused here but stays importable: perfbench's traced
+# run wraps revquad.detect.section_extent by name.
+from .sections import (
+    Plane, _check_closes, _count, section_extent, slope_bound, trace_section,
+)
 from .symmetry import CentralityReport, centrality
 
 __all__ = [
@@ -221,6 +225,8 @@ def _probe_planes(profile, delta, mu):
     For each probe intercept, start from a slope sized to the room left
     between beta and the domain edge and shrink it geometrically until the
     section closes.  Falls back to the slab slope when nothing closes.
+    Closing is decided by section_extent's outward walks alone; the roots
+    they bracket are not bisected.
     """
     q = profile.q
     half = 0.5 * (q - 2.0 * delta)
@@ -234,7 +240,7 @@ def _probe_planes(profile, delta, mu):
             if m <= floor:
                 break
             try:
-                section_extent(profile, Plane(m, beta))
+                _check_closes(profile, Plane(m, beta))
             except LoopEscapesDomain:
                 m *= _PROBE_SHRINK
                 continue

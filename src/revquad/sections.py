@@ -101,6 +101,23 @@ def section_extent(profile, plane):
     side of each root.  Raises LoopEscapesDomain when the gap stays
     positive all the way to |z| = q.
     """
+    gap, beta, step, cap = _walk_setup(profile, plane)
+    z_hi = _bisect_root(gap, *_outward_bracket(gap, beta, step, cap))
+    z_lo = _bisect_root(gap, *_outward_bracket(gap, beta, -step, -cap))
+    return z_lo, z_hi
+
+
+def _check_closes(profile, plane):
+    """section_extent without the bisections: the same checks and outward
+    walks, so the same exceptions, LoopEscapesDomain included."""
+    gap, beta, step, cap = _walk_setup(profile, plane)
+    _outward_bracket(gap, beta, step, cap)
+    _outward_bracket(gap, beta, -step, -cap)
+
+
+def _walk_setup(profile, plane):
+    """The domain and gap checks of section_extent, then (gap, beta, step,
+    cap) for its outward walks."""
     if plane.m == 0.0:
         raise ZeroSlope("section extent needs a tilted plane (m > 0)")
     beta = plane.beta
@@ -112,12 +129,11 @@ def section_extent(profile, plane):
     step = plane.m * math.sqrt(profile.eval(beta)) / 8.0
     gap = lambda z: section_gap(profile, plane, z)
     cap = profile.q * (1.0 - 2.0 ** -52)
-    z_hi = _outward_root(gap, beta, step, cap)
-    z_lo = _outward_root(gap, beta, -step, -cap)
-    return z_lo, z_hi
+    return gap, beta, step, cap
 
 
-def _outward_root(gap, start, step, cap):
+def _outward_bracket(gap, start, step, cap):
+    """(lo, hi) with gap(lo) > 0 >= gap(hi), walking from start toward cap."""
     prev = start
     k = 0
     stride = step
@@ -136,7 +152,11 @@ def _outward_root(gap, start, step, cap):
                 f"gap stays positive out to z = {cap!r}; section does not close inside |z| < q"
             )
         prev = z
-    lo, hi = prev, z  # gap(lo) > 0 >= gap(hi)
+    return prev, z
+
+
+def _bisect_root(gap, lo, hi):
+    """Bisect gap(lo) > 0 >= gap(hi) to exhaustion; returns the gap > 0 end."""
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

@@ -25,10 +25,22 @@ vector.  Each point's value depends on that point alone, so a kernel run on
 a subset of rows returns the very bits a run on all rows gives for them.
 The kernels return these per-point minima; the caller takes the maximum and
 its square root, which is the max-min distance the names refer to.
+
+A traced loop is a y-mirror: its lower branch is its upper branch with y
+negated, bit for bit, and both turning points lie on the axis y = 0, so the
+closed polyline is its own mirror image.  About a center (0, c) the
+reflection of the lower vertex (-y, z) is (y, 2c - z), the mirror of the
+upper vertex's image (-y, 2c - z); in exact arithmetic the two are equally
+far from the loop.  Such an evaluation therefore scores only the turning
+points and the upper branch, about half the rows: half the k-d query and
+half the kernel.  Every scored row keeps the bits a full evaluation gives
+it, so the score is the full one or lower, and lower only by the rounding
+of the skipped rows, whose mirrored segments are stored the other way round.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,7 +165,12 @@ class _LoopGeometry:
 
     The scratch arrays of the distance kernels are allocated once here and
     reused by every evaluation, so the many evaluations of a centre search
-    do not allocate and release megabytes each.
+    do not allocate and release megabytes each.  The y-mirror layout of a
+    traced loop is detected here once, exactly, from the points alone
+    (_mirror_half); evaluations about a center on the axis then score only
+    rows 0 .. h-1 (see the module docstring).  Other loops (an m = 0
+    circle, a rotated or perturbed copy of a traced loop) and centers off
+    the axis are scored on every row.
     """
 
     def __init__(self, points):
@@ -168,6 +185,7 @@ class _LoopGeometry:
         self.diameter = _chart_diameter(pts)
         if self.diameter == 0.0:
             raise DegenerateLoop("loop has zero diameter")
+        self._half = _mirror_half(pts)
         n = len(pts)
         self._brute = n * n <= _BRUTE_PAIR_LIMIT
         if self._brute:
@@ -183,9 +201,19 @@ class _LoopGeometry:
 
         With rows given, only those vertices are reflected and scored; each
         value is bit-identical to the one a full evaluation gives that row.
+        Without rows, a y-mirror loop scored about a center on the axis
+        y = 0 scores its rows 0 .. h-1 only, the first turning point, the
+        upper branch and the second turning point: each lower vertex is as
+        far from the loop as its upper mirror in exact arithmetic.
         """
-        pts = self.pts if rows is None else self.pts[rows]
-        refl = 2.0 * np.asarray(center, dtype=float) - pts
+        center = np.asarray(center, dtype=float)
+        if rows is not None:
+            pts = self.pts[rows]
+        elif self._half is not None and center[0] == 0.0:
+            pts = self.pts[: self._half]
+        else:
+            pts = self.pts
+        refl = 2.0 * center - pts
         if self._brute:
             return max_min_dist_all(refl, self.seg_a, self.seg_d, self.seg_len2,
                                     work=self._work)
@@ -199,6 +227,26 @@ class _LoopGeometry:
 
     def max_reflect_distance(self, center):
         return _root_max(self.reflect_dist2(center))
+
+
+def _mirror_half(pts):
+    """h when the loop has the traced y-mirror layout, else None.
+
+    The layout is 2h - 2 points: turning points 0 and h - 1 on the axis
+    y = 0 and each lower vertex h + j the exact mirror (-y, z) of upper
+    vertex h - 2 - j, so the closed polyline is its own mirror image.
+    """
+    n = len(pts)
+    if n % 2:
+        return None
+    h = n // 2 + 1
+    upper = pts[h - 2 : 0 : -1]
+    lower = pts[h:]
+    if (pts[0, 0] == 0.0 and pts[h - 1, 0] == 0.0
+            and np.array_equal(lower[:, 0], -upper[:, 0])
+            and np.array_equal(lower[:, 1], upper[:, 1])):
+        return h
+    return None
 
 
 def _root_max(d2):
@@ -315,7 +363,10 @@ def centrality(loop, tol, free_center=False):
     reported asymmetry is the descent's best.  Traced loops are mirror
     symmetric in y, so the center's y-coordinate is pinned to 0 in both
     steps; pass free_center=True for externally supplied loops to search
-    both coordinates.
+    both coordinates.  About a center on the axis a traced loop is scored
+    on its turning points and upper branch only, which its mirror symmetry
+    makes equal to the full score in exact arithmetic (see the module
+    docstring); centers off the axis are scored on every vertex.
     """
     if not (tol > 0.0):
         raise InvalidDomain(f"tolerance must be positive, got {tol!r}")
@@ -383,9 +434,13 @@ def midpoint_residual(f, f_prime, zeta, t):
 
 
 def max_midpoint_residual(f, f_prime, zetas, ts):
-    """Largest |midpoint residual| over the (zeta, t) grid."""
+    """Largest |midpoint residual| over the (zeta, t) grid; nan as soon as
+    any residual is nan, since a nan never compares larger."""
     worst = 0.0
     for zeta in zetas:
         for t in ts:
-            worst = max(worst, abs(midpoint_residual(f, f_prime, zeta, t)))
+            r = abs(midpoint_residual(f, f_prime, zeta, t))
+            if math.isnan(r):
+                return math.nan
+            worst = max(worst, r)
     return worst

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -272,3 +273,12 @@ class TestMvtCommand:
         code, _, err = run_cli(capsys, "mvt", "--poly", "1,x,3")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("poly", ["nan", "1,nan,2", "1,inf", "-inf,0,1"])
+    def test_non_finite_poly_exits_2(self, capsys, poly):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "mvt", f"--poly={poly}")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err

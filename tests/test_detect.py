@@ -235,6 +235,39 @@ class TestDetectQuadric:
         assert max(r.asymmetry for r in sweep) < 1e-6
         assert max(r.asymmetry for r in probes) > 1e-3
 
+    @pytest.mark.parametrize("spec", [
+        "sphere", "hyperboloid:1,2", "poly:2,0,0,1;1", "poly:1,0,1,0,1;1",
+        "poly:1,0,-1,0,0.05;1",
+    ])
+    def test_probe_slopes_stop_at_the_bracket(self, spec, monkeypatch):
+        # the closure check never bisects, and it picks the very slopes the
+        # full section_extent picks
+        prof = rq.parse_profile(spec)
+        delta = 0.1 * prof.q
+        mu = rq.slope_bound(prof, delta)
+        expected = []
+        half = 0.5 * (prof.q - 2.0 * delta)
+        for beta in np.linspace(-half, half, detect_module.PROBE_COUNT):
+            m = detect_module._PROBE_SHRINK * (prof.q - abs(beta)) / np.sqrt(prof.eval(beta))
+            chosen = 0.5 * mu
+            for _ in range(detect_module._PROBE_TRIES):
+                if m <= 0.5 * mu:
+                    break
+                try:
+                    rq.section_extent(prof, Plane(m, beta))
+                except LoopEscapesDomain:
+                    m *= detect_module._PROBE_SHRINK
+                    continue
+                chosen = m
+                break
+            expected.append((float(chosen), float(beta)))
+
+        def no_bisection(*args):
+            raise AssertionError("probe closure check bisected a root")
+
+        monkeypatch.setattr(rq.sections, "_bisect_root", no_bisection)
+        assert detect_module._probe_planes(prof, delta, mu) == expected
+
     def test_sampled_sphere_detected(self):
         z = np.linspace(-0.95, 0.95, 1025)
         p = rq.make_sampled_profile(z, 1.0 - z * z)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import revquad as rq
+from revquad import sections
 from revquad import (
     InvalidDomain,
     LoopEscapesDomain,
@@ -100,6 +101,26 @@ class TestSectionExtent:
     def test_zero_slope(self, sphere):
         with pytest.raises(ZeroSlope):
             rq.section_extent(sphere, Plane(0.0, 0.0))
+
+    @given(
+        spec=st.sampled_from(("sphere", "cylinder:1,10", "hyperboloid:1,2",
+                              "poly:2,0,0,1;1", "poly:1,0,-1,0,0.05;1")),
+        m=st.just(0.0) | st.floats(0.05, 4.0),
+        frac=st.floats(-1.2, 1.2),
+    )
+    def test_closure_check_raises_as_extent_does(self, spec, m, frac):
+        # the probes' closure check runs the extent's checks and walks, so it
+        # raises exactly when section_extent raises, and the same class
+        prof = rq.parse_profile(spec)
+        plane = Plane(m, frac * prof.q)
+        outcomes = []
+        for fn in (rq.section_extent, sections._check_closes):
+            try:
+                fn(prof, plane)
+                outcomes.append(None)
+            except rq.RevquadError as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestTraceSection:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from scipy.spatial import cKDTree
 
 import revquad as rq
@@ -172,10 +172,15 @@ class TestAsymmetryAt:
             assert abs(fast - brute) <= 1e-12 + 1e-9 * brute
 
 
-def reference_score(geom, center):
-    """Unnormalized asymmetry routed as _LoopGeometry routes it, through the
-    (N, K, 2) reference kernels."""
-    refl = 2.0 * np.asarray(center, dtype=float) - geom.pts
+def reference_score(geom, center, all_rows=False):
+    """Unnormalized asymmetry through the (N, K, 2) reference kernels, on the
+    rows _LoopGeometry scores: rows 0 .. h-1 of a y-mirror loop about a
+    center on the axis, otherwise (or with all_rows) every row."""
+    center = np.asarray(center, dtype=float)
+    pts = geom.pts
+    if not all_rows and geom._half is not None and center[0] == 0.0:
+        pts = pts[: geom._half]
+    refl = 2.0 * center - pts
     if geom._brute:
         return reference_max_min_dist_all(refl, geom.seg_a, geom.seg_d, geom.seg_len2)
     _, idx = geom._tree.query(refl, k=geom._k)
@@ -265,6 +270,72 @@ class TestKernels:
         mid = 0.5 * (pts[-1] + pts[0])
         args = (geom.seg_a, geom.seg_d, geom.seg_len2, np.array([[-1]]))
         assert symmetry.max_min_dist_candidates(mid[None, :], *args)[0] <= 1e-30
+
+
+class TestHalfEvaluation:
+    """A traced loop is a y-mirror, so about a center on the axis only its
+    first h rows are scored; every other loop or center scores all rows."""
+
+    SPECS = ("sphere", "cylinder:1,10", "hyperboloid:1,2", "paraboloid:2,1",
+             "poly:2,0,0,1;1", "poly:1,0,1,0,1;1", "sampled")
+
+    @given(
+        spec=st.sampled_from(SPECS),
+        n=st.sampled_from((128, 1024, 2048)),
+        m=st.floats(0.05, 0.45),
+        frac=st.floats(-0.3, 0.3),
+        shifts=st.lists(st.floats(-0.05, 0.05), min_size=2, max_size=3),
+    )
+    def test_half_score_bounded_by_all_rows(self, spec, n, m, frac, shifts):
+        prof = sampled_cubic() if spec == "sampled" else rq.parse_profile(spec)
+        try:
+            loop = rq.trace_section(prof, Plane(m, frac * prof.q), n)
+        except rq.LoopEscapesDomain:
+            assume(False)
+        geom = _LoopGeometry(loop)
+        pts = geom.pts
+        assert geom._half == n
+        mid = 0.5 * (loop.z_lo + loop.z_hi)
+        # the midpoint, the centroid height and shifts both ways, which put
+        # one or the other turning point's image outside the loop
+        heights = [mid, rq.centroid(loop)[1]] + [mid + s * geom.diameter for s in shifts]
+        for z in heights:
+            center = (0.0, z)
+            d2 = geom.reflect_dist2(center)
+            assert np.array_equal(d2, geom.reflect_dist2(center, np.arange(len(pts)))[:n])
+            half = geom.max_reflect_distance(center) / geom.diameter
+            full = reference_score(geom, center, all_rows=True) / geom.diameter
+            assert half <= full
+            assert full - half <= 2.0**-52
+            assert half == reference_score(geom, center) / geom.diameter
+        # off the axis, however slightly, every row is scored
+        for cy in (5e-324, -1e-3 * geom.diameter):
+            assert len(geom.reflect_dist2((cy, mid))) == len(pts)
+            assert geom.max_reflect_distance((cy, mid)) == reference_score(geom, (cy, mid))
+
+    @pytest.mark.parametrize("n", [128, 1024])
+    def test_broken_mirrors_score_all_rows(self, quartic, cylinder, n):
+        loop = rq.trace_section(quartic, Plane(0.4, -0.2), n)
+        h = _LoopGeometry(loop)._half
+        assert h == n
+        nudged = loop.points.copy()
+        nudged[h + 3, 0] = np.nextafter(nudged[h + 3, 0], -np.inf)
+        off_axis = loop.points.copy()
+        off_axis[h - 1, 0] = 1e-300
+        copies = {
+            "lower vertex nudged by 1 ulp": nudged,
+            "turning point off the axis": off_axis,
+            "start-rotated": np.roll(loop.points, n // 3, axis=0),
+            "m = 0 circle": rq.trace_section(cylinder, Plane(0.0, 0.5), 2 * n).points,
+        }
+        mid = 0.5 * (loop.z_lo + loop.z_hi)
+        for name, pts in copies.items():
+            geom = _LoopGeometry(synthetic_loop(pts))
+            assert geom._half is None, name
+            for center in ((0.0, mid), (0.0, mid + 0.01), (0.0, 0.0)):
+                assert len(geom.reflect_dist2(center)) == len(pts), name
+                got = geom.max_reflect_distance(center)
+                assert got == reference_score(geom, center, all_rows=True), name
 
 
 class TestChartDiameter:
@@ -475,3 +546,16 @@ class TestMidpointMachinery:
             f = np.polynomial.Polynomial(coeffs)
             fp = f.deriv()
             assert rq.max_midpoint_residual(f, fp, zetas, ts) > 1e-6
+
+    @pytest.mark.parametrize("poison", [-1.0, 0.0, 1.0])
+    def test_nan_residual_is_reported(self, poison):
+        # a nan residual never compares larger, so a plain running max would
+        # skip it and report only the finite ones (0 for a quadratic)
+        zetas = np.linspace(-1.0, 1.0, 5)
+        ts = np.array([0.5, 1.0])
+        for f, fp in ((lambda z: z * z, lambda z: 2.0 * z),
+                      (lambda z: z**3, lambda z: 3.0 * z * z)):
+            g = lambda z, f=f: math.nan if z == poison else f(z)
+            assert math.isnan(rq.max_midpoint_residual(g, fp, zetas, ts))
+            gp = lambda z, fp=fp: math.nan if z == poison else fp(z)
+            assert math.isnan(rq.max_midpoint_residual(f, gp, zetas, ts))
