@@ -200,7 +200,10 @@ def cmd_mvt(args):
     k = args.grid
     zetas = np.linspace(-1.0, 1.0, k)
     ts = np.arange(1, k + 1) / k
-    worst = max_midpoint_residual(f, f.deriv(), zetas, ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = max_midpoint_residual(f, f.deriv(), zetas, ts)
+    if not np.isfinite(worst):
+        raise InvalidDomain(f"midpoint residual of {args.poly!r} overflows to {worst!r}")
     quadratic = worst <= MVT_QUADRATIC_GATE
     verdict = "quadratic" if quadratic else "not-quadratic"
     if args.json:

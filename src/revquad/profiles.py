@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 
 from .errors import InvalidDomain, NonPositiveProfile, OutOfDomain, ParseError
 
@@ -157,17 +157,44 @@ def _value_range(profile, lim):
     if profile.kind == "sampled":
         crit = profile._interp.derivative().roots(extrapolate=False)
     else:
-        dc = P.polytrim(P.polyder(profile.coeffs))
-        # Leading terms of F' below one rounding unit of its largest term on
-        # |z| <= lim only add roots far outside the interval, and a tiny
-        # leading coefficient would overflow the companion matrix: drop them.
-        with np.errstate(over="ignore", invalid="ignore"):
-            size = np.abs(dc) * lim ** np.arange(dc.size)
-        dc = dc[: np.flatnonzero(size >= 2.0 ** -52 * np.nanmax(size))[-1] + 1]
-        crit = P.polyroots(dc).real
+        crit = _poly_roots(P.polyder(profile.coeffs), lim)
     crit = crit[np.abs(crit) < lim]
     vals = profile.eval(np.concatenate(([-lim, lim], crit)))
     return float(vals.min()), float(vals.max())
+
+
+def _poly_roots(coeffs, lim):
+    """Real parts of the roots of an ascending polynomial, for |z| <= lim."""
+    # Leading terms below one rounding unit of the largest term on |z| <= lim
+    # only add roots far outside the interval, and a tiny leading coefficient
+    # would overflow the companion matrix: drop them.
+    c = P.polytrim(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.abs(c) * lim ** np.arange(c.size)
+    c = c[: np.flatnonzero(size >= 2.0 ** -52 * np.nanmax(size))[-1] + 1]
+    return P.polyroots(c).real
+
+
+def _gap_roots(profile, m, beta):
+    """Candidate roots in |z| < q of the section gap F(z) - ((z - beta)/m)^2.
+
+    The gap times min(m^2, 1), where no term overflows, is a polynomial or,
+    for the sampled kind, a piecewise cubic.  Complex roots add their real
+    parts: the caller keeps the candidates where the gap changes sign.
+    """
+    fw, qw = (m * m, 1.0) if m <= 1.0 else (1.0, (1.0 / m) ** 2)
+    if profile.kind == "sampled":
+        pp = profile._interp
+        off = pp.x[:-1] - beta
+        c = fw * pp.c
+        c[-3] -= qw
+        c[-2] -= 2.0 * qw * off
+        c[-1] -= qw * off * off
+        roots = PPoly.construct_fast(c, pp.x, extrapolate=False).roots()
+    else:
+        quad = qw * np.array([beta * beta, -2.0 * beta, 1.0])
+        roots = _poly_roots(P.polysub(fw * profile.coeffs, quad), profile.q)
+    return roots[np.abs(roots) < profile.q]
 
 
 def _check_positive(profile):

@@ -25,7 +25,7 @@ from .errors import (
     OutOfDomain,
     ZeroSlope,
 )
-from .profiles import _value_range
+from .profiles import _gap_roots, _value_range
 
 __all__ = [
     "Plane",
@@ -37,14 +37,11 @@ __all__ = [
     "slope_bound",
 ]
 
-# The extent bisection runs to floating-point exhaustion, so the bracket
+# The extent is exact up to rounding: its ends are roots of the gap, a
+# polynomial (a piecewise cubic for a sampled profile), and the bisection
+# that polishes each root runs to floating-point exhaustion, so the bracket
 # width ends at one unit in the last place of z: far inside the documented
 # |dz| <= 1e-13 q guarantee for any double-precision q.
-
-# Outward bracketing walks this many fixed steps before the step starts
-# doubling; a doubling walk still brackets the first crossing of any section
-# whose gap does not dip on scales finer than the local step.
-_FIXED_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,9 @@ def section_gap(profile, plane, z):
     if plane.m == 0.0:
         raise ZeroSlope("section gap needs a tilted plane (m > 0)")
     val = profile.eval(z)
-    off = (np.asarray(z, dtype=float) - plane.beta) / plane.m
-    out = val - off * off
+    with np.errstate(over="ignore"):
+        off = (np.asarray(z, dtype=float) - plane.beta) / plane.m
+        out = val - off * off
     if np.ndim(z) == 0:
         return float(out)
     return out
@@ -95,64 +93,41 @@ def section_gap(profile, plane, z):
 def section_extent(profile, plane):
     """Outermost z-interval (z_lo, z_hi) on which the section closes.
 
-    Walks outward from beta in steps of m sqrt(F(beta)) / 8 until the gap
-    changes sign, then bisects the bracket until it cannot shrink further
-    (well inside |dz| <= 1e-13 q).  The returned values sit on the gap > 0
-    side of each root.  Raises LoopEscapesDomain when the gap stays
-    positive all the way to |z| = q.
+    z_lo and z_hi are the real roots of m^2 F(z) - (z - beta)^2 nearest to
+    beta on either side inside |z| < q: roots of a polynomial, or of a
+    piecewise cubic for a sampled profile.  Each is polished by bisection
+    to exhaustion inside root +- 1e-9 max(1, |root|), so the returned
+    values sit on the gap > 0 side of their roots; a candidate whose window
+    does not change sign is skipped.  Raises LoopEscapesDomain when no root
+    exists before |z| = q.
     """
-    gap, beta, step, cap = _walk_setup(profile, plane)
-    z_hi = _bisect_root(gap, *_outward_bracket(gap, beta, step, cap))
-    z_lo = _bisect_root(gap, *_outward_bracket(gap, beta, -step, -cap))
-    return z_lo, z_hi
-
-
-def _check_closes(profile, plane):
-    """section_extent without the bisections: the same checks and outward
-    walks, so the same exceptions, LoopEscapesDomain included."""
-    gap, beta, step, cap = _walk_setup(profile, plane)
-    _outward_bracket(gap, beta, step, cap)
-    _outward_bracket(gap, beta, -step, -cap)
-
-
-def _walk_setup(profile, plane):
-    """The domain and gap checks of section_extent, then (gap, beta, step,
-    cap) for its outward walks."""
     if plane.m == 0.0:
         raise ZeroSlope("section extent needs a tilted plane (m > 0)")
     beta = plane.beta
     if abs(beta) >= profile.q:
         raise OutOfDomain(f"plane intercept |beta| >= q = {profile.q!r}")
-    g0 = section_gap(profile, plane, beta)
-    if g0 <= 0.0:
+    if section_gap(profile, plane, beta) <= 0.0:
         raise InvalidDomain("gap is not positive at z = beta")
-    step = plane.m * math.sqrt(profile.eval(beta)) / 8.0
     gap = lambda z: section_gap(profile, plane, z)
+    roots = sorted(_gap_roots(profile, plane.m, beta).tolist())
     cap = profile.q * (1.0 - 2.0 ** -52)
-    return gap, beta, step, cap
+    z_hi = _first_crossing(gap, beta, roots, cap)
+    # the lower end is the first crossing above -beta of the mirrored gap
+    z_lo = -_first_crossing(lambda z: gap(-z), -beta, [-r for r in roots[::-1]], cap)
+    return z_lo, z_hi
 
 
-def _outward_bracket(gap, start, step, cap):
-    """(lo, hi) with gap(lo) > 0 >= gap(hi), walking from start toward cap."""
-    prev = start
-    k = 0
-    stride = step
-    while True:
-        k += 1
-        if k > _FIXED_STEPS:
-            stride *= 2.0
-        z = prev + stride
-        hit_cap = (z >= cap) if step > 0 else (z <= cap)
-        if hit_cap:
-            z = cap
-        if gap(z) <= 0.0:
-            break
-        if hit_cap:
-            raise LoopEscapesDomain(
-                f"gap stays positive out to z = {cap!r}; section does not close inside |z| < q"
-            )
-        prev = z
-    return prev, z
+def _first_crossing(gap, beta, roots, cap):
+    """Gap > 0 end of the first crossing in (beta, cap]; roots ascending."""
+    for r in roots:
+        w = 1e-9 * max(1.0, abs(r))
+        if r + w > beta:
+            lo, hi = max(r - w, beta), min(r + w, cap)
+            if gap(lo) > 0.0 >= gap(hi):
+                return _bisect_root(gap, lo, hi)
+    raise LoopEscapesDomain(
+        f"gap stays positive out to |z| = {cap!r}; section does not close inside |z| < q"
+    )
 
 
 def _bisect_root(gap, lo, hi):

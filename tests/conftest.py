@@ -82,6 +82,63 @@ def oracle_diameter(points, block=256):
     return float(np.sqrt(best))
 
 
+# The oracle extent walks this many fixed steps before its step starts doubling.
+_ORACLE_FIXED_STEPS = 4096
+
+
+def oracle_extent(profile, plane):
+    """Section extent by an outward walk and bisection, no root finding.
+
+    Walks from beta in steps of m sqrt(F(beta)) / 8 (doubling after 4096
+    steps) until the gap changes sign or |z| reaches q, then bisects the
+    bracket to exhaustion and returns its gap > 0 end.  Raises as
+    ``section_extent`` does.  A dip in the gap narrower than the step is
+    stepped over, and a subnormal step never moves: keep the planes tame.
+    """
+    if plane.m == 0.0:
+        raise rq.ZeroSlope("section extent needs a tilted plane (m > 0)")
+    beta = plane.beta
+    if abs(beta) >= profile.q:
+        raise rq.OutOfDomain(f"plane intercept |beta| >= q = {profile.q!r}")
+    if rq.section_gap(profile, plane, beta) <= 0.0:
+        raise rq.InvalidDomain("gap is not positive at z = beta")
+    step = plane.m * np.sqrt(profile.eval(beta)) / 8.0
+    cap = profile.q * (1.0 - 2.0 ** -52)
+
+    def gap(z):
+        return rq.section_gap(profile, plane, z)
+
+    def walk(step, cap):
+        prev, k, stride = beta, 0, step
+        while True:
+            k += 1
+            if k > _ORACLE_FIXED_STEPS:
+                stride *= 2.0
+            z = prev + stride
+            hit_cap = (z >= cap) if step > 0 else (z <= cap)
+            if hit_cap:
+                z = cap
+            if gap(z) <= 0.0:
+                return prev, z
+            if hit_cap:
+                raise rq.LoopEscapesDomain(f"gap stays positive out to z = {cap!r}")
+            prev = z
+
+    def bisect(lo, hi):
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                return lo
+            if gap(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+
+    z_hi = bisect(*walk(step, cap))
+    z_lo = bisect(*walk(-step, -cap))
+    return z_lo, z_hi
+
+
 def oracle_quadratic_fit(z, v):
     """Independent quadratic least squares via numpy's polyfit."""
     a, b, c = np.polyfit(np.asarray(z, float), np.asarray(v, float), 2)

@@ -282,3 +282,13 @@ class TestMvtCommand:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("poly", ["0,0,0,1e308", "1e308,1e308,1e308"])
+    def test_overflowing_poly_exits_2(self, capsys, poly):
+        # finite coefficients whose values overflow give no residual to judge
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "mvt", f"--poly={poly}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "overflows" in err

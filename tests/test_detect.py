@@ -235,37 +235,28 @@ class TestDetectQuadric:
         assert max(r.asymmetry for r in sweep) < 1e-6
         assert max(r.asymmetry for r in probes) > 1e-3
 
-    @pytest.mark.parametrize("spec", [
-        "sphere", "hyperboloid:1,2", "poly:2,0,0,1;1", "poly:1,0,1,0,1;1",
-        "poly:1,0,-1,0,0.05;1",
+    @pytest.mark.parametrize("spec, expected", [
+        ("sphere", [(0.5237229365663817, -0.4), (0.653197264742181, -0.2), (0.8, 0.0),
+                    (0.6531972647421809, 0.20000000000000007), (0.5237229365663817, 0.4)]),
+        ("hyperboloid:1,2", [(0.47976579652179785, -0.8), (0.6084864841385637, -0.4),
+                             (0.8192000000000003, 0.0), (0.6084864841385635, 0.40000000000000013),
+                             (0.47976579652179785, 0.8)]),
+        ("poly:2,0,0,1;1", [(0.34497574474564136, -0.4), (0.45345616101210867, -0.2),
+                            (0.565685424949238, 0.0), (0.45164594955010934, 0.20000000000000007),
+                            (0.3341076278338227, 0.4)]),
+        ("poly:1,0,1,0,1;1", [(0.28213184961432775, -0.4), (0.40133724245484576, -0.2),
+                              (0.5120000000000001, 0.0), (0.40133724245484564, 0.20000000000000007),
+                              (0.28213184961432775, 0.4)]),
+        ("poly:1,0,-1,0,0.05;1", [(0.5233243650196336, -0.4), (0.6531700498903997, -0.2),
+                                  (0.8, 0.0), (0.6531700498903997, 0.20000000000000007),
+                                  (0.5233243650196336, 0.4)]),
     ])
-    def test_probe_slopes_stop_at_the_bracket(self, spec, monkeypatch):
-        # the closure check never bisects, and it picks the very slopes the
-        # full section_extent picks
+    def test_probe_slopes_pinned(self, spec, expected):
+        # the probe slopes are bit for bit those the outward-walk extent
+        # picked; witnesses, and so verdict bytes, depend on them
         prof = rq.parse_profile(spec)
         delta = 0.1 * prof.q
         mu = rq.slope_bound(prof, delta)
-        expected = []
-        half = 0.5 * (prof.q - 2.0 * delta)
-        for beta in np.linspace(-half, half, detect_module.PROBE_COUNT):
-            m = detect_module._PROBE_SHRINK * (prof.q - abs(beta)) / np.sqrt(prof.eval(beta))
-            chosen = 0.5 * mu
-            for _ in range(detect_module._PROBE_TRIES):
-                if m <= 0.5 * mu:
-                    break
-                try:
-                    rq.section_extent(prof, Plane(m, beta))
-                except LoopEscapesDomain:
-                    m *= detect_module._PROBE_SHRINK
-                    continue
-                chosen = m
-                break
-            expected.append((float(chosen), float(beta)))
-
-        def no_bisection(*args):
-            raise AssertionError("probe closure check bisected a root")
-
-        monkeypatch.setattr(rq.sections, "_bisect_root", no_bisection)
         assert detect_module._probe_planes(prof, delta, mu) == expected
 
     def test_sampled_sphere_detected(self):

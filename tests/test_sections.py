@@ -1,6 +1,8 @@
 """Cutting planes, loop extent, tracing, embedding, and the slope bound."""
 
 import math
+import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +18,11 @@ from revquad import (
     Plane,
     ZeroSlope,
 )
+from conftest import oracle_extent
 
 SQ2 = 1.0 / math.sqrt(2.0)
+_TABLE_Z = np.linspace(-0.95, 0.95, 1025)
+_SAMPLED_SPHERE = rq.make_sampled_profile(_TABLE_Z, 1.0 - _TABLE_Z * _TABLE_Z)
 
 
 class TestPlane:
@@ -104,23 +109,56 @@ class TestSectionExtent:
 
     @given(
         spec=st.sampled_from(("sphere", "cylinder:1,10", "hyperboloid:1,2",
-                              "poly:2,0,0,1;1", "poly:1,0,-1,0,0.05;1")),
+                              "poly:2,0,0,1;1", "poly:1,0,-1,0,0.05;1",
+                              "sampled-sphere")),
         m=st.just(0.0) | st.floats(0.05, 4.0),
         frac=st.floats(-1.2, 1.2),
     )
-    def test_closure_check_raises_as_extent_does(self, spec, m, frac):
-        # the probes' closure check runs the extent's checks and walks, so it
-        # raises exactly when section_extent raises, and the same class
-        prof = rq.parse_profile(spec)
+    def test_extent_matches_walk_oracle(self, spec, m, frac):
+        # the roots and the outward walk raise the same class, or close on
+        # the same crossings to within 4 ulp
+        prof = _SAMPLED_SPHERE if spec == "sampled-sphere" else rq.parse_profile(spec)
         plane = Plane(m, frac * prof.q)
         outcomes = []
-        for fn in (rq.section_extent, sections._check_closes):
+        for fn in (rq.section_extent, oracle_extent):
             try:
-                fn(prof, plane)
-                outcomes.append(None)
+                outcomes.append(fn(prof, plane))
             except rq.RevquadError as exc:
                 outcomes.append(type(exc))
-        assert outcomes[0] == outcomes[1]
+        got, want = outcomes
+        if isinstance(want, type):
+            assert got is want
+        else:
+            for a, b in zip(got, want):
+                assert abs(a - b) <= 4.0 * np.spacing(abs(b))
+
+    @pytest.mark.parametrize("plane", [Plane(5e-324, 0.0), Plane(1e-200, 0.3)],
+                             ids=["subnormal", "tiny"])
+    def test_tiny_slopes_return(self, sphere, plane):
+        # the walk's step m sqrt(F) / 8 rounds to 0 on a subnormal slope and
+        # never moves; the roots do not walk
+        def timeout(signum, frame):
+            raise TimeoutError("section_extent did not return within 10 s")
+
+        old = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lo, hi = rq.section_extent(sphere, plane)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert lo <= plane.beta <= hi
+        assert rq.section_gap(sphere, plane, lo) > 0.0
+        assert rq.section_gap(sphere, plane, hi) > 0.0
+
+    def test_huge_slope_escapes(self, sphere):
+        # m^2 overflows, so the root step scales the gap by 1 / m^2 instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LoopEscapesDomain):
+                rq.section_extent(sphere, Plane(1e200, 0.3))
 
 
 class TestTraceSection:
@@ -184,19 +222,12 @@ class TestTraceSection:
         loop = rq.trace_section(sphere, Plane(0.5, 0.1), np.int64(100))
         assert np.array_equal(loop.points, rq.trace_section(sphere, Plane(0.5, 0.1), 100).points)
 
-    def test_non_simple_cut_detected(self):
-        # a profile with a deep dip between the extent roots: the outward
-        # walk finds the far root, but the gap goes negative in between
-        class DippedProfile:
-            q = 10.0
-
-            def eval(self, z):
-                arr = np.abs(np.asarray(z, dtype=float))
-                val = np.where((arr >= 0.63) & (arr <= 0.68), 0.1, 1.0)
-                return float(val) if np.ndim(z) == 0 else val
-
+    def test_non_simple_cut_detected(self, sphere, monkeypatch):
+        # an extent wider than the loop, (-0.9, 0.9) against the true
+        # +-1/sqrt(2) of this plane, puts negative gaps between its ends
+        monkeypatch.setattr(sections, "section_extent", lambda prof, plane: (-0.9, 0.9))
         with pytest.raises(NonSimpleSection):
-            rq.trace_section(DippedProfile(), Plane(1.0, 0.0), 64)
+            rq.trace_section(sphere, Plane(1.0, 0.0), 64)
 
 
 class TestEmbed3d:
