@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -53,6 +54,10 @@ __all__ = [
 PROBE_COUNT = 5
 _PROBE_SHRINK = 0.8
 _PROBE_TRIES = 40
+
+# The process's warm worker pool, (executor, size, pid of the process that
+# built it), or None before the first pooled call.
+_pool = None
 
 
 class CenterEntry(NamedTuple):
@@ -150,6 +155,32 @@ def _test_plane(profile, m, beta, n, tol, delta=None):
 
 def _test_plane_star(args):
     return _test_plane(*args)
+
+
+def _map_pooled(size, args):
+    """Test the planes of args, in order, on the process's warm pool.
+
+    The pool of size workers is built on first use.  A pool of another size
+    is shut down and replaced; one built by another process (this one is a
+    fork of it) belongs to that process, so it is dropped, not shut down.
+    A pool that breaks is dropped too: the call raises, the next one builds
+    afresh.  concurrent.futures shuts the pool down at interpreter exit.
+    """
+    global _pool
+    pid = os.getpid()
+    if _pool is not None and _pool[1:] != (size, pid):
+        if _pool[2] == pid:
+            _pool[0].shutdown()
+        _pool = None
+    if _pool is None:
+        _pool = (ProcessPoolExecutor(max_workers=size), size, pid)
+    pool = _pool[0]
+    try:
+        return list(pool.map(_test_plane_star, args))
+    except BrokenProcessPool:
+        _pool = None
+        pool.shutdown(wait=False)
+        raise
 
 
 def predicted_center_height(params, plane):
@@ -256,10 +287,13 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
     verdict follows the fit residual; central loops with a failing fit are
     flagged rather than certified.
 
-    workers > 1 evaluates planes in a process pool of
-    min(workers, planes, CPUs) processes (serially when that is 1); results
-    are aggregated in deterministic plane order, so the verdict does not
-    depend on the worker count.
+    workers is an integer >= 1; workers > 1 evaluates planes in a process
+    pool of min(workers, planes, CPUs) processes (serially when that is 1);
+    results are aggregated in deterministic plane order, so the verdict
+    does not depend on the worker count.  Pooled calls share one warm pool
+    for the life of the process: it is built by the first pooled call,
+    rebuilt when a call needs another size, after a fork, or after a worker
+    died, and shut down at interpreter exit.
     """
     q = profile.q
     if not (0.0 < delta < q / 3.0):
@@ -272,6 +306,9 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
         raise InvalidDomain(f"need at least 256 samples per loop, got {n_samples!r}")
     if not (tol > 0.0):
         raise InvalidDomain(f"tolerance must be positive, got {tol!r}")
+    workers = _count(workers, "worker count")
+    if workers < 1:
+        raise InvalidDomain(f"need at least 1 worker, got {workers!r}")
 
     mu = slope_bound(profile, delta)
     m_sweep = 0.5 * mu
@@ -281,10 +318,9 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
 
     args = [(profile, m, beta, n_samples, tol, delta if i < n_sweep else None)
             for i, (m, beta) in enumerate(jobs)]
-    procs = min(workers or 1, len(args), os.cpu_count() or 1)
+    procs = min(workers, len(args), os.cpu_count() or 1)
     if procs > 1:
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            records = list(pool.map(_test_plane_star, args))
+        records = _map_pooled(procs, args)
     else:
         records = [_test_plane(*a) for a in args]
 

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     InvalidDomain,
     LoopEscapesDomain,
+    NonPositiveProfile,
     NonSimpleSection,
     OutOfDomain,
     ZeroSlope,
@@ -42,6 +43,12 @@ __all__ = [
 # that polishes each root runs to floating-point exhaustion, so the bracket
 # width ends at one unit in the last place of z: far inside the documented
 # |dz| <= 1e-13 q guarantee for any double-precision q.
+
+# The upper side's sign, then the mirrored lower side's.
+_SIGNS = np.array([1.0, -1.0])
+# Bisection levels per round: one gap call scores the full midpoint tree of
+# each open bracket, 2**_DEPTH - 1 points per bracket.
+_DEPTH = 6
 
 
 @dataclass(frozen=True)
@@ -111,35 +118,96 @@ def section_extent(profile, plane):
     gap = lambda z: section_gap(profile, plane, z)
     roots = sorted(_gap_roots(profile, plane.m, beta).tolist())
     cap = profile.q * (1.0 - 2.0 ** -52)
-    z_hi = _first_crossing(gap, beta, roots, cap)
-    # the lower end is the first crossing above -beta of the mirrored gap
-    z_lo = -_first_crossing(lambda z: gap(-z), -beta, [-r for r in roots[::-1]], cap)
-    return z_lo, z_hi
+    # The lower side runs on the mirrored gap g(-z), so that each side
+    # looks for the first crossing above its own start; the windows of both
+    # sides are scored in one gap call.
+    sides = (_windows(beta, roots, cap), _windows(-beta, [-r for r in roots[::-1]], cap))
+    ends = [s * z for s, wins in zip(_SIGNS, sides) for win in wins for z in win]
+    read = _reader(gap, np.array(ends))
+    brackets, at = [], 0
+    for wins in sides:
+        found = None
+        for win in wins:
+            if found is None and read(at) > 0.0 >= read(at + 1):
+                found = win
+            at += 2
+        if found is None:
+            raise LoopEscapesDomain(
+                f"gap stays positive out to |z| = {cap!r}; "
+                "section does not close inside |z| < q"
+            )
+        brackets.append(found)
+    z_hi, z_lo = _bisect_roots(gap, brackets)
+    return -z_lo, z_hi
 
 
-def _first_crossing(gap, beta, roots, cap):
-    """Gap > 0 end of the first crossing in (beta, cap]; roots ascending."""
+def _windows(beta, roots, cap):
+    """(lo, hi) polish windows of the candidate roots above beta; roots ascending."""
+    wins = []
     for r in roots:
         w = 1e-9 * max(1.0, abs(r))
         if r + w > beta:
-            lo, hi = max(r - w, beta), min(r + w, cap)
-            if gap(lo) > 0.0 >= gap(hi):
-                return _bisect_root(gap, lo, hi)
-    raise LoopEscapesDomain(
-        f"gap stays positive out to |z| = {cap!r}; section does not close inside |z| < q"
-    )
+            wins.append((max(r - w, beta), min(r + w, cap)))
+    return wins
 
 
-def _bisect_root(gap, lo, hi):
-    """Bisect gap(lo) > 0 >= gap(hi) to exhaustion; returns the gap > 0 end."""
+def _reader(gap, zs):
+    """Index -> gap at zs[index], all from one gap call.
+
+    Should that call raise, each point is evaluated on its own when it is
+    read instead, so that only a point the scalar bisection would visit can
+    raise.
+    """
+    try:
+        return gap(zs).tolist().__getitem__
+    except NonPositiveProfile:
+        return lambda i: gap(zs[i])
+
+
+def _bisect_roots(gap, brackets):
+    """Bisect both brackets gap(lo) > 0 >= gap(hi) to exhaustion in lock-step.
+
+    brackets[0] is in z, brackets[1] in the mirrored frame -z.  Each round
+    builds the midpoint tree of every open bracket, _DEPTH levels deep, with
+    the scalar bisection's arithmetic (mid = 0.5 (lo + hi)), scores all of
+    it in one gap call, and walks each tree as the scalar bisection would:
+    stop when mid == lo or mid == hi, else keep lo = mid where gap(mid) > 0
+    and hi = mid elsewhere.  Returns the gap > 0 ends, as the brackets give
+    them.
+    """
+    bounds = [list(b) for b in brackets]
+    result = [None] * len(bounds)
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return lo
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        live = [k for k, res in enumerate(result) if res is None]
+        if not live:
+            return result
+        edges = np.array([bounds[k] for k in live])
+        levels = []
+        for _ in range(_DEPTH):
+            mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+            levels.append(mid)
+            split = np.empty((len(live), 2 * edges.shape[1] - 1))
+            split[:, ::2] = edges
+            split[:, 1::2] = mid
+            edges = split
+        # heap order: node i has children 2i + 1 (lower half), 2i + 2 (upper)
+        tree = np.hstack(levels)
+        read = _reader(gap, (_SIGNS[live, None] * tree).ravel())
+        width = tree.shape[1]
+        tree = tree.tolist()
+        for row, k in enumerate(live):
+            lo, hi = bounds[k]
+            node = 0
+            for _ in range(_DEPTH):
+                mid = tree[row][node]
+                if mid == lo or mid == hi:
+                    result[k] = lo
+                    break
+                if read(row * width + node) > 0.0:
+                    lo, node = mid, 2 * node + 2
+                else:
+                    hi, node = mid, 2 * node + 1
+            bounds[k] = [lo, hi]
 
 
 def trace_section(profile, plane, n):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import revquad as rq
+from revquad.profiles import _gap_roots
 
 settings.register_profile(
     "suite",
@@ -137,6 +138,55 @@ def oracle_extent(profile, plane):
     z_hi = bisect(*walk(step, cap))
     z_lo = bisect(*walk(-step, -cap))
     return z_lo, z_hi
+
+
+def oracle_root_extent(profile, plane):
+    """Section extent from the same root windows, bisected one scalar gap
+    call per midpoint.
+
+    The scalar form of ``section_extent``: the same candidate roots and
+    windows, checked and bisected in order, first the upper side, then the
+    lower side on the mirrored gap g(-z).
+    """
+    if plane.m == 0.0:
+        raise rq.ZeroSlope("section extent needs a tilted plane (m > 0)")
+    beta = plane.beta
+    if abs(beta) >= profile.q:
+        raise rq.OutOfDomain(f"plane intercept |beta| >= q = {profile.q!r}")
+    if rq.section_gap(profile, plane, beta) <= 0.0:
+        raise rq.InvalidDomain("gap is not positive at z = beta")
+
+    def gap(z):
+        return rq.section_gap(profile, plane, z)
+
+    roots = sorted(_gap_roots(profile, plane.m, beta).tolist())
+    cap = profile.q * (1.0 - 2.0 ** -52)
+    z_hi = oracle_first_crossing(gap, beta, roots, cap)
+    z_lo = -oracle_first_crossing(lambda z: gap(-z), -beta, [-r for r in roots[::-1]], cap)
+    return z_lo, z_hi
+
+
+def oracle_first_crossing(gap, beta, roots, cap):
+    """Gap > 0 end of the first crossing in (beta, cap]; roots ascending."""
+    for r in roots:
+        w = 1e-9 * max(1.0, abs(r))
+        if r + w > beta:
+            lo, hi = max(r - w, beta), min(r + w, cap)
+            if gap(lo) > 0.0 >= gap(hi):
+                return oracle_bisect_root(gap, lo, hi)
+    raise rq.LoopEscapesDomain(f"gap stays positive out to |z| = {cap!r}")
+
+
+def oracle_bisect_root(gap, lo, hi):
+    """Bisect gap(lo) > 0 >= gap(hi) to exhaustion; returns the gap > 0 end."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def oracle_quadratic_fit(z, v):

@@ -1,6 +1,11 @@
 """Center curves, the center-height relation, quadratic fitting, and the
 quadric decision procedure."""
 
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -192,6 +197,11 @@ class TestDetectQuadric:
         with pytest.raises(InvalidDomain):
             rq.detect_quadric(sphere, 0.1, n_planes, n_samples, 1e-4)
 
+    @pytest.mark.parametrize("workers", [1.5, "2", 2.5, 0, -3])
+    def test_bad_worker_counts_rejected(self, sphere, workers):
+        with pytest.raises(InvalidDomain):
+            rq.detect_quadric(sphere, 0.1, 5, 256, 1e-4, workers=workers)
+
     def test_numpy_integer_counts(self, sphere):
         got = rq.detect_quadric(sphere, 0.1, np.int64(5), np.int32(256), 1e-4)
         assert rq.verdict_json(got) == rq.verdict_json(rq.detect_quadric(sphere, 0.1, 5, 256, 1e-4))
@@ -305,7 +315,11 @@ class TestDetectQuadric:
             def map(self, fn, args):
                 return map(fn, args)
 
+            def shutdown(self, wait=True):
+                pass
+
         monkeypatch.setattr(detect_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(detect_module, "_pool", None)
         serial = rq.verdict_json(rq.detect_quadric(sphere, 0.1, 5, 256, 1e-4))
         for cpus, workers, want in ((2, 3, 2), (64, 100, 10), (1, 3, None), (None, 3, None)):
             sizes.clear()
@@ -319,3 +333,70 @@ class TestDetectQuadric:
         serial = rq.detect_quadric(sphere, 0.1, 5, 256, 1e-4, workers=1)
         pooled = rq.detect_quadric(sphere, 0.1, 5, 256, 1e-4, workers=2)
         assert rq.verdict_json(serial) == rq.verdict_json(pooled)
+
+
+def _worker_pids():
+    return set(detect_module._pool[0]._processes)
+
+
+class TestWarmPool:
+    """Pooled calls share one pool; each test starts without one and shuts
+    down the pool it leaves."""
+
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        monkeypatch.setattr(detect_module, "_pool", None)
+        monkeypatch.setattr(detect_module.os, "cpu_count", lambda: 4)
+        yield
+        if detect_module._pool is not None:
+            detect_module._pool[0].shutdown()
+
+    @staticmethod
+    def detect(profile, workers=2):
+        return rq.verdict_json(rq.detect_quadric(profile, 0.1, 5, 256, 1e-4, workers=workers))
+
+    def test_calls_reuse_the_workers(self, sphere):
+        first = self.detect(sphere)
+        pool, pids = detect_module._pool[0], _worker_pids()
+        assert self.detect(sphere) == first
+        assert detect_module._pool[0] is pool
+        assert _worker_pids() == pids and len(pids) == 2
+
+    def test_size_change_replaces_the_pool(self, sphere):
+        self.detect(sphere, workers=2)
+        old = detect_module._pool[0]
+        procs = list(old._processes.values())
+        self.detect(sphere, workers=3)
+        assert detect_module._pool[0] is not old
+        assert len(_worker_pids()) == 3
+        # the old pool was shut down and its workers joined
+        with pytest.raises(RuntimeError):
+            old.submit(int)
+        assert not any(p.is_alive() for p in procs)
+
+    def test_pool_of_another_process_is_not_reused(self, sphere):
+        # after a fork the inherited pool belongs to the parent: a new one is
+        # built and the inherited one is left running
+        self.detect(sphere)
+        old, size, pid = detect_module._pool
+        detect_module._pool = (old, size, pid + 1)
+        self.detect(sphere)
+        assert detect_module._pool[0] is not old
+        assert detect_module._pool[2] == pid
+        assert old.submit(int).result() == 0
+        old.shutdown()
+
+    def test_dead_worker_breaks_only_one_call(self, sphere):
+        want = self.detect(sphere, workers=1)
+        self.detect(sphere)
+        old = detect_module._pool[0]
+        victim = min(_worker_pids())
+        os.kill(victim, signal.SIGKILL)
+        with pytest.raises(BrokenProcessPool):
+            for _ in range(100):  # until the pool has seen its worker die
+                self.detect(sphere)
+                time.sleep(0.05)
+        assert detect_module._pool is None
+        assert self.detect(sphere) == want
+        assert detect_module._pool[0] is not old
+        assert victim not in _worker_pids()

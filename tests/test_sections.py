@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import revquad as rq
 from revquad import sections
@@ -18,11 +18,15 @@ from revquad import (
     Plane,
     ZeroSlope,
 )
-from conftest import oracle_extent
+from numpy.polynomial import polynomial as P
+
+from conftest import oracle_extent, oracle_root_extent
 
 SQ2 = 1.0 / math.sqrt(2.0)
 _TABLE_Z = np.linspace(-0.95, 0.95, 1025)
 _SAMPLED_SPHERE = rq.make_sampled_profile(_TABLE_Z, 1.0 - _TABLE_Z * _TABLE_Z)
+_SAMPLED_BUMP = rq.make_sampled_profile(
+    _TABLE_Z, 1.5 + 0.3 * np.sin(3.0 * _TABLE_Z + 1.0) + 0.1 * _TABLE_Z**3)
 
 
 class TestPlane:
@@ -131,6 +135,52 @@ class TestSectionExtent:
         else:
             for a, b in zip(got, want):
                 assert abs(a - b) <= 4.0 * np.spacing(abs(b))
+
+    @settings(max_examples=200)
+    @given(
+        spec=st.sampled_from(("sphere", "cylinder:1,10", "hyperboloid:1,2",
+                              "poly:2,0,0,1;1", "poly:1,0,-1,0,0.05;1",
+                              "sampled-bump")),
+        m=st.sampled_from((5e-324, 1e-200, 1e200)) | st.floats(0.0, 5.0),
+        frac=st.floats(-1.2, 1.2),
+    )
+    def test_extent_matches_scalar_bisection(self, spec, m, frac):
+        # the lock-step rounds return the scalar bisection's bits and raise
+        # its error classes
+        prof = _SAMPLED_BUMP if spec == "sampled-bump" else rq.parse_profile(spec)
+        plane = Plane(m, frac * prof.q)
+        outcomes = []
+        for fn in (rq.section_extent, oracle_root_extent):
+            try:
+                outcomes.append(fn(prof, plane))
+            except rq.RevquadError as exc:
+                outcomes.append(type(exc))
+        got, want = outcomes
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert all(type(z) is float for z in got)
+            assert [z.hex() for z in got] == [z.hex() for z in want]
+
+    def test_extent_raises_only_where_scalar_bisection_evaluates(self, monkeypatch):
+        # The gap F(z) - z^2 = -(z + 0.5)(z - 0.3)(z - 0.5)(z - 0.7) / 2 first
+        # crosses at 0.3 above beta = 0; the windows at 0.5 and 0.7 are never
+        # evaluated by the scalar bisection.  A profile that raises beyond
+        # 0.45 must not make the extent raise.
+        prof = rq.make_polynomial_profile(
+            P.polysub([0.0, 0.0, 1.0], 0.5 * P.polyfromroots([-0.5, 0.3, 0.5, 0.7])), 1.0)
+        plane = Plane(1.0, 0.0)
+        want = rq.section_extent(prof, plane)
+        evaluate = rq.Profile.eval
+
+        def cliff(self, z):
+            if np.any(np.asarray(z) > 0.45):
+                raise rq.NonPositiveProfile("profile value <= 0 inside |z| < q")
+            return evaluate(self, z)
+
+        monkeypatch.setattr(rq.Profile, "eval", cliff)
+        assert rq.section_extent(prof, plane) == oracle_root_extent(prof, plane) == want
+        assert want[1] == pytest.approx(0.3, abs=1e-15)
 
     @pytest.mark.parametrize("plane", [Plane(5e-324, 0.0), Plane(1e-200, 0.3)],
                              ids=["subnormal", "tiny"])
