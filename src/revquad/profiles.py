@@ -10,8 +10,11 @@ Extrema of F over an interval are exact: F is evaluated at the interval ends
 and at every critical point inside it.  For quadratic and polynomial kinds
 those are the roots of F'; for the sampled kind, whose interpolant is a
 piecewise cubic, they are the roots of its piecewise-quadratic derivative.
-Construction checks positivity the same way, so a profile that dips to or
-below zero anywhere inside the domain is rejected.
+Construction checks positivity the same way over the whole open domain:
+F must be positive at every critical point inside it and not negative at
+its two ends, so a profile that dips to or below zero anywhere inside the
+domain is rejected, while the sphere, whose F reaches 0 at z = +-q, is
+accepted.
 
 All profiles are immutable after construction and safe to share across
 threads or processes.
@@ -39,10 +42,6 @@ __all__ = [
     "infimum_radius",
     "preset_lines",
 ]
-
-# Construction-time positivity checks stay this factor inside (-q, q).
-_EDGE = 1.0 - 2.0 ** -20
-
 
 @dataclass(frozen=True)
 class QuadricParams:
@@ -154,13 +153,18 @@ def _value_range(profile, lim):
     only values of F at points of the interval are compared.  Raises
     NonPositiveProfile, through eval, if any candidate value is <= 0.
     """
+    vals = profile.eval(np.concatenate(([-lim, lim], _critical_points(profile, lim))))
+    return float(vals.min()), float(vals.max())
+
+
+def _critical_points(profile, lim):
+    """Candidate critical points of F in |z| < lim: real parts of the
+    derivative's roots, nan for flat pieces of a sampled profile dropped."""
     if profile.kind == "sampled":
         crit = profile._interp.derivative().roots(extrapolate=False)
     else:
         crit = _poly_roots(P.polyder(profile.coeffs), lim)
-    crit = crit[np.abs(crit) < lim]
-    vals = profile.eval(np.concatenate(([-lim, lim], crit)))
-    return float(vals.min()), float(vals.max())
+    return crit[np.abs(crit) < lim]
 
 
 def _poly_roots(coeffs, lim):
@@ -198,7 +202,23 @@ def _gap_roots(profile, m, beta):
 
 
 def _check_positive(profile):
-    _value_range(profile, profile.q * _EDGE)
+    """Raise NonPositiveProfile unless F > 0 on all of (-q, q).
+
+    A continuous F that is negative at some point of (-q, q) is negative at
+    an end or has a minimum <= 0 inside, which is a critical point.  So F
+    is checked at the critical points inside the open domain, where a value
+    <= 0 fails, and at the two ends, where only a value < 0 fails: the open
+    domain leaves out the ends, and the sphere's F(z) = 1 - z^2 reaches 0
+    there.
+    """
+    q = profile.q
+    profile.eval(_critical_points(profile, q))
+    if profile.kind == "sampled":
+        ends = profile._interp([-q, q])
+    else:
+        ends = P.polyval(np.array([-q, q]), profile.coeffs)
+    if np.any(ends < 0.0):
+        raise NonPositiveProfile(f"profile value < 0 at an end of |z| < q = {q!r}")
 
 
 def make_quadric_profile(params, q):

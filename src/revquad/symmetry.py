@@ -26,16 +26,37 @@ a subset of rows returns the very bits a run on all rows gives for them.
 The kernels return these per-point minima; the caller takes the maximum and
 its square root, which is the max-min distance the names refer to.
 
+A row is one scored vertex.  Its value is the squared distance from its
+reflection to the nearest segment of the union of two candidate sets: the
+near set (every segment of a small loop; for a large one, both segments at
+each of the 8 vertices nearest the reflected point, from a k-d tree) and
+the angular window (both segments at each of the 4 vertices whose polar
+angles about the bounding-box center bracket the reflected point's).  The
+window alone bounds the value from above and needs no tree query.  An
+evaluation bounds every row, refines a seed batch of rows with the union
+(the descent's worst rows at its best center, else the 64 rows of largest
+bound), and then refines only the rows whose bound exceeds the seed's
+maximum L: a row bounded by L cannot raise the maximum (the pruning of
+exact Hausdorff distances, Taha & Hanbury 2015).  The score is thus the
+largest row value over all scored rows, whichever rows were refined, and
+never exceeds the score of the near set alone.  A traced loop is convex
+around its box center, so the window mostly holds the nearest segment and
+an evaluation refines about a tenth of its rows.
+
+The candidate kernel works on (K, N) arrays, one row per candidate, so its
+closing minimum runs across contiguous rows; numpy reduces a short inner
+axis many times more slowly.
+
 A traced loop is a y-mirror: its lower branch is its upper branch with y
 negated, bit for bit, and both turning points lie on the axis y = 0, so the
 closed polyline is its own mirror image.  About a center (0, c) the
 reflection of the lower vertex (-y, z) is (y, 2c - z), the mirror of the
 upper vertex's image (-y, 2c - z); in exact arithmetic the two are equally
 far from the loop.  Such an evaluation therefore scores only the turning
-points and the upper branch, about half the rows: half the k-d query and
-half the kernel.  Every scored row keeps the bits a full evaluation gives
-it, so the score is the full one or lower, and lower only by the rounding
-of the skipped rows, whose mirrored segments are stored the other way round.
+points and the upper branch, about half the rows.  Every scored row keeps
+the bits a full evaluation gives it, so the score is the full one or
+lower, and lower only by the rounding of the skipped rows, whose mirrored
+segments are stored the other way round.
 """
 
 from __future__ import annotations
@@ -66,8 +87,13 @@ _BRUTE_PAIR_LIMIT = 250_000
 # segments of each neighbour vertex are checked.
 _KNN = 8
 
-# Vertices of the descent's best center that every trial is scored on
-# before its full evaluation (see _centroid_descent).
+# Segments in the angular window that bounds each row: both segments at
+# each of the 4 vertices whose angles bracket the reflected point's.
+_BOUND_SEGS = 8
+_WINDOW_OFFSETS = np.arange(_BOUND_SEGS // 2)[:, None]
+
+# Rows refined first in an evaluation: the descent's worst rows of its best
+# center, or the rows of largest bound (see _LoopGeometry.max_dist2).
 _WORST_POINTS = 64
 
 
@@ -109,27 +135,32 @@ def max_min_dist_candidates(refl, seg_a, seg_d, seg_len2, cand, work=None):
     """Per-point squared distance to the nearest of its candidate segments.
 
     refl is (N, 2), the segment arrays are indexed by cand, an (N, K) array
-    of segment indices; returns an N-vector.  work, if given, is a
-    (7, >= N, K) scratch array used in place of fresh temporaries.
+    of segment indices; returns an N-vector.  The work runs on (K, N)
+    arrays, so the closing minimum runs across contiguous rows; cand is
+    read fastest as the transpose of a C-contiguous (K, N) array.  work,
+    if given, is a flat scratch array of at least 7 N K floats used in
+    place of temporaries.
     """
-    apx, apy, dx, dy, len2, t, tmp = _scratch(work, 7, cand.shape)
+    cols = cand.T
+    apx, apy, dx, dy, len2, t, tmp = _scratch(work, 7, cols.shape)
     # mode="wrap" reads index -1 as fancy indexing does, without buffering
-    np.take(seg_a[:, 0], cand, out=apx, mode="wrap")
-    np.subtract(refl[:, 0:1], apx, out=apx)
-    np.take(seg_a[:, 1], cand, out=apy, mode="wrap")
-    np.subtract(refl[:, 1:2], apy, out=apy)
-    np.take(seg_d[:, 0], cand, out=dx, mode="wrap")
-    np.take(seg_d[:, 1], cand, out=dy, mode="wrap")
-    np.take(seg_len2, cand, out=len2, mode="wrap")
-    return _segment_dist2(apx, apy, dx, dy, len2, t, tmp).min(axis=1)
+    np.take(seg_a[:, 0], cols, out=apx, mode="wrap")
+    np.subtract(refl[:, 0], apx, out=apx)
+    np.take(seg_a[:, 1], cols, out=apy, mode="wrap")
+    np.subtract(refl[:, 1], apy, out=apy)
+    np.take(seg_d[:, 0], cols, out=dx, mode="wrap")
+    np.take(seg_d[:, 1], cols, out=dy, mode="wrap")
+    np.take(seg_len2, cols, out=len2, mode="wrap")
+    return _segment_dist2(apx, apy, dx, dy, len2, t, tmp).min(axis=0)
 
 
 def max_min_dist_all(refl, seg_a, seg_d, seg_len2, work=None):
     """Per-point squared distance to the nearest segment of the whole polyline.
 
     Scans all point-segment pairs at once, so the caller bounds
-    len(refl) * len(seg_a); returns an N-vector.  work, if given, is a
-    (4, >= N, len(seg_a)) scratch array used in place of fresh temporaries.
+    len(refl) * len(seg_a); returns an N-vector.  work, if given, is a flat
+    scratch array of at least 4 N len(seg_a) floats used in place of
+    temporaries.
     """
     apx, apy, t, tmp = _scratch(work, 4, (len(refl), len(seg_a)))
     np.subtract(refl[:, 0:1], seg_a[:, 0], out=apx)
@@ -138,11 +169,11 @@ def max_min_dist_all(refl, seg_a, seg_d, seg_len2, work=None):
 
 
 def _scratch(work, count, shape):
-    """count float arrays of the given 2-D shape: the leading rows of work,
-    or fresh ones when work is None."""
+    """count float arrays of the given 2-D shape: views of the leading
+    entries of the flat array work, or fresh ones when work is None."""
     if work is None:
         return np.empty((count, *shape))
-    return work[:count, : shape[0]]
+    return work[: count * shape[0] * shape[1]].reshape(count, *shape)
 
 
 def _segment_dist2(apx, apy, dx, dy, len2, t, tmp):
@@ -163,12 +194,22 @@ def _segment_dist2(apx, apy, dx, dy, len2, t, tmp):
 class _LoopGeometry:
     """Per-loop precomputation shared by repeated asymmetry evaluations.
 
-    The scratch arrays of the distance kernels are allocated once here and
+    Each evaluation bounds every scored row and refines only the rows that
+    can hold the maximum (max_dist2; the row value and the pruning rule are
+    in the module docstring).  For the bound, the vertices' polar angles
+    about the bounding-box center, in box-normalised coordinates, are
+    sorted here once.  Every row's value is a function of the loop, the
+    center and the row alone, so the score does not depend on which rows
+    were refined, and reflect_dist2, which refines every row, is its
+    reference.
+
+    The scratch arrays of the distance kernels are allocated here once and
     reused by every evaluation, so the many evaluations of a centre search
-    do not allocate and release megabytes each.  The y-mirror layout of a
-    traced loop is detected here once, exactly, from the points alone
-    (_mirror_half); evaluations about a center on the axis then score only
-    rows 0 .. h-1 (see the module docstring).  Other loops (an m = 0
+    do not allocate and release megabytes each; they hold the bound of
+    every row, and refinement runs in blocks that fit them.  The y-mirror
+    layout of a traced loop is detected here once, exactly, from the points
+    alone (_mirror_half); evaluations about a center on the axis then score
+    only rows 0 .. h-1 (see the module docstring).  Other loops (an m = 0
     circle, a rotated or perturbed copy of a traced loop) and centers off
     the axis are scored on every row.
     """
@@ -178,7 +219,7 @@ class _LoopGeometry:
         self.pts = pts
         self.seg_a = np.ascontiguousarray(pts)
         self.seg_d = np.roll(pts, -1, axis=0) - pts
-        len2 = (self.seg_d ** 2).sum(axis=1)
+        len2 = self.seg_d[:, 0] ** 2 + self.seg_d[:, 1] ** 2
         if len2.sum() == 0.0:
             raise DegenerateLoop("loop has zero total length")
         self.seg_len2 = np.where(len2 > 0.0, len2, 1.0)
@@ -187,46 +228,127 @@ class _LoopGeometry:
             raise DegenerateLoop("loop has zero diameter")
         self._half = _mirror_half(pts)
         n = len(pts)
+        # column by column: numpy reduces across 2 columns far more slowly
+        lo = np.array([pts[:, 0].min(), pts[:, 1].min()])
+        hi = np.array([pts[:, 0].max(), pts[:, 1].max()])
+        self.box_center = 0.5 * (lo + hi)
+        self._box_scale = np.where(hi > lo, 0.5 * (hi - lo), 1.0)
+        angles = self._angles(pts)
+        order = np.argsort(angles, kind="stable")
+        self._sorted_angles = angles[order]
+        # _ring[j + 2] is the vertex at sorted position j, wrapping
+        self._ring = np.concatenate([order[-2:], order, order[:2]])
         self._brute = n * n <= _BRUTE_PAIR_LIMIT
         if self._brute:
-            self._work = np.empty((4, n, n))
+            self._cand = np.empty(n * _BOUND_SEGS, dtype=np.intp)
+            self._work = np.empty(max(7 * n * _BOUND_SEGS, 4 * n * n))
         else:
             self._tree = cKDTree(pts)
-            self._k = min(_KNN, n)
-            self._cand = np.empty((n, 2 * self._k), dtype=np.intp)
-            self._work = np.empty((7, n, 2 * self._k))
+            # room for the bound of every row; refinement runs in blocks
+            self._cand = np.empty(n * 2 * _KNN, dtype=np.intp)
+            self._work = np.empty(7 * len(self._cand))
 
-    def reflect_dist2(self, center, rows=None):
-        """Squared distance from each reflected vertex to the polyline.
+    def _angles(self, pts):
+        """Polar angles about the box center, in box-normalised coordinates."""
+        q = (pts - self.box_center) / self._box_scale
+        return np.arctan2(q[:, 1], q[:, 0])
 
-        With rows given, only those vertices are reflected and scored; each
-        value is bit-identical to the one a full evaluation gives that row.
-        Without rows, a y-mirror loop scored about a center on the axis
-        y = 0 scores its rows 0 .. h-1 only, the first turning point, the
-        upper branch and the second turning point: each lower vertex is as
-        far from the loop as its upper mirror in exact arithmetic.
-        """
-        center = np.asarray(center, dtype=float)
-        if rows is not None:
-            pts = self.pts[rows]
-        elif self._half is not None and center[0] == 0.0:
-            pts = self.pts[: self._half]
-        else:
-            pts = self.pts
-        refl = 2.0 * center - pts
-        if self._brute:
-            return max_min_dist_all(refl, self.seg_a, self.seg_d, self.seg_len2,
-                                    work=self._work)
-        _, idx = self._tree.query(refl, k=self._k)
-        # idx - 1 is -1 for vertex 0, which indexes the closing segment
-        cand = self._cand[: len(refl)]
-        cand[:, : self._k] = idx
-        np.subtract(idx, 1, out=cand[:, self._k :])
-        return max_min_dist_candidates(refl, self.seg_a, self.seg_d, self.seg_len2, cand,
+    def _scored(self, center):
+        """The vertices an evaluation about center scores: rows 0 .. h-1 of
+        a y-mirror loop about a center on the axis, otherwise all."""
+        if self._half is not None and center[0] == 0.0:
+            return self.pts[: self._half]
+        return self.pts
+
+    def _columns(self, k, m):
+        """A (k, m) index array, a view of the preallocated buffer."""
+        return self._cand[: k * m].reshape(k, m)
+
+    def _window(self, refl, cols):
+        """Write each reflected point's angular window into the (8, m) cols:
+        for an angle that sorts into position j, the vertices at sorted
+        positions j - 2 .. j + 1 and the segments that end at them."""
+        pos = np.searchsorted(self._sorted_angles, self._angles(refl))
+        half = _BOUND_SEGS // 2
+        np.add(pos, _WINDOW_OFFSETS, out=cols[half:])
+        np.take(self._ring, cols[half:], out=cols[:half])
+        # vertex v starts segment v; segment v - 1 (-1: the closing one) ends at v
+        np.subtract(cols[:half], 1, out=cols[half:])
+
+    def _bound_dist2(self, refl):
+        """Per-row upper bound: the squared distance from each reflected
+        point to the nearest segment of its angular window."""
+        cols = self._columns(_BOUND_SEGS, len(refl))
+        self._window(refl, cols)
+        return max_min_dist_candidates(refl, self.seg_a, self.seg_d, self.seg_len2, cols.T,
                                        work=self._work)
 
+    def _row_dist2(self, refl):
+        """Each row's value: the squared distance from each reflected point
+        to the nearest segment of its near set and its window."""
+        if self._brute:
+            # the near set is every segment, the window's among them
+            return max_min_dist_all(refl, self.seg_a, self.seg_d, self.seg_len2,
+                                    work=self._work)
+        k = _KNN
+        rows = len(self._cand) // (2 * k + _BOUND_SEGS)
+        if len(refl) > rows:
+            return np.concatenate([self._row_dist2(refl[:rows]), self._row_dist2(refl[rows:])])
+        _, idx = self._tree.query(refl, k=k)
+        cols = self._columns(2 * k + _BOUND_SEGS, len(refl))
+        cols[:k] = idx.T
+        # idx - 1 is -1 for vertex 0, which indexes the closing segment
+        np.subtract(idx.T, 1, out=cols[k : 2 * k])
+        self._window(refl, cols[2 * k :])
+        return max_min_dist_candidates(refl, self.seg_a, self.seg_d, self.seg_len2, cols.T,
+                                       work=self._work)
+
+    def reflect_dist2(self, center, rows=None):
+        """Every scored row's value, all refined: the reference for max_dist2.
+
+        With rows given, those vertices are scored, each to the bits any
+        evaluation gives it.  Without, the rows an evaluation about center
+        scores (_scored).
+        """
+        center = np.asarray(center, dtype=float)
+        pts = self._scored(center) if rows is None else self.pts[rows]
+        return self._row_dist2(2.0 * center - pts)
+
+    def max_dist2(self, center, seed=None, stop=math.inf):
+        """(largest row value, refined rows, their values) about center.
+
+        The seed rows (default: the _WORST_POINTS rows of largest bound)
+        are refined first; if the root of their maximum reaches stop, that
+        partial result is returned at once, and the full maximum is at
+        least as large.  Otherwise every other row whose bound exceeds the
+        seed's maximum is refined too, and the first value returned is the
+        largest over every scored row.
+        """
+        center = np.asarray(center, dtype=float)
+        refl = 2.0 * center - self._scored(center)
+        bound = None
+        if seed is not None:
+            seed = seed[seed < len(refl)]
+        if seed is None or not len(seed):
+            bound = self._bound_dist2(refl)
+            seed = _worst_rows(bound)
+        vals = self._row_dist2(refl[seed])
+        top = vals.max()
+        if _root(top) >= stop:
+            return top, seed, vals
+        if bound is None:
+            bound = self._bound_dist2(refl)
+        more = bound > top
+        more[seed] = False
+        rest = np.flatnonzero(more)
+        if not len(rest):
+            return top, seed, vals
+        extra = self._row_dist2(refl[rest])
+        return (max(top, extra.max()), np.concatenate([seed, rest]),
+                np.concatenate([vals, extra]))
+
     def max_reflect_distance(self, center):
-        return _root_max(self.reflect_dist2(center))
+        return _root(self.max_dist2(center)[0])
 
 
 def _mirror_half(pts):
@@ -249,8 +371,8 @@ def _mirror_half(pts):
     return None
 
 
-def _root_max(d2):
-    return float(np.sqrt(d2.max()))
+def _root(d2):
+    return float(np.sqrt(d2))
 
 
 def _chart_diameter(pts):
@@ -371,7 +493,7 @@ def centrality(loop, tol, free_center=False):
     if not (tol > 0.0):
         raise InvalidDomain(f"tolerance must be positive, got {tol!r}")
     geom = _LoopGeometry(loop)
-    center = 0.5 * (geom.pts.min(axis=0) + geom.pts.max(axis=0))
+    center = geom.box_center.copy()
     if not free_center:
         center[0] = 0.0
     asym = geom.max_reflect_distance(center) / geom.diameter
@@ -388,16 +510,17 @@ def centrality(loop, tol, free_center=False):
 def _centroid_descent(geom, free_center):
     """Coordinate descent from the centroid; returns (center, asymmetry).
 
-    A trial center is first scored on the worst-scoring vertices of the
-    current best center.  Those values are the bits a full evaluation gives
-    the same vertices, and the full score is their maximum or more, so a
-    trial that already reaches the best score there is rejected without a
-    full evaluation, exactly as the full evaluation would reject it.
+    A trial center is refined first on the worst-scoring rows of the
+    current best center.  Those values are the bits any evaluation gives
+    the same rows, and the score is their maximum or more, so a trial that
+    already reaches the best score there is rejected at once, exactly as
+    its full score would reject it.  The worst rows of an accepted center
+    are taken from the rows its evaluation refined.
     """
     cy, cz = centroid(geom.pts)
     center = np.array([cy, cz]) if free_center else np.array([0.0, cz])
-    d2 = geom.reflect_dist2(center)
-    best, worst = _root_max(d2), _worst_rows(d2)
+    top, rows, vals = geom.max_dist2(center)
+    best, worst = _root(top), rows[_worst_rows(vals)]
     dirs = [np.array([0.0, 1.0])]
     if free_center:
         dirs.append(np.array([1.0, 0.0]))
@@ -405,12 +528,10 @@ def _centroid_descent(geom, free_center):
     for _ in range(20):
         for d in dirs:
             for cand in (center + step * d, center - step * d):
-                if _root_max(geom.reflect_dist2(cand, worst)) >= best:
-                    continue
-                d2 = geom.reflect_dist2(cand)
-                val = _root_max(d2)
+                top, rows, vals = geom.max_dist2(cand, worst, stop=best)
+                val = _root(top)
                 if val < best:
-                    best, center, worst = val, cand, _worst_rows(d2)
+                    best, center, worst = val, cand, rows[_worst_rows(vals)]
                     break
         step *= 0.5
     return center, best / geom.diameter

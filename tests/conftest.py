@@ -47,8 +47,8 @@ def oracle_asymmetry(points, center):
     return worst / oracle_diameter(pts)
 
 
-def reference_max_min_dist_candidates(refl, seg_a, seg_d, seg_len2, cand):
-    """Max over reflected points of the distance to the nearest candidate
+def reference_min_dist2_candidates(refl, seg_a, seg_d, seg_len2, cand):
+    """Per reflected point, the squared distance to the nearest candidate
     segment, on (N, K, 2) arrays reduced with sum(axis=-1)."""
     a = seg_a[cand]
     d = seg_d[cand]
@@ -56,7 +56,13 @@ def reference_max_min_dist_candidates(refl, seg_a, seg_d, seg_len2, cand):
     t = (ap * d).sum(axis=-1) / seg_len2[cand]
     np.clip(t, 0.0, 1.0, out=t)
     gap = ap - t[..., None] * d
-    d2 = (gap**2).sum(axis=-1).min(axis=1)
+    return (gap**2).sum(axis=-1).min(axis=1)
+
+
+def reference_max_min_dist_candidates(refl, seg_a, seg_d, seg_len2, cand):
+    """Max over reflected points of the distance to the nearest candidate
+    segment."""
+    d2 = reference_min_dist2_candidates(refl, seg_a, seg_d, seg_len2, cand)
     return float(np.sqrt(d2.max()))
 
 

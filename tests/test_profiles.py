@@ -60,6 +60,29 @@ class TestEval:
         with pytest.raises(NonPositiveProfile):
             rq.parse_profile(f"quadric:1,{-2.0 * z0!r},{z0 * z0 - 1e-9!r},1")
 
+    @pytest.mark.parametrize("spec", [
+        "poly:1,0,-1;1.0000001",  # F(+-q) < 0, F > 0 on |z| <= q (1 - 2^-20)
+        "quadric:-1,0,1,1.0000001",
+    ])
+    def test_negative_at_the_domain_ends_rejected(self, spec):
+        with pytest.raises(NonPositiveProfile):
+            rq.parse_profile(spec)
+
+    def test_dip_next_to_the_domain_end_rejected(self):
+        # F = (z - z0)^2 - 1e-14 with z0 = 1 - 2^-23 is negative only within
+        # 1e-7 of z0, all of it in the last 2^-20 of |z| < 1, and positive
+        # at both ends
+        z0 = 1.0 - 2.0 ** -23
+        with pytest.raises(NonPositiveProfile):
+            rq.parse_profile(f"quadric:1,{-2.0 * z0!r},{z0 * z0 - 1e-14!r},1")
+
+    def test_zero_at_the_domain_ends_accepted(self):
+        # the open domain leaves out +-q, where the sphere's F reaches 0
+        for spec in ("sphere", "poly:1,0,-1;1", "quadric:0,1,1,1"):
+            assert rq.parse_profile(spec).eval(0.0) == 1.0
+        z = np.linspace(-1.0, 1.0, 9)
+        assert rq.make_sampled_profile(z, 2.0 - z * z, q=1.0).eval(0.0) == 2.0
+
     @pytest.mark.parametrize("coeffs, q, top", [
         ([1.0, 0.5, 0.3, 1e-310], 1.0, 1.0 + 0.5 * 0.95 + 0.3 * 0.95**2),
         ([1.0, 0.0, 0.0, 0.0], 1e200, 1.0),

@@ -19,6 +19,7 @@ from conftest import (
     oracle_diameter,
     reference_max_min_dist_all,
     reference_max_min_dist_candidates,
+    reference_min_dist2_candidates,
     synthetic_loop,
 )
 
@@ -172,20 +173,44 @@ class TestAsymmetryAt:
             assert abs(fast - brute) <= 1e-12 + 1e-9 * brute
 
 
+def reference_window(pts, refl):
+    """The angular window of each reflected point, recomputed: both segments
+    at each of the 4 vertices whose polar angles about the bounding-box
+    center, in box-normalised coordinates, bracket the point's."""
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    mid, scale = 0.5 * (lo + hi), np.where(hi > lo, 0.5 * (hi - lo), 1.0)
+
+    def angles(p):
+        q = (p - mid) / scale
+        return np.arctan2(q[:, 1], q[:, 0])
+
+    ang = angles(pts)
+    order = np.argsort(ang, kind="stable")
+    pos = np.searchsorted(ang[order], angles(refl))
+    verts = order[(pos[:, None] + np.arange(-2, 2)) % len(pts)]
+    return np.concatenate([verts, verts - 1], axis=1) % len(pts)
+
+
 def reference_score(geom, center, all_rows=False):
     """Unnormalized asymmetry through the (N, K, 2) reference kernels, on the
     rows _LoopGeometry scores: rows 0 .. h-1 of a y-mirror loop about a
-    center on the axis, otherwise (or with all_rows) every row."""
+    center on the axis, otherwise (or with all_rows) every row.  A row's
+    value is the smaller of its k-d candidates' and its angular window's:
+    np.minimum with the bound.  A small loop scans every segment, which
+    holds the window's."""
     center = np.asarray(center, dtype=float)
     pts = geom.pts
     if not all_rows and geom._half is not None and center[0] == 0.0:
         pts = pts[: geom._half]
     refl = 2.0 * center - pts
+    args = (geom.seg_a, geom.seg_d, geom.seg_len2)
     if geom._brute:
-        return reference_max_min_dist_all(refl, geom.seg_a, geom.seg_d, geom.seg_len2)
-    _, idx = geom._tree.query(refl, k=geom._k)
+        return reference_max_min_dist_all(refl, *args)
+    _, idx = geom._tree.query(refl, k=symmetry._KNN)
     cand = np.concatenate([idx, idx - 1], axis=1) % len(geom.pts)
-    return reference_max_min_dist_candidates(refl, geom.seg_a, geom.seg_d, geom.seg_len2, cand)
+    knn = reference_min_dist2_candidates(refl, *args, cand)
+    bound = reference_min_dist2_candidates(refl, *args, reference_window(geom.pts, refl))
+    return float(np.sqrt(np.minimum(knn, bound).max()))
 
 
 def reference_centrality(loop, tol, free_center):
@@ -336,6 +361,88 @@ class TestHalfEvaluation:
                 assert len(geom.reflect_dist2(center)) == len(pts), name
                 got = geom.max_reflect_distance(center)
                 assert got == reference_score(geom, center, all_rows=True), name
+
+
+def crescent_points(rng, n, noise):
+    """A noisy crescent of n points: an outer arc and an inner arc bulging
+    the same way.  It is not star-shaped about its bounding-box center,
+    which lies in the hollow, so its angular windows are poor bounds."""
+    k = n // 2
+    outer = np.linspace(-0.8 * np.pi, 0.8 * np.pi, k)
+    inner = np.linspace(0.7 * np.pi, -0.7 * np.pi, n - k)
+    pts = np.vstack([
+        np.column_stack([np.cos(outer), np.sin(outer)]),
+        np.column_stack([0.35 + 0.75 * np.cos(inner), 0.75 * np.sin(inner)]),
+    ])
+    return pts + rng.normal(0.0, noise, pts.shape)
+
+
+@st.composite
+def bounded_loops(draw):
+    """(loop, free_center): a traced section of a preset or non-quadric
+    profile at n = 128 / 1024 / 2048, or a noisy crescent."""
+    if draw(st.booleans()):
+        spec = draw(st.sampled_from(TestHalfEvaluation.SPECS + ("poly:1,0,-1,0,0.05;1",)))
+        prof = sampled_cubic() if spec == "sampled" else rq.parse_profile(spec)
+        n = draw(st.sampled_from((128, 1024, 2048)))
+        plane = Plane(draw(st.floats(0.05, 0.45)), draw(st.floats(-0.3, 0.3)) * prof.q)
+        try:
+            return rq.trace_section(prof, plane, n), draw(st.booleans())
+        except rq.LoopEscapesDomain:
+            assume(False)
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    n = draw(st.sampled_from((60, 400, 900)))
+    pts = crescent_points(rng, n, draw(st.sampled_from((0.0, 1e-3, 0.03))))
+    return synthetic_loop(pts), True
+
+
+def trial_centers(geom, rng):
+    """The box center, on and off the axis, and centers shifted from it."""
+    mid = geom.box_center[1]
+    span = 0.05 * geom.diameter
+    return [(0.0, mid), (0.0, mid + rng.uniform(-span, span)),
+            (rng.uniform(-span, span), mid), tuple(geom.box_center)]
+
+
+class TestBoundThenRefine:
+    """Each row is bounded by its angular window and refined with its k-d
+    candidates only when the bound can hold the maximum; the score must
+    be the all-rows maximum, bit for bit, whichever rows were refined."""
+
+    @given(case=bounded_loops(), seed=st.integers(0, 2**32 - 1))
+    def test_bound_covers_rows_and_refinement_is_exact(self, case, seed):
+        loop, _ = case
+        geom = _LoopGeometry(loop)
+        rng = np.random.default_rng(seed)
+        for center in trial_centers(geom, rng):
+            vals = geom.reflect_dist2(center)
+            pts = geom.pts[: len(vals)]
+            bound = geom._bound_dist2(2.0 * np.asarray(center) - pts)
+            assert (bound >= vals).all()
+            top, rows, got = geom.max_dist2(center)
+            assert top == vals.max()
+            assert np.array_equal(got, vals[rows])
+            # any seed, rows out of range included, gives the same maximum
+            picked = rng.choice(len(geom.pts), 40, replace=False)
+            assert geom.max_dist2(center, picked)[0] == top
+            # a stop below the score ends on a seed whose maximum reaches it
+            part, _, got = geom.max_dist2(center, picked, stop=0.5 * math.sqrt(top))
+            assert part <= top and got.max() == part
+
+    @given(case=bounded_loops(), seed=st.integers(0, 2**32 - 1))
+    def test_oracle_never_exceeds_score(self, case, seed):
+        loop, _ = case
+        assume(len(loop.points) <= 1000)
+        geom = _LoopGeometry(loop)
+        for center in trial_centers(geom, np.random.default_rng(seed)):
+            score = rq.asymmetry_at(loop, center)
+            assert oracle_asymmetry(loop.points, center) <= score * (1.0 + 1e-12) + 1e-15
+
+    @given(case=bounded_loops(), tol=st.sampled_from((1e-5, 1e-4, 3e-3)))
+    def test_reported_asymmetry_is_the_score_at_the_center(self, case, tol):
+        loop, free = case
+        rep = rq.centrality(loop, tol, free_center=free)
+        assert rq.asymmetry_at(loop, rep.center) == rep.asymmetry
 
 
 class TestChartDiameter:
