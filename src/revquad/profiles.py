@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.interpolate import PchipInterpolator, PPoly
 
 from .errors import InvalidDomain, NonPositiveProfile, OutOfDomain, ParseError
 
@@ -188,6 +187,8 @@ def _gap_roots(profile, m, beta):
     """
     fw, qw = (m * m, 1.0) if m <= 1.0 else (1.0, (1.0 / m) ** 2)
     if profile.kind == "sampled":
+        from scipy.interpolate import PPoly  # sampled profiles only: a slow import
+
         pp = profile._interp
         off = pp.x[:-1] - beta
         c = fw * pp.c
@@ -270,6 +271,8 @@ def make_sampled_profile(z, f, q=None):
         _check_q(q)
         if q > span:
             raise InvalidDomain(f"samples span only (-{span!r}, {span!r}), cannot serve q = {q!r}")
+    from scipy.interpolate import PchipInterpolator  # a slow import, needed here only
+
     interp = PchipInterpolator(zs, fs, extrapolate=False)
     prof = Profile(kind="sampled", q=float(q), sample_z=zs, sample_f=fs, _interp=interp)
     _check_positive(prof)

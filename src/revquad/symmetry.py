@@ -43,6 +43,23 @@ never exceeds the score of the near set alone.  A traced loop is convex
 around its box center, so the window mostly holds the nearest segment and
 an evaluation refines about a tenth of its rows.
 
+The window bounds a row from above on every loop, and from below on a
+strictly convex loop that winds once, as a traced loop is.  Such a loop
+lies in the inner half-plane of each of its edges, so a reflected point is
+at least its outward distance to the edge's supporting line away from
+every segment, and so from the nearest of its candidates.  The largest of
+these distances over the window's edges, less a rounding slack a thousand
+times the rounding of either side, is a certified lower bound on the
+root of the row's value.  A lower bound never supplies a score: it only
+rejects.  The center search drops a trial whose worst rows' bounds (from
+windows kept at the best center and moved with the trial) already exceed
+the best score, or, when the exact worst rows do not settle it, whose
+rows still to be refined do; the midpoint test stops once a bound or a
+partial maximum proves the asymmetry above the tolerance.  A rejected
+trial's exact score would have been rejected too, so every reported
+center, score and witness keeps its bits.  Other loops are never bounded
+from below.
+
 The candidate kernel works on (K, N) arrays, one row per candidate, so its
 closing minimum runs across contiguous rows; numpy reduces a short inner
 axis many times more slowly.
@@ -95,6 +112,13 @@ _WINDOW_OFFSETS = np.arange(_BOUND_SEGS // 2)[:, None]
 # Rows refined first in an evaluation: the descent's worst rows of its best
 # center, or the rows of largest bound (see _LoopGeometry.max_dist2).
 _WORST_POINTS = 64
+
+# Rounding slack of a row's lower bound, relative to the scale of the
+# loop and the center (_LoopGeometry._slack).
+_SLACK = 1e-12
+
+# A rejection needs a lower bound this far above the score to beat.
+_REJECT_MARGIN = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -223,9 +247,16 @@ class _LoopGeometry:
         if len2.sum() == 0.0:
             raise DegenerateLoop("loop has zero total length")
         self.seg_len2 = np.where(len2 > 0.0, len2, 1.0)
-        self.diameter = _chart_diameter(pts)
+        convex = _convex_ccw(pts)
+        self.diameter = _chart_diameter(pts, convex)
         if self.diameter == 0.0:
             raise DegenerateLoop("loop has zero diameter")
+        # outward unit normals (dy, -dx) / |d| of the edges, negated on a
+        # clockwise loop; only a strictly convex loop has them (_row_lower)
+        self._normals = None
+        if convex[0] is not None:
+            scale = (1.0 if convex[0] is pts else -1.0) / np.sqrt(self.seg_len2)
+            self._normals = (self.seg_d[:, 1] * scale, -self.seg_d[:, 0] * scale)
         self._half = _mirror_half(pts)
         n = len(pts)
         # column by column: numpy reduces across 2 columns far more slowly
@@ -233,18 +264,20 @@ class _LoopGeometry:
         hi = np.array([pts[:, 0].max(), pts[:, 1].max()])
         self.box_center = 0.5 * (lo + hi)
         self._box_scale = np.where(hi > lo, 0.5 * (hi - lo), 1.0)
+        self._slack_scale = self.diameter + abs(self.box_center[0]) + abs(self.box_center[1])
         angles = self._angles(pts)
         order = np.argsort(angles, kind="stable")
         self._sorted_angles = angles[order]
         # _ring[j + 2] is the vertex at sorted position j, wrapping
         self._ring = np.concatenate([order[-2:], order, order[:2]])
+        # the windows of the last bound pass, kept for the lower bounds
+        self._win = np.empty(n * _BOUND_SEGS, dtype=np.intp)
         self._brute = n * n <= _BRUTE_PAIR_LIMIT
         if self._brute:
-            self._cand = np.empty(n * _BOUND_SEGS, dtype=np.intp)
             self._work = np.empty(max(7 * n * _BOUND_SEGS, 4 * n * n))
         else:
             self._tree = cKDTree(pts)
-            # room for the bound of every row; refinement runs in blocks
+            # refinement runs in blocks that fit these
             self._cand = np.empty(n * 2 * _KNN, dtype=np.intp)
             self._work = np.empty(7 * len(self._cand))
 
@@ -261,8 +294,12 @@ class _LoopGeometry:
         return self.pts
 
     def _columns(self, k, m):
-        """A (k, m) index array, a view of the preallocated buffer."""
+        """A (k, m) index array, a view of the refinement buffer."""
         return self._cand[: k * m].reshape(k, m)
+
+    def _window_cols(self, m):
+        """The (8, m) window columns of the last bound pass over m rows."""
+        return self._win[: _BOUND_SEGS * m].reshape(_BOUND_SEGS, m)
 
     def _window(self, refl, cols):
         """Write each reflected point's angular window into the (8, m) cols:
@@ -275,13 +312,91 @@ class _LoopGeometry:
         # vertex v starts segment v; segment v - 1 (-1: the closing one) ends at v
         np.subtract(cols[:half], 1, out=cols[half:])
 
+    def _window_of(self, refl):
+        """The reflected points' windows, in a new (8, m) array."""
+        cols = np.empty((_BOUND_SEGS, len(refl)), dtype=np.intp)
+        self._window(refl, cols)
+        return cols
+
     def _bound_dist2(self, refl):
         """Per-row upper bound: the squared distance from each reflected
         point to the nearest segment of its angular window."""
-        cols = self._columns(_BOUND_SEGS, len(refl))
+        cols = self._window_cols(len(refl))
         self._window(refl, cols)
         return max_min_dist_candidates(refl, self.seg_a, self.seg_d, self.seg_len2, cols.T,
                                        work=self._work)
+
+    def _outward(self, refl, cols):
+        """(s, nx, ny), (8, m) arrays: the outward distance s from each
+        reflected point to the supporting line of each of its window
+        segments cols, and the line's outward unit normal."""
+        nx = np.take(self._normals[0], cols, mode="wrap")
+        ny = np.take(self._normals[1], cols, mode="wrap")
+        dist = (refl[:, 0] - np.take(self.seg_a[:, 0], cols, mode="wrap")) * nx
+        dist += (refl[:, 1] - np.take(self.seg_a[:, 1], cols, mode="wrap")) * ny
+        return dist, nx, ny
+
+    def _slack(self, center):
+        """Rounding slack of a lower bound about center: rounding moves the
+        bounds and the row values by a few ulp of the coordinates and the
+        distances involved, which this exceeds a thousandfold."""
+        return _SLACK * (self._slack_scale + abs(center[0]) + abs(center[1]))
+
+    def _row_lower(self, center, refl, cols):
+        """Each row's certified lower bound on the root of its value, on a
+        strictly convex loop (None on any other): the largest outward
+        distance from the reflected point to the supporting lines of the
+        (8, m) window segments cols, less _slack.
+
+        The loop lies in the inner half-plane of each of its edges, so a
+        point is at least that far from every segment, and a row's value
+        is the squared distance to the nearest of some of the segments.
+        """
+        if self._normals is None:
+            return None
+        return self._outward(refl, cols)[0].max(axis=0) - self._slack(center)
+
+    def _rejects(self, center, refl, bound, rows, cutoff):
+        """Whether the lower bounds of rows, in the windows of the bound
+        pass just made over refl, prove the score's root above cutoff.
+        Only rows whose upper bound exceeds cutoff squared can, so only
+        they are bounded; a nan bound proves nothing."""
+        if self._normals is None or not cutoff < math.inf:
+            return False
+        rows = rows[bound[rows] > cutoff * cutoff]
+        if not len(rows):
+            return False
+        cols = self._window_cols(len(refl))[:, rows]
+        return bool(self._row_lower(center, refl[rows], cols).max() > cutoff)
+
+    def floor(self, center, rows):
+        """A certified lower bound on the root of the score about centers
+        near center, from the given scored rows alone, as a function of
+        the center; None on a loop that is not strictly convex.
+
+        The rows' windows about center are kept.  Moving the center by
+        delta moves each reflected point by 2 delta, and so its outward
+        distance to a line by 2 delta . n, n the line's outward unit
+        normal: one pass over the kept arrays.  Any edge bounds any row
+        (_row_lower), so the windows need not be the moved points' own.  A
+        center that scores fewer rows (on the axis, after one off it) gets
+        no bound.
+        """
+        if self._normals is None:
+            return None
+        scored = len(self._scored(center))
+        refl = 2.0 * center - self.pts[rows]
+        dist, nx, ny = self._outward(refl, self._window_of(refl))
+
+        def bound(cand):
+            if len(self._scored(cand)) < scored:
+                return -math.inf
+            moved = dist + (2.0 * (cand[1] - center[1])) * ny
+            if cand[0] != center[0]:
+                moved += (2.0 * (cand[0] - center[0])) * nx
+            return float(moved.max()) - self._slack(cand)
+
+        return bound
 
     def _row_dist2(self, refl):
         """Each row's value: the squared distance from each reflected point
@@ -314,7 +429,7 @@ class _LoopGeometry:
         pts = self._scored(center) if rows is None else self.pts[rows]
         return self._row_dist2(2.0 * center - pts)
 
-    def max_dist2(self, center, seed=None, stop=math.inf):
+    def max_dist2(self, center, seed=None, stop=math.inf, cutoff=math.inf):
         """(largest row value, refined rows, their values) about center.
 
         The seed rows (default: the _WORST_POINTS rows of largest bound)
@@ -323,6 +438,11 @@ class _LoopGeometry:
         least as large.  Otherwise every other row whose bound exceeds the
         seed's maximum is refined too, and the first value returned is the
         largest over every scored row.
+
+        With a finite cutoff, None is returned instead as soon as the lower
+        bounds of a convex loop prove the score's root above cutoff: those
+        of the default seed before it is refined, and those of the other
+        rows to be refined before they are (_rejects).
         """
         center = np.asarray(center, dtype=float)
         refl = 2.0 * center - self._scored(center)
@@ -332,6 +452,8 @@ class _LoopGeometry:
         if seed is None or not len(seed):
             bound = self._bound_dist2(refl)
             seed = _worst_rows(bound)
+            if self._rejects(center, refl, bound, seed, cutoff):
+                return None
         vals = self._row_dist2(refl[seed])
         top = vals.max()
         if _root(top) >= stop:
@@ -343,6 +465,8 @@ class _LoopGeometry:
         rest = np.flatnonzero(more)
         if not len(rest):
             return top, seed, vals
+        if self._rejects(center, refl, bound, rest, cutoff):
+            return None
         extra = self._row_dist2(refl[rest])
         return (max(top, extra.max()), np.concatenate([seed, rest]),
                 np.concatenate([vals, extra]))
@@ -375,16 +499,17 @@ def _root(d2):
     return float(np.sqrt(d2))
 
 
-def _chart_diameter(pts):
+def _chart_diameter(pts, convex=None):
     """Max pairwise distance, exact: the square root of the largest
     dx*dx + dy*dy over the antipodal vertex pairs of the loop's convex hull.
 
     A loop that is a strictly convex polygon winding once, as every traced
     loop is, is its own hull; any other loop takes its hull from Qhull.
     Points that Qhull finds flat (collinear or repeated) lie on one line,
-    whose diameter is the distance between its two ends.
+    whose diameter is the distance between its two ends.  convex, if
+    given, is _convex_ccw(pts).
     """
-    hull, phi = _convex_ccw(pts)
+    hull, phi = _convex_ccw(pts) if convex is None else convex
     if hull is None:
         try:
             hull = pts[ConvexHull(pts).vertices]
@@ -397,8 +522,9 @@ def _chart_diameter(pts):
 
 
 def _convex_ccw(pts):
-    """(loop, edge angles), the loop counterclockwise, if it is a strictly
-    convex polygon that winds once; otherwise (None, None)."""
+    """(loop, edge angles), the loop counterclockwise (pts itself when it
+    already is), if it is a strictly convex polygon that winds once;
+    otherwise (None, None)."""
     cross, phi = _edges_and_angles(pts)
     if (cross < 0.0).all():
         pts = pts[::-1]
@@ -466,10 +592,21 @@ def asymmetry_at(loop, center):
     """Asymmetry of the loop about the given chart center.
 
     Maximum over reflected vertices of the distance to the original
-    polyline, divided by the loop's chart diameter.
+    polyline, divided by the loop's chart diameter.  A center that is not
+    finite, or whose reflections or their distances overflow, raises
+    InvalidDomain.
     """
     geom = _LoopGeometry(loop)
-    return geom.max_reflect_distance(center) / geom.diameter
+    center = np.asarray(center, dtype=float)
+    if center.shape != (2,) or not np.isfinite(center).all():
+        raise InvalidDomain(f"center must be two finite numbers, got {center.tolist()!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(2.0 * center - geom.pts).all():
+            raise InvalidDomain(f"reflections about {center.tolist()!r} overflow")
+        dist = geom.max_reflect_distance(center)
+    if not math.isfinite(dist):
+        raise InvalidDomain(f"distances of the reflections about {center.tolist()!r} overflow")
+    return dist / geom.diameter
 
 
 def centrality(loop, tol, free_center=False):
@@ -496,7 +633,10 @@ def centrality(loop, tol, free_center=False):
     center = geom.box_center.copy()
     if not free_center:
         center[0] = 0.0
-    asym = geom.max_reflect_distance(center) / geom.diameter
+    # a partial maximum or a lower bound past the cut proves asym > tol
+    cut = tol * geom.diameter * _REJECT_MARGIN
+    got = geom.max_dist2(center, stop=cut, cutoff=cut)
+    asym = math.inf if got is None else _root(got[0]) / geom.diameter
     if not asym <= tol:
         center, asym = _centroid_descent(geom, free_center)
     return CentralityReport(
@@ -514,8 +654,12 @@ def _centroid_descent(geom, free_center):
     current best center.  Those values are the bits any evaluation gives
     the same rows, and the score is their maximum or more, so a trial that
     already reaches the best score there is rejected at once, exactly as
-    its full score would reject it.  The worst rows of an accepted center
-    are taken from the rows its evaluation refined.
+    its full score would reject it.  On a convex loop a trial is rejected
+    earlier still when the lower bounds of those rows (floor), or else of
+    the rows left to refine, prove its score above the best; a bound never
+    supplies a score.
+    The worst rows of an accepted center are taken from the rows its
+    evaluation refined.
     """
     cy, cz = centroid(geom.pts)
     center = np.array([cy, cz]) if free_center else np.array([0.0, cz])
@@ -525,13 +669,21 @@ def _centroid_descent(geom, free_center):
     if free_center:
         dirs.append(np.array([1.0, 0.0]))
     step = geom.diameter / 8.0
+    floor = geom.floor(center, worst)
     for _ in range(20):
         for d in dirs:
             for cand in (center + step * d, center - step * d):
-                top, rows, vals = geom.max_dist2(cand, worst, stop=best)
+                cutoff = best * _REJECT_MARGIN
+                if floor is not None and floor(cand) > cutoff:
+                    continue
+                got = geom.max_dist2(cand, worst, stop=best, cutoff=cutoff)
+                if got is None:
+                    continue
+                top, rows, vals = got
                 val = _root(top)
                 if val < best:
                     best, center, worst = val, cand, rows[_worst_rows(vals)]
+                    floor = geom.floor(center, worst)
                     break
         step *= 0.5
     return center, best / geom.diameter

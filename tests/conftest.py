@@ -30,21 +30,25 @@ def oracle_asymmetry(points, center):
     distance to the closed polyline over all segments, divide by the
     brute-force diameter."""
     pts = np.asarray(points, dtype=float)
-    ctr = np.asarray(center, dtype=float)
-    refl = 2.0 * ctr - pts
-    a = pts
-    d = np.roll(pts, -1, axis=0) - pts
+    refl = 2.0 * np.asarray(center, dtype=float) - pts
+    return float(oracle_distances(pts, refl).max()) / oracle_diameter(pts)
+
+
+def oracle_distances(points, query):
+    """Each query point's distance to the closed polyline through points,
+    over all segments, one point at a time."""
+    a = np.asarray(points, dtype=float)
+    d = np.roll(a, -1, axis=0) - a
     len2 = np.einsum("ij,ij->i", d, d)
     safe = np.where(len2 == 0.0, 1.0, len2)
-    worst = 0.0
-    for r in refl:
+    out = np.empty(len(query))
+    for i, r in enumerate(np.asarray(query, dtype=float)):
         ap = r - a
         t = np.clip(np.einsum("ij,ij->i", ap, d) / safe, 0.0, 1.0)
         foot = a + t[:, None] * d
         gap = r - foot
-        dist = np.sqrt(np.min(np.einsum("ij,ij->i", gap, gap)))
-        worst = max(worst, float(dist))
-    return worst / oracle_diameter(pts)
+        out[i] = np.sqrt(np.min(np.einsum("ij,ij->i", gap, gap)))
+    return out
 
 
 def reference_min_dist2_candidates(refl, seg_a, seg_d, seg_len2, cand):

@@ -1,7 +1,11 @@
 """Profile construction, evaluation, differentiation, and spec-string parsing."""
 
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from revquad import (
     QuadricParams,
 )
 from revquad.profiles import _value_range
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestEval:
@@ -166,6 +172,30 @@ class TestValueSemantics:
             assert back.eval(0.3) == prof.eval(0.3)
             arr = back.coeffs if back.coeffs is not None else back.sample_f
             assert not arr.flags.writeable
+
+
+IMPORT_PROBE = """
+import pickle, sys
+import numpy as np
+import revquad as rq
+assert "scipy.interpolate" not in sys.modules, "import revquad loaded scipy.interpolate"
+z = np.linspace(-1.0, 1.0, 40)
+prof = rq.make_sampled_profile(z, 2.0 - z * z)
+back = pickle.loads(pickle.dumps(prof))
+assert back == prof and back.eval(0.3) == prof.eval(0.3)
+assert abs(prof.eval(0.3) - 1.91) < 1e-3
+loop = rq.trace_section(back, rq.Plane(0.5, 0.1), 64)
+assert loop.z_lo < 0.1 < loop.z_hi
+print("ok")
+"""
+
+
+def test_import_leaves_interpolation_to_sampled_profiles():
+    # a fresh interpreter: this one has imported scipy.interpolate already
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"
 
 
 class TestSampled:

@@ -17,6 +17,7 @@ from revquad.symmetry import _LoopGeometry
 from conftest import (
     oracle_asymmetry,
     oracle_diameter,
+    oracle_distances,
     reference_max_min_dist_all,
     reference_max_min_dist_candidates,
     reference_min_dist2_candidates,
@@ -116,6 +117,16 @@ class TestAsymmetryAt:
         for n in (64, 1024):
             loop = rq.trace_section(sphere, Plane(0.5, 0.3), n)
             assert rq.asymmetry_at(loop, (0.0, 0.24)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [32, 513])  # 62 points scanned all-pairs, 1024 by k-d tree
+    def test_non_finite_or_overflowing_center_rejected(self, cubic, n):
+        loop = rq.trace_section(cubic, Plane(0.4, 0.0), n)
+        assert symmetry._LoopGeometry(loop)._brute == (n == 32)
+        for center in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan),
+                       (1e300, 1e300), (1e308, 0.0), (0.0, -1.7e308)):
+            with pytest.raises(InvalidDomain):
+                rq.asymmetry_at(loop, center)
+        assert math.isfinite(rq.asymmetry_at(loop, (1e3, -1e3)))
 
     def test_cubic_section_is_asymmetric(self, cubic):
         loop = rq.trace_section(cubic, Plane(0.4, 0.0), 1024)
@@ -443,6 +454,156 @@ class TestBoundThenRefine:
         loop, free = case
         rep = rq.centrality(loop, tol, free_center=free)
         assert rq.asymmetry_at(loop, rep.center) == rep.asymmetry
+
+
+@st.composite
+def convex_loops(draw):
+    """A strictly convex polygon: an ellipse's vertices, some a hair
+    apart, rotated, shifted far from the origin or not, in either
+    orientation; or a traced section."""
+    if draw(st.booleans()):
+        spec = draw(st.sampled_from(TestHalfEvaluation.SPECS))
+        prof = sampled_cubic() if spec == "sampled" else rq.parse_profile(spec)
+        plane = Plane(draw(st.floats(0.05, 0.45)), draw(st.floats(-0.3, 0.3)) * prof.q)
+        try:
+            pts = rq.trace_section(prof, plane, draw(st.sampled_from((16, 128, 512)))).points
+        except rq.LoopEscapesDomain:
+            assume(False)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n = draw(st.integers(3, 600))
+        ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        # near-degenerate short edges: some vertices 1e-7 rad past the last
+        close = rng.random(n) < draw(st.sampled_from((0.0, 0.2)))
+        ang = np.sort(np.where(close, np.roll(ang, 1) + 1e-7, ang) % (2.0 * np.pi))
+        pts = np.column_stack([np.cos(ang), draw(st.floats(0.05, 1.0)) * np.sin(ang)])
+        rot = rng.uniform(0.0, np.pi)
+        pts = pts @ np.array([[np.cos(rot), np.sin(rot)], [-np.sin(rot), np.cos(rot)]])
+        pts = pts * draw(st.sampled_from((1e-3, 1.0, 50.0))) + rng.normal(0.0, 1e3, 2)
+    return pts[::-1] if draw(st.booleans()) else pts
+
+
+def nearby_centers(geom, rng):
+    """The box center, on the axis or not, and centers up to half a
+    diameter away from it."""
+    span = 0.5 * geom.diameter
+    return [tuple(geom.box_center), (0.0, geom.box_center[1])] + [
+        tuple(geom.box_center + rng.uniform(-span, span, 2)) for _ in range(2)]
+
+
+def without_rejection(monkeypatch):
+    """Turn the lower-bound rejection off: no descent floor, no rejects."""
+    monkeypatch.setattr(_LoopGeometry, "floor", lambda self, center, rows: None)
+    monkeypatch.setattr(_LoopGeometry, "_rejects", lambda self, *args: False)
+
+
+class TestLowerBound:
+    """A strictly convex loop bounds each row from below by its outward
+    distance to its window edges' supporting lines; the bound only ever
+    rejects a center whose exact score would be rejected too."""
+
+    @given(pts=convex_loops(), seed=st.integers(0, 2**32 - 1))
+    def test_row_bound_never_exceeds_oracle_distance(self, pts, seed):
+        geom = _LoopGeometry(synthetic_loop(pts))
+        if geom._normals is None:
+            # rounding made a hair-thin edge turn the wrong way
+            assert symmetry._convex_ccw(pts)[0] is None
+            return
+        rng = np.random.default_rng(seed)
+        for center in nearby_centers(geom, rng):
+            center = np.asarray(center)
+            refl = 2.0 * center - geom._scored(center)
+            picked = rng.choice(len(refl), min(64, len(refl)), replace=False)
+            exact = oracle_distances(pts, refl[picked])
+            own = geom._row_lower(center, refl, geom._window_of(refl))
+            assert (own[picked] <= exact).all()
+            # the bound pass's windows give the rows the same guarantee
+            bound = geom._bound_dist2(refl)
+            assert not geom._rejects(center, refl, bound, picked, exact.max())
+            # the descent's floor, kept from center and moved to cand
+            floor = geom.floor(center, picked)
+            for cand in (center, center + rng.uniform(-0.1, 0.1, 2) * geom.diameter,
+                         center + [0.0, 0.01 * geom.diameter]):
+                moved = oracle_distances(pts, 2.0 * cand - pts[picked])
+                if len(geom._scored(cand)) == len(refl):
+                    assert floor(cand) <= moved.max()
+
+    def test_bound_is_tight_outside_a_square(self):
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        for pts in (square, square[::-1]):
+            geom = _LoopGeometry(synthetic_loop(pts))
+            # the corners' reflections about (0.5, -0.25) lie straight below
+            # the bottom edge, 0.5 and 1.5 away; about the center, on corners
+            for center in ((0.5, -0.25), (0.5, 0.5)):
+                refl = 2.0 * np.array(center) - pts
+                low = geom._row_lower(center, refl, geom._window_of(refl))
+                assert np.allclose(low, oracle_distances(pts, refl), rtol=0.0, atol=1e-11)
+
+    @given(poly=polygons())
+    def test_non_convex_loops_never_take_the_bound(self, poly):
+        geom = _LoopGeometry(synthetic_loop(poly))
+        convex = symmetry._convex_ccw(poly)[0] is not None
+        assert (geom._normals is not None) == convex
+        if convex:
+            return
+        center = geom.box_center
+        refl = 2.0 * center - geom.pts
+        rows = np.arange(len(refl))
+        assert geom._row_lower(center, refl, geom._window_of(refl)) is None
+        assert geom.floor(center, rows) is None
+        assert not geom._rejects(center, refl, geom._bound_dist2(refl), rows, 0.0)
+
+    @pytest.mark.parametrize("name", ["crescent", "doubly wound", "star"])
+    def test_named_non_convex_loops(self, cubic, name):
+        rng = np.random.default_rng(3)
+        traced = rq.trace_section(cubic, Plane(0.45, -0.2), 64).points
+        pts = {
+            "crescent": crescent_points(rng, 200, 0.0),
+            "doubly wound": np.vstack([traced, traced]),
+            "star": circle_points(0.0, 0.0, 1.0, 40) * (1.0 + 0.3 * (np.arange(40) % 2))[:, None],
+        }[name]
+        geom = _LoopGeometry(synthetic_loop(pts))
+        assert geom._normals is None
+        assert geom.floor(geom.box_center, np.arange(10)) is None
+
+    def test_nan_never_certifies_a_rejection(self, cubic):
+        loop = rq.trace_section(cubic, Plane(0.45, -0.2), 512)
+        geom = _LoopGeometry(loop)
+        center = np.array([0.0, geom.box_center[1]])
+        floor = geom.floor(center, np.arange(64))
+        assert floor is not None
+        assert not floor(np.array([0.0, math.nan])) > -math.inf
+        assert not floor(np.array([math.nan, geom.box_center[1]])) > -math.inf
+        refl = 2.0 * center - geom._scored(center)
+        bound = geom._bound_dist2(refl)
+        refl[5] = math.nan  # one nan row among rows that would certify
+        rows = np.arange(len(refl))
+        assert math.isnan(geom._row_lower(center, refl, geom._window_of(refl))[5])
+        assert not geom._rejects(center, refl, np.full(len(refl), math.inf), rows, 0.0)
+        assert not geom._rejects(center, refl, bound, rows, math.nan)
+
+    @given(case=bounded_loops(), tol=st.sampled_from((1e-5, 1e-4, 3e-3)))
+    def test_rejection_changes_no_bits(self, case, tol):
+        loop, free = case
+        with_bound = rq.centrality(loop, tol, free_center=free)
+        with pytest.MonkeyPatch.context() as mp:
+            without_rejection(mp)
+            plain = rq.centrality(loop, tol, free_center=free)
+        assert repr(with_bound) == repr(plain)  # bits, signed zeros too
+
+    @pytest.mark.parametrize("n", [128, 1024])
+    def test_descent_skips_refinement_of_rejected_trials(self, cubic, monkeypatch, n):
+        loop = rq.trace_section(cubic, Plane(0.4, 0.0), n)
+        calls = []
+        refine = _LoopGeometry._row_dist2
+        monkeypatch.setattr(_LoopGeometry, "_row_dist2",
+                            lambda self, refl: calls.append(len(refl)) or refine(self, refl))
+        with_bound = rq.centrality(loop, 1e-4)
+        refined = len(calls)
+        del calls[:]
+        without_rejection(monkeypatch)
+        assert rq.centrality(loop, 1e-4) == with_bound
+        assert refined < 0.6 * len(calls)
 
 
 class TestChartDiameter:
