@@ -18,6 +18,7 @@ tolerance, so shallow planes alone cannot witness non-quadrics.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -304,8 +305,8 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
         raise InvalidDomain(f"need at least 5 planes, got {n_planes!r}")
     if n_samples < 256:
         raise InvalidDomain(f"need at least 256 samples per loop, got {n_samples!r}")
-    if not (tol > 0.0):
-        raise InvalidDomain(f"tolerance must be positive, got {tol!r}")
+    if not (0.0 < tol < math.inf):
+        raise InvalidDomain(f"tolerance must be positive and finite, got {tol!r}")
     workers = _count(workers, "worker count")
     if workers < 1:
         raise InvalidDomain(f"need at least 1 worker, got {workers!r}")

@@ -101,7 +101,8 @@ class Profile:
 
     def _in_domain(self, z):
         arr = np.asarray(z, dtype=float)
-        if np.any(np.abs(arr) >= self.q):
+        # written so that a nan z fails it too
+        if not np.all(np.abs(arr) < self.q):
             raise OutOfDomain(f"evaluation needs |z| < q = {self.q!r}")
         return arr
 

@@ -37,11 +37,11 @@ evaluation bounds every row, refines a seed batch of rows with the union
 (the descent's worst rows at its best center, else the 64 rows of largest
 bound), and then refines only the rows whose bound exceeds the seed's
 maximum L: a row bounded by L cannot raise the maximum (the pruning of
-exact Hausdorff distances, Taha & Hanbury 2015).  The score is thus the
-largest row value over all scored rows, whichever rows were refined, and
-never exceeds the score of the near set alone.  A traced loop is convex
-around its box center, so the window mostly holds the nearest segment and
-an evaluation refines about a tenth of its rows.
+exact Hausdorff distances, Taha & Hanbury 2015).  A row that the window
+certificate below proves exact takes its bound as its value and is never
+refined.  The score is thus the largest row value over all scored rows,
+whichever rows were refined, and never exceeds the score of the near set
+alone.
 
 The window bounds a row from above on every loop, and from below on a
 strictly convex loop that winds once, as a traced loop is.  Such a loop
@@ -59,6 +59,24 @@ partial maximum proves the asymmetry above the tolerance.  A rejected
 trial's exact score would have been rejected too, so every reported
 center, score and witness keeps its bits.  Other loops are never bounded
 from below.
+
+The window certificate proves a row's value equal to its window minimum W.
+A loop can take it when it is strictly convex, its box center lies inside
+every edge's line by more than the rounding slack, and its vertices'
+sorted angles run in loop order, either way round, as a traced loop's do.
+Each segment then sweeps the angles between its two ends, and the ends sit
+at consecutive sorted positions.  Any segment whose computed distance
+could undercut W comes within r = sqrt(W) plus the slack of the reflected
+point, so it meets the disc of radius r about it, r in box-normalised
+units (divided by the smaller box half-width).  When the disc leaves out
+the box center, at distance rho, every such segment meets the sector
+theta +- asin(r / rho); when that sector, widened by an angular slack,
+lies strictly between the sorted angles at positions j - 3 and j + 2, each
+such segment is one of the five between them, all in the window.  W is
+then the minimum over every segment: the bits of the all-pairs scan and of
+the k-d union alike.  Every row of a quadric's central loops certifies, so
+those runs refine nothing and build no k-d tree; scipy.spatial, home of
+the tree and of Qhull, is imported only when one of them is first needed.
 
 The candidate kernel works on (K, N) arrays, one row per candidate, so its
 closing minimum runs across contiguous rows; numpy reduces a short inner
@@ -80,9 +98,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import DegenerateLoop, InvalidDomain
 
@@ -119,6 +137,10 @@ _SLACK = 1e-12
 
 # A rejection needs a lower bound this far above the score to beat.
 _REJECT_MARGIN = 1.0 + 1e-9
+
+# Angular slack of the window certificate (_LoopGeometry._exact_rows), in
+# radians: a thousandfold the rounding of the angles it compares.
+_ANGLE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -219,10 +241,13 @@ class _LoopGeometry:
     """Per-loop precomputation shared by repeated asymmetry evaluations.
 
     Each evaluation bounds every scored row and refines only the rows that
-    can hold the maximum (max_dist2; the row value and the pruning rule are
-    in the module docstring).  For the bound, the vertices' polar angles
-    about the bounding-box center, in box-normalised coordinates, are
-    sorted here once.  Every row's value is a function of the loop, the
+    can hold the maximum and are not certified exact (max_dist2; the row
+    value, the pruning rule and the certificate are in the module
+    docstring).  For the bound, the vertices' polar angles about the
+    bounding-box center, in box-normalised coordinates, are sorted here
+    once, and whether the loop can take the certificate is decided here
+    once (_can_certify).  The k-d tree of a large loop is built by its
+    first refinement.  Every row's value is a function of the loop, the
     center and the row alone, so the score does not depend on which rows
     were refined, and reflect_dist2, which refines every row, is its
     reference.
@@ -270,16 +295,48 @@ class _LoopGeometry:
         self._sorted_angles = angles[order]
         # _ring[j + 2] is the vertex at sorted position j, wrapping
         self._ring = np.concatenate([order[-2:], order, order[:2]])
-        # the windows of the last bound pass, kept for the lower bounds
+        # the windows of the last bound pass, kept for the lower bounds, and
+        # its angles and sorted positions, kept for the certificate
         self._win = np.empty(n * _BOUND_SEGS, dtype=np.intp)
+        self._theta = self._pos = None
+        # _cert_angles[j + 3] is the angle at sorted position j, unwrapped
+        # by 2 pi past either end; only a loop that can certify has them
+        self._cert_angles = None
+        if self._can_certify(order):
+            two_pi = 2.0 * np.pi
+            s = self._sorted_angles
+            self._cert_angles = np.concatenate([s[-3:] - two_pi, s, s[:3] + two_pi])
+            # box-normalised distances, widened past the rounding of r / rho
+            self._cert_scale = (1.0 + _SLACK) / self._box_scale.min()
         self._brute = n * n <= _BRUTE_PAIR_LIMIT
         if self._brute:
             self._work = np.empty(max(7 * n * _BOUND_SEGS, 4 * n * n))
         else:
-            self._tree = cKDTree(pts)
             # refinement runs in blocks that fit these
             self._cand = np.empty(n * 2 * _KNN, dtype=np.intp)
             self._work = np.empty(7 * len(self._cand))
+
+    @cached_property
+    def _tree(self):
+        """The k-d tree of the vertices, built by the first refinement of a
+        large loop that the window certificate leaves open."""
+        from scipy.spatial import cKDTree  # a slow import, needed here only
+
+        return cKDTree(self.pts)
+
+    def _can_certify(self, order):
+        """Whether the window certificate holds on this loop: it is strictly
+        convex, its box center lies inside every edge's line by more than
+        the rounding slack, and its sorted angle order is a rotation of the
+        loop order, either way round."""
+        if self._normals is None:
+            return False
+        c = self.box_center
+        edges = np.arange(len(self.pts))[:, None]
+        if not self._outward(c[None, :], edges)[0].max() < -self._slack(c):
+            return False
+        step = np.diff(order) % len(order)
+        return bool((step == 1).all() or (step == len(order) - 1).all())
 
     def _angles(self, pts):
         """Polar angles about the box center, in box-normalised coordinates."""
@@ -304,13 +361,16 @@ class _LoopGeometry:
     def _window(self, refl, cols):
         """Write each reflected point's angular window into the (8, m) cols:
         for an angle that sorts into position j, the vertices at sorted
-        positions j - 2 .. j + 1 and the segments that end at them."""
-        pos = np.searchsorted(self._sorted_angles, self._angles(refl))
+        positions j - 2 .. j + 1 and the segments that end at them.
+        Returns the angles and their sorted positions j."""
+        theta = self._angles(refl)
+        pos = np.searchsorted(self._sorted_angles, theta)
         half = _BOUND_SEGS // 2
         np.add(pos, _WINDOW_OFFSETS, out=cols[half:])
         np.take(self._ring, cols[half:], out=cols[:half])
         # vertex v starts segment v; segment v - 1 (-1: the closing one) ends at v
         np.subtract(cols[:half], 1, out=cols[half:])
+        return theta, pos
 
     def _window_of(self, refl):
         """The reflected points' windows, in a new (8, m) array."""
@@ -322,9 +382,46 @@ class _LoopGeometry:
         """Per-row upper bound: the squared distance from each reflected
         point to the nearest segment of its angular window."""
         cols = self._window_cols(len(refl))
-        self._window(refl, cols)
+        self._theta, self._pos = self._window(refl, cols)
         return max_min_dist_candidates(refl, self.seg_a, self.seg_d, self.seg_len2, cols.T,
                                        work=self._work)
+
+    def _exact_rows(self, center, refl, bound, rows):
+        """Which of rows, of the bound pass just made over refl with the
+        given bounds, have their bound as their value, as a mask over rows;
+        None on a loop that cannot certify.
+
+        A row is certified when the disc of radius r = sqrt(bound) + _slack
+        about its box-normalised reflected point leaves out the box center,
+        at distance rho, and its sector theta +- asin(r / rho), widened by
+        _ANGLE_SLACK, lies strictly between the sorted angles at positions
+        j - 3 and j + 2: every segment nearer than the bound then lies in
+        the window (see the module docstring).  A nan bound certifies
+        nothing.
+        """
+        if self._cert_angles is None:
+            return None
+        q = (refl[rows] - self.box_center) / self._box_scale
+        with np.errstate(divide="ignore", over="ignore"):
+            ratio = (np.sqrt(bound[rows]) + self._slack(center)) * self._cert_scale
+            ratio /= np.hypot(q[:, 0], q[:, 1])
+        half = np.arcsin(np.minimum(ratio, 1.0))
+        half += _ANGLE_SLACK
+        theta, pos = self._theta[rows], self._pos[rows]
+        return ((ratio < 1.0) & (self._cert_angles[pos] < theta - half)
+                & (theta + half < self._cert_angles[pos + 5]))
+
+    def _values(self, center, refl, rows, bound):
+        """The values of rows: with the bounds of the bound pass just made
+        over refl, a certified row's bound, the others refined."""
+        exact = None if bound is None else self._exact_rows(center, refl, bound, rows)
+        if exact is None:
+            return self._row_dist2(refl[rows])
+        vals = bound[rows]
+        todo = ~exact
+        if todo.any():
+            vals[todo] = self._row_dist2(refl[rows[todo]])
+        return vals
 
     def _outward(self, refl, cols):
         """(s, nx, ny), (8, m) arrays: the outward distance s from each
@@ -437,7 +534,10 @@ class _LoopGeometry:
         partial result is returned at once, and the full maximum is at
         least as large.  Otherwise every other row whose bound exceeds the
         seed's maximum is refined too, and the first value returned is the
-        largest over every scored row.
+        largest over every scored row.  Rows of the bound pass that the
+        window certificate proves exact (_exact_rows) keep their bound as
+        their value: they count as refined, at no cost.  The default seed
+        has them from its own bound pass; a given seed is refined in full.
 
         With a finite cutoff, None is returned instead as soon as the lower
         bounds of a convex loop prove the score's root above cutoff: those
@@ -454,7 +554,7 @@ class _LoopGeometry:
             seed = _worst_rows(bound)
             if self._rejects(center, refl, bound, seed, cutoff):
                 return None
-        vals = self._row_dist2(refl[seed])
+        vals = self._values(center, refl, seed, bound)
         top = vals.max()
         if _root(top) >= stop:
             return top, seed, vals
@@ -467,7 +567,7 @@ class _LoopGeometry:
             return top, seed, vals
         if self._rejects(center, refl, bound, rest, cutoff):
             return None
-        extra = self._row_dist2(refl[rest])
+        extra = self._values(center, refl, rest, bound)
         return (max(top, extra.max()), np.concatenate([seed, rest]),
                 np.concatenate([vals, extra]))
 
@@ -511,6 +611,8 @@ def _chart_diameter(pts, convex=None):
     """
     hull, phi = _convex_ccw(pts) if convex is None else convex
     if hull is None:
+        from scipy.spatial import ConvexHull, QhullError  # a slow import, needed here only
+
         try:
             hull = pts[ConvexHull(pts).vertices]
         except QhullError:
@@ -627,8 +729,8 @@ def centrality(loop, tol, free_center=False):
     makes equal to the full score in exact arithmetic (see the module
     docstring); centers off the axis are scored on every vertex.
     """
-    if not (tol > 0.0):
-        raise InvalidDomain(f"tolerance must be positive, got {tol!r}")
+    if not (0.0 < tol < math.inf):
+        raise InvalidDomain(f"tolerance must be positive and finite, got {tol!r}")
     geom = _LoopGeometry(loop)
     center = geom.box_center.copy()
     if not free_center:

@@ -43,6 +43,13 @@ class TestProfileCommand:
         assert out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize("z", ["nan", "-nan", "inf"])
+    def test_non_finite_z_exits_2(self, capsys, z):
+        code, out, err = run_cli(capsys, "profile", "--profile", "sphere", f"--z={z}")
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
     def test_missing_z_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "profile", "--profile", "sphere")
         assert code == 2
@@ -136,6 +143,19 @@ class TestCenterCommand:
         obj = json.loads(out)
         assert obj["central"] is False
         assert obj["asymmetry"] > 1e-3
+
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-4"])
+    def test_bad_tolerance_exits_2(self, capsys, tol):
+        # an infinite tol would print "tolerance": Infinity, which is not JSON
+        code, out, err = run_cli(
+            capsys,
+            "center", "--profile", "sphere",
+            "--slope", "0.5", "--intercept", "0", f"--tol={tol}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "tolerance" in err
 
 
 class TestDetectCommand:

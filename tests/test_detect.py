@@ -1,6 +1,7 @@
 """Center curves, the center-height relation, quadratic fitting, and the
 quadric decision procedure."""
 
+import math
 import os
 import signal
 import time
@@ -191,6 +192,13 @@ class TestDetectQuadric:
             rq.detect_quadric(sphere, 0.1, 17, 128, 1e-4)
         with pytest.raises(InvalidDomain):
             rq.detect_quadric(sphere, 0.1, 17, 1024, 0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf, -1e-4])
+    def test_tolerance_must_be_finite_and_positive(self, sphere, tol):
+        with pytest.raises(InvalidDomain):
+            rq.detect_quadric(sphere, 0.1, 5, 256, tol)
+        with pytest.raises(InvalidDomain):
+            rq.center_heights(sphere, 0.3, [0.0], 256, tol)
 
     @pytest.mark.parametrize("n_planes, n_samples", [(5.5, 256), (17, 256.5), (17.0, 1024)])
     def test_non_integer_counts_rejected(self, sphere, n_planes, n_samples):

@@ -53,6 +53,16 @@ class TestEval:
         with pytest.raises(OutOfDomain):
             sphere.eval(np.array([0.0, 2.0]))
 
+    def test_nan_is_out_of_domain(self, sphere):
+        # abs(nan) >= q is false, so the domain check is written to fail on nan
+        table = rq.make_sampled_profile(np.linspace(-1.0, 1.0, 9), np.full(9, 2.0))
+        for prof in (sphere, table):
+            for z in (math.nan, np.array([0.0, math.nan]), -math.inf):
+                with pytest.raises(OutOfDomain):
+                    prof.eval(z)
+                with pytest.raises(OutOfDomain):
+                    prof.derivative(z)
+
     def test_positivity_rejected_at_construction(self):
         # 1 - 2 z^2 goes negative inside |z| < 1
         with pytest.raises(NonPositiveProfile):

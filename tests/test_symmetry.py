@@ -2,6 +2,10 @@
 mean-value machinery."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -606,6 +610,168 @@ class TestLowerBound:
         assert refined < 0.6 * len(calls)
 
 
+@st.composite
+def certificate_loops(draw):
+    """A loop the window certificate may take: a small strictly convex
+    polygon (3-8 vertices, some a hair apart, shifted and scaled, in either
+    orientation), a traced section, or an m = 0 circle."""
+    kind = draw(st.sampled_from(("polygon", "traced", "circle")))
+    if kind == "traced":
+        spec = draw(st.sampled_from(TestHalfEvaluation.SPECS))
+        prof = sampled_cubic() if spec == "sampled" else rq.parse_profile(spec)
+        plane = Plane(draw(st.floats(0.05, 0.45)), draw(st.floats(-0.3, 0.3)) * prof.q)
+        try:
+            return rq.trace_section(prof, plane, draw(st.sampled_from((16, 128, 512)))).points
+        except rq.LoopEscapesDomain:
+            assume(False)
+    if kind == "circle":
+        plane = Plane(0.0, draw(st.floats(-5.0, 5.0)))
+        cylinder = rq.parse_profile("cylinder:1,10")
+        return rq.trace_section(cylinder, plane, draw(st.sampled_from((16, 64, 512)))).points
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 8))
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    # near-degenerate short edges: some vertices 1e-9 rad past the last
+    close = rng.random(n) < draw(st.sampled_from((0.0, 0.3)))
+    ang = np.sort(np.where(close, np.roll(ang, 1) + 1e-9, ang) % (2.0 * np.pi))
+    pts = np.column_stack([np.cos(ang), draw(st.floats(0.05, 1.0)) * np.sin(ang)])
+    pts = pts * draw(st.sampled_from((1e-3, 1.0, 50.0))) + rng.normal(0.0, 1e3, 2)
+    return pts[::-1] if draw(st.booleans()) else pts
+
+
+def all_segments_dist2(geom, refl):
+    """Each point's squared distance to the nearest segment of the whole
+    loop, through the (N, K, 2) reference kernel."""
+    cand = np.broadcast_to(np.arange(len(geom.pts)), (len(refl), len(geom.pts)))
+    return reference_min_dist2_candidates(refl, geom.seg_a, geom.seg_d, geom.seg_len2, cand)
+
+
+def cannot_certify(geom):
+    center = geom.box_center
+    refl = 2.0 * center - geom.pts
+    bound = geom._bound_dist2(refl)
+    return geom._exact_rows(center, refl, bound, np.arange(len(refl))) is None
+
+
+class TestWindowCertificate:
+    """On a strictly convex loop around its box center, a row whose disc
+    of candidates fits in its angular window takes its window minimum as
+    its value; that value is the all-segments minimum, bit for bit."""
+
+    @given(pts=certificate_loops(), seed=st.integers(0, 2**32 - 1))
+    def test_certified_rows_match_all_pairs_oracle(self, pts, seed):
+        geom = _LoopGeometry(synthetic_loop(pts))
+        rng = np.random.default_rng(seed)
+        far = tuple(geom.box_center + 3.0 * geom.diameter * rng.uniform(-1.0, 1.0, 2))
+        for center in nearby_centers(geom, rng) + [far]:
+            center = np.asarray(center)
+            refl = 2.0 * center - geom._scored(center)
+            bound = geom._bound_dist2(refl)
+            exact = geom._exact_rows(center, refl, bound, np.arange(len(refl)))
+            if exact is None:
+                assert geom._cert_angles is None
+                continue
+            rows = np.flatnonzero(exact)
+            rows = rng.choice(rows, min(64, len(rows)), replace=False)
+            assert np.array_equal(bound[rows], all_segments_dist2(geom, refl[rows]))
+            # max_dist2 takes the same values
+            assert geom.max_dist2(center)[0] == geom.reflect_dist2(center).max()
+
+    @pytest.mark.parametrize("n", [128, 1024])
+    def test_quadric_sections_certify_every_row(self, n, monkeypatch):
+        calls = []
+        refine = _LoopGeometry._row_dist2
+        monkeypatch.setattr(_LoopGeometry, "_row_dist2",
+                            lambda self, refl: calls.append(len(refl)) or refine(self, refl))
+        for spec in ("sphere", "cylinder:1,10", "hyperboloid:1,2", "paraboloid:2,1"):
+            prof = rq.parse_profile(spec)
+            for m, frac in ((0.1, -0.4), (0.3, 0.0), (0.45, 0.2)):
+                loop = rq.trace_section(prof, Plane(m, frac * prof.q), n)
+                geom = _LoopGeometry(loop)
+                center = np.array([0.0, 0.5 * (loop.z_lo + loop.z_hi)])
+                refl = 2.0 * center - geom._scored(center)
+                bound = geom._bound_dist2(refl)
+                assert geom._exact_rows(center, refl, bound, np.arange(len(refl))).all()
+                assert rq.centrality(loop, 1e-4).central
+        # no row was refined: no all-pairs scan, no k-d tree
+        assert calls == []
+
+    @given(poly=polygons())
+    def test_non_convex_loops_never_certify(self, poly):
+        geom = _LoopGeometry(synthetic_loop(poly))
+        if symmetry._convex_ccw(poly)[0] is None:
+            assert cannot_certify(geom)
+
+    @pytest.mark.parametrize("name", [
+        "crescent", "doubly wound", "star", "right triangle", "arc and chord"])
+    def test_named_loops_never_certify(self, cubic, name):
+        # a convex loop's box center lies inside it or on its boundary; the
+        # triangle's lies on its hypotenuse, the arc's on its chord
+        traced = rq.trace_section(cubic, Plane(0.45, -0.2), 64).points
+        arc = np.radians([-10.0, 20.0, 50.0, 80.0])
+        pts = {
+            "crescent": crescent_points(np.random.default_rng(3), 200, 0.0),
+            "doubly wound": np.vstack([traced, traced]),
+            "star": circle_points(0.0, 0.0, 1.0, 40) * (1.0 + 0.3 * (np.arange(40) % 2))[:, None],
+            "right triangle": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            "arc and chord": np.column_stack([np.cos(arc), np.sin(arc)]),
+        }[name]
+        geom = _LoopGeometry(synthetic_loop(pts))
+        assert cannot_certify(geom)
+        assert (geom._normals is not None) == (name in ("right triangle", "arc and chord"))
+
+    def test_nan_certifies_nothing(self, sphere):
+        loop = rq.trace_section(sphere, Plane(0.3, 0.1), 256)
+        geom = _LoopGeometry(loop)
+        center = np.array([0.0, 0.5 * (loop.z_lo + loop.z_hi)])
+        refl = 2.0 * center - geom._scored(center)
+        bound = geom._bound_dist2(refl)
+        bound[7] = math.nan
+        exact = geom._exact_rows(center, refl, bound, np.arange(len(refl)))
+        assert not exact[7] and exact.sum() == len(refl) - 1
+
+    @given(case=bounded_loops(), tol=st.sampled_from((1e-5, 1e-4, 3e-3)))
+    def test_certificate_changes_no_bits(self, case, tol):
+        loop, free = case
+        geom = _LoopGeometry(loop)
+        centers = trial_centers(geom, np.random.default_rng(len(loop.points)))
+        with_cert = [rq.centrality(loop, tol, free_center=free)]
+        with_cert += [rq.asymmetry_at(loop, c) for c in centers]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_LoopGeometry, "_exact_rows", lambda self, *args: None)
+            plain = [rq.centrality(loop, tol, free_center=free)]
+            plain += [rq.asymmetry_at(loop, c) for c in centers]
+        assert repr(with_cert) == repr(plain)  # bits, signed zeros too
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+COLD_PROBE = """
+import sys
+import numpy as np
+import revquad as rq
+for spec in ("sphere", "quadric:-0.3,0.2,1.5,1"):
+    prof = rq.parse_profile(spec)
+    assert rq.detect_quadric(prof, 0.1 * prof.q, 17, 1024, 1e-4).is_quadric, spec
+assert "scipy.spatial" not in sys.modules, "a quadric run loaded scipy.spatial"
+print(repr(rq.centrality(np.array(eval(sys.stdin.read())), 1e-4, free_center=True)))
+assert "scipy.spatial" in sys.modules
+"""
+
+
+def test_quadric_runs_leave_scipy_spatial_out():
+    # a fresh interpreter: this one has imported scipy.spatial already.  A
+    # 1500-point noisy circle is not convex: it takes its hull from Qhull
+    # and its rows from the k-d tree, loaded on first use
+    rng = np.random.default_rng(1500)
+    pts = circle_points(0.0, 0.0, 1.0, 1500) + rng.normal(0.0, 0.05, (1500, 2))
+    out = subprocess.run([sys.executable, "-c", COLD_PROBE], input=repr(pts.tolist()),
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": SRC}, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == repr(rq.centrality(pts, 1e-4, free_center=True)) + "\n"
+
+
 class TestChartDiameter:
     # (spec, steep plane); every profile is also cut at a shallow slope
     CASES = (
@@ -720,6 +886,12 @@ class TestCentrality:
         loop = rq.trace_section(sphere, Plane(0.5, 0.0), 64)
         with pytest.raises(InvalidDomain):
             rq.centrality(loop, 0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf, -1e-4])
+    def test_tolerance_must_be_finite_and_positive(self, sphere, tol):
+        loop = rq.trace_section(sphere, Plane(0.5, 0.0), 64)
+        with pytest.raises(InvalidDomain):
+            rq.centrality(loop, tol)
 
     def test_free_center_finds_off_axis_center(self):
         pts = circle_points(0.15, 0.3, 1.0, 256)
