@@ -73,15 +73,13 @@ class SectionLoop:
     from z_lo to z_hi followed by the lower branch (y <= 0) back from z_hi
     to z_lo, endpoints not duplicated; the first point is (0, z_lo).  For
     m = 0, points holds the circle in the plane's own orthonormal chart and
-    z_lo = z_hi = beta.  ``closed`` means the last point connects to the
-    first.
+    z_lo = z_hi = beta.  The last point connects to the first.
     """
 
     plane: Plane
     points: np.ndarray = field(repr=False)
     z_lo: float
     z_hi: float
-    closed: bool = True
 
 
 def section_gap(profile, plane, z):

@@ -10,10 +10,10 @@ centrality even though they distort lengths.
 
 The chart diameter is exact: the largest squared distance, dx*dx + dy*dy
 elementwise, over the antipodal vertex pairs of the loop's convex hull,
-which rotating calipers enumerate (Shamos 1978; Toussaint 1983).  A traced
-loop is a strictly convex polygon, so it serves as its own hull; other
-loops take theirs from Qhull.  No score goes through a matrix product, so
-none depends on the BLAS build or its thread count.
+which rotating calipers enumerate (Shamos 1978; Toussaint 1983).  A
+strictly convex loop serves as its own hull; other loops take theirs from
+Qhull.  No score goes through a matrix product, so none depends on the
+BLAS build or its thread count.
 
 The distance kernels work on separate x and y columns:
 
@@ -28,67 +28,59 @@ its square root, which is the max-min distance the names refer to.
 
 A row is one scored vertex.  The angular window of a row is both
 segments at each of the 4 vertices whose polar angles about the
-bounding-box center bracket the reflected point's; the squared distance
+bounding-box center bracket the reflected point's; the squared distance W
 to its nearest segment bounds the row's value from above and needs no tree
-query.  On a loop that can take the window certificate below, a row's
-value is the squared distance from its reflection to the whole polyline,
-and refining a row finds it in the row's sector.  On any other loop, the
-value is the distance to the nearest segment of the union of the window
-and the near set (every segment of a small loop; for a large one, both
-segments at each of the 8 vertices nearest the reflected point, from a k-d
-tree), and never exceeds the near set's alone.  An evaluation bounds every
-row, refines a seed batch of rows (the descent's worst rows at its best
-center, else the 64 rows of largest bound), and then refines only the
-rows whose bound exceeds the seed's maximum L: a row bounded by L cannot
-raise the maximum (the pruning of exact Hausdorff distances, Taha &
-Hanbury 2015).  The score is thus the largest row value over all scored
-rows, whichever rows were refined.
+query.  An evaluation bounds every row, refines a seed batch of rows (the
+descent's worst rows at its best center, else the 64 rows of largest
+bound), and then refines only the rows whose bound exceeds the seed's
+maximum L: a row bounded by L cannot raise the maximum (the pruning of
+exact Hausdorff distances, Taha & Hanbury 2015).  The score is thus the
+largest row value over all scored rows, whichever rows were refined.  How
+a row is refined, and whether it is bounded from below, depends on which
+of two classes its loop is in.
 
-The window bounds a row from above on every loop, and from below on a
-strictly convex loop that winds once, as a traced loop is.  Such a loop
-lies in the inner half-plane of each of its edges, so a reflected point is
-at least its outward distance to the edge's supporting line away from
-every segment, and so from the nearest of its candidates.  The largest of
-these distances over the window's edges, less a rounding slack a thousand
-times the rounding of either side, is a certified lower bound on the
-root of the row's value.  A lower bound never supplies a score: it only
-rejects.  The center search drops a trial whose worst rows' bounds (from
-windows kept at the best center and moved with the trial) already exceed
-the best score, or, when the exact worst rows do not settle it, whose
-rows still to be refined do; the midpoint test stops once a bound or a
-partial maximum proves the asymmetry above the tolerance.  A rejected
-trial's exact score would have been rejected too, so every reported
-center, score and witness keeps its bits.  Other loops are never bounded
-from below.
+A loop certifies when it is strictly convex, its box center lies inside
+every edge's line by more than a rounding slack, and its vertices' sorted
+angles run in loop order, either way round.  Quadric sections and every
+traced loop of the benchmark do.  A row's value is then the squared
+distance from its reflection to the whole polyline.  Each segment sweeps
+the angles between its two ends, which sit at consecutive sorted
+positions.  Any segment whose computed distance could undercut W comes
+within r = sqrt(W) plus the slack of the reflected point, r in
+box-normalised units (divided by the smaller box half-width), so it meets
+the disc of radius r about it.  When the disc leaves out the box center, at
+distance rho, every such segment meets the sector theta +- asin(r / rho),
+widened by an angular slack, within the angles between its two ends; the
+segments between consecutive sorted angles whose span meets the sector
+hold the nearest segment, and where r / rho >= 1 every segment does.  Their
+minimum is the all-segments minimum, bit for bit.  When the sector lies
+strictly between the sorted angles at positions j - 3 and j + 2, j the
+reflected angle's, those segments are all in the window, and the row keeps
+W at no cost: every row of a quadric's central loops does.
 
-The window certificate proves a row's value equal to its window minimum W.
-A loop can take it when it is strictly convex, its box center lies inside
-every edge's line by more than the rounding slack, and its vertices'
-sorted angles run in loop order, either way round, as a traced loop's do.
-Each segment then sweeps the angles between its two ends, and the ends sit
-at consecutive sorted positions.  Any segment whose computed distance
-could undercut W comes within r = sqrt(W) plus the slack of the reflected
-point, so it meets the disc of radius r about it, r in box-normalised
-units (divided by the smaller box half-width).  When the disc leaves out
-the box center, at distance rho, every such segment meets the sector
-theta +- asin(r / rho); when that sector, widened by an angular slack,
-lies strictly between the sorted angles at positions j - 3 and j + 2, each
-such segment is one of the five between them, all in the window.  W is
-then the minimum over every segment: the bits of the all-pairs scan and of
-the k-d union alike.  Every row of a quadric's central loops certifies, so
-those runs refine nothing.
+Such a loop also bounds each row from below: it lies in the inner
+half-plane of each of its edges, so a reflected point is at least its
+outward distance to the edge's supporting line away from every segment.
+The largest of these distances over the window's edges, less a rounding
+slack a thousand times the rounding of either side, is a certified lower
+bound on the root of the row's value.  A lower bound never supplies a
+score: it only rejects.  The center search drops a trial whose worst rows'
+bounds (from windows kept at the best center and moved with the trial)
+already exceed the best score, or, when the exact worst rows do not settle
+it, whose rows still to be refined do; the midpoint test stops once a bound
+or a partial maximum proves the asymmetry above the tolerance.  A rejected
+trial's exact score would have been rejected too, so every reported center,
+score and witness keeps its bits.
 
-The same proof refines the rows the window leaves open.  Every segment
-that could undercut W meets the row's sector, and meets it within the
-angles between its two ends, so the segments between consecutive sorted
-angles whose span meets the sector (widened as above) hold the nearest
-segment; where the disc holds the box center (r / rho >= 1), every segment
-does.  Their minimum is the all-segments minimum, bit for bit, so a loop
-that can certify, as traced loops do, never queries a k-d tree or scans
-all pairs.  A given seed takes a window bound pass of its own first,
-so its certified rows cost nothing more.  scipy.spatial, home of the tree
-and of Qhull, is imported only when a loop that cannot certify first needs
-one of them.
+Every other loop is in the general class: non-convex loops, a traced
+section of a wiggly profile among them, and convex loops whose box center
+lies on or near their boundary (a right triangle, an arc and its chord).
+Its rows have no lower bound.  A row's value is the distance to the nearest
+segment of the union of the window and the near set: every segment of a
+small loop, scanned all-pairs; for a large one, both segments at each of
+the 8 vertices nearest the reflected point, from a k-d tree.  It never
+exceeds the near set's alone.  scipy.spatial, home of the tree and of
+Qhull, is imported only when such a loop first needs one of them.
 
 The candidate kernel works on (K, N) arrays, one row per candidate, so its
 closing minimum runs across contiguous rows; numpy reduces a short inner
@@ -152,8 +144,8 @@ _SLACK = 1e-12
 # A rejection needs a lower bound this far above the score to beat.
 _REJECT_MARGIN = 1.0 + 1e-9
 
-# Angular slack of the window certificate (_LoopGeometry._exact_rows), in
-# radians: a thousandfold the rounding of the angles it compares.
+# Angular slack of a row's sector (_LoopGeometry._sector), in radians: a
+# thousandfold the rounding of the angles it is compared with.
 _ANGLE_SLACK = 1e-12
 
 
@@ -255,29 +247,29 @@ class _LoopGeometry:
     """Per-loop precomputation shared by repeated asymmetry evaluations.
 
     Each evaluation bounds every scored row and refines only the rows that
-    can hold the maximum and are not certified exact (max_dist2; the row
-    value, the pruning rule, the certificate and the sectors are in the
-    module docstring).  For the bound, the vertices' polar angles about the
-    bounding-box center, in box-normalised coordinates, are sorted here
-    once, and whether the loop can take the certificate is decided here
-    once (_can_certify).  A loop that can refines in sectors
-    (_sector_dist2); on any other, the k-d tree of a large loop is built by
-    its first refinement (_row_dist2).  Every row's value is a function of
-    the loop, the center and the row alone, so the score does not depend
-    on which rows were refined, and reflect_dist2, which refines every row,
-    is its reference.
+    can hold the maximum (max_dist2; the row value, the pruning rule and
+    the two loop classes are in the module docstring).  For the bound, the
+    vertices' polar angles about the bounding-box center, in box-normalised
+    coordinates, are sorted here once; a bound pass (_bound_dist2) is a
+    value, which the refinement and the rejection read.  The loop's class is
+    decided here once: a loop that certifies has edge normals
+    (_certify_normals), refines in sectors (_sector_dist2) and bounds rows
+    from below (_rejects, floor); on any other, a row's first refinement
+    allocates the all-pairs scan or builds the k-d tree (_row_dist2).  Every
+    row's value is a function of the loop, the center and the row alone, so
+    the score does not depend on which rows were refined, and reflect_dist2,
+    which refines every row, is its reference.
 
     The scratch arrays of the distance kernels are allocated here once and
     reused by every evaluation, so the many evaluations of a centre search
     do not allocate and release megabytes each; they hold the bound of
     every row, and sector refinement runs in blocks that fit them.  The
-    all-pairs scan and the k-d refinement of a loop that cannot certify
-    allocate theirs on first use (_near_buffers).  The y-mirror
-    layout of a traced loop is detected here once, exactly, from the points
-    alone (_mirror_half); evaluations about a center on the axis then score
-    only rows 0 .. h-1 (see the module docstring).  Other loops (an m = 0
-    circle, a rotated or perturbed copy of a traced loop) and centers off
-    the axis are scored on every row.
+    general class allocates its own on first use (_near_buffers).  The
+    y-mirror layout of a traced loop is detected here once, exactly, from
+    the points alone (_mirror_half); evaluations about a center on the axis
+    then score only rows 0 .. h-1 (see the module docstring).  Other loops
+    (an m = 0 circle, a rotated or perturbed copy of a traced loop) and
+    centers off the axis are scored on every row.
     """
 
     def __init__(self, points):
@@ -293,12 +285,6 @@ class _LoopGeometry:
         self.diameter = _chart_diameter(pts, convex)
         if self.diameter == 0.0:
             raise DegenerateLoop("loop has zero diameter")
-        # outward unit normals (dy, -dx) / |d| of the edges, negated on a
-        # clockwise loop; only a strictly convex loop has them (_row_lower)
-        self._normals = None
-        if convex[0] is not None:
-            scale = (1.0 if convex[0] is pts else -1.0) / np.sqrt(self.seg_len2)
-            self._normals = (self.seg_d[:, 1] * scale, -self.seg_d[:, 0] * scale)
         self._half = _mirror_half(pts)
         n = len(pts)
         # column by column: numpy reduces across 2 columns far more slowly
@@ -312,16 +298,15 @@ class _LoopGeometry:
         self._sorted_angles = angles[order]
         # _ring[j + 2] is the vertex at sorted position j, wrapping
         self._ring = np.concatenate([order[-2:], order, order[:2]])
-        # the windows of the last bound pass, kept for the lower bounds, and
-        # its angles and sorted positions, kept for the certificate
+        # the windows of the last bound pass, kept for the lower bounds
         self._win = np.empty(n * _BOUND_SEGS, dtype=np.intp)
-        self._theta = self._pos = None
-        # _cert_angles[j + n] is the angle at sorted position j, for j in
-        # [-n, 2n), unwrapped by 2 pi past either end, and _sector_seg[j]
-        # the segment between sorted positions j and j + 1 (mod n); only a
-        # loop that can certify has them
+        # only a loop that certifies has edge normals and _cert_angles[j + n],
+        # the angle at sorted position j for j in [-n, 2n), unwrapped by 2 pi
+        # past either end, and _sector_seg[j], the segment between sorted
+        # positions j and j + 1 (mod n)
+        self._normals = self._certify_normals(convex[0], order)
         self._cert_angles = None
-        if self._can_certify(order):
+        if self._normals is not None:
             two_pi = 2.0 * np.pi
             s = self._sorted_angles
             self._cert_angles = np.concatenate([s - two_pi, s, s + two_pi])
@@ -337,7 +322,7 @@ class _LoopGeometry:
     @cached_property
     def _tree(self):
         """The k-d tree of the vertices, built by the first refinement of a
-        large loop that cannot certify."""
+        large loop of the general class."""
         from scipy.spatial import cKDTree  # a slow import, needed here only
 
         return cKDTree(self.pts)
@@ -353,19 +338,21 @@ class _LoopGeometry:
         cand = np.empty(n * 2 * _KNN, dtype=np.intp)
         return cand, np.empty(7 * len(cand))
 
-    def _can_certify(self, order):
-        """Whether the window certificate holds on this loop: it is strictly
-        convex, its box center lies inside every edge's line by more than
-        the rounding slack, and its sorted angle order is a rotation of the
-        loop order, either way round."""
-        if self._normals is None:
-            return False
-        c = self.box_center
-        edges = np.arange(len(self.pts))[:, None]
-        if not self._outward(c[None, :], edges)[0].max() < -self._slack(c):
-            return False
+    def _certify_normals(self, ccw, order):
+        """The edges' outward unit normals (dy, -dx) / |d|, negated on a
+        clockwise loop, if the loop certifies: it is strictly convex (ccw,
+        the loop of _convex_ccw, is not None), its sorted angle order is a
+        rotation of the loop order, either way round, and its box center
+        lies inside every edge's line by more than the rounding slack.
+        None on a loop of the general class."""
         step = np.diff(order) % len(order)
-        return bool((step == 1).all() or (step == len(order) - 1).all())
+        if ccw is None or not ((step == 1).all() or (step == len(order) - 1).all()):
+            return None
+        scale = (1.0 if ccw is self.pts else -1.0) / np.sqrt(self.seg_len2)
+        nx, ny = self.seg_d[:, 1] * scale, -self.seg_d[:, 0] * scale
+        c = self.box_center
+        inside = (c[0] - self.seg_a[:, 0]) * nx + (c[1] - self.seg_a[:, 1]) * ny
+        return (nx, ny) if inside.max() < -self._slack(c) else None
 
     def _angles(self, pts):
         """Polar angles about the box center, in box-normalised coordinates."""
@@ -408,12 +395,15 @@ class _LoopGeometry:
         return cols
 
     def _bound_dist2(self, refl):
-        """Per-row upper bound: the squared distance from each reflected
-        point to the nearest segment of its angular window."""
+        """A bound pass over refl: (bound, theta, pos), each reflected
+        point's squared distance to the nearest segment of its angular
+        window, with the angle and sorted position of _window.  The windows
+        stay in the _win scratch until the next pass."""
         cols = self._window_cols(len(refl))
-        self._theta, self._pos = self._window(refl, cols)
-        return max_min_dist_candidates(refl, self.seg_a, self.seg_d, self.seg_len2, cols.T,
-                                       work=self._work)
+        theta, pos = self._window(refl, cols)
+        bound = max_min_dist_candidates(refl, self.seg_a, self.seg_d, self.seg_len2, cols.T,
+                                        work=self._work)
+        return bound, theta, pos
 
     def _sector(self, center, refl, bound):
         """(ratio, half) of each row: r / rho and the half-width
@@ -429,51 +419,35 @@ class _LoopGeometry:
         half += _ANGLE_SLACK
         return ratio, half
 
-    def _exact_rows(self, center, refl, bound, rows):
-        """Which of rows, of the bound pass just made over refl with the
-        given bounds, have their bound as their value, as a mask over rows;
-        None on a loop that cannot certify.
+    def _sector_dist2(self, center, refl, bounds, rows):
+        """The values of rows on a loop that certifies, from the bound pass
+        bounds over refl.  A row whose sector lies strictly between the
+        sorted angles at positions j - 3 and j + 2 keeps its bound; a nan
+        bound keeps nothing.  Every other row takes its minimum over the
+        segments between consecutive sorted angles that meet its sector,
+        every segment where r / rho is not below 1 (or nan).
 
-        A row is certified when the disc of radius r = sqrt(bound) + _slack
-        about its box-normalised reflected point leaves out the box center,
-        at distance rho, and its sector theta +- asin(r / rho), widened by
-        _ANGLE_SLACK, lies strictly between the sorted angles at positions
-        j - 3 and j + 2: every segment nearer than the bound then lies in
-        the window (see the module docstring).  A nan bound certifies
-        nothing.
-        """
-        if self._cert_angles is None:
-            return None
-        ratio, half = self._sector(center, refl[rows], bound[rows])
-        theta, pos = self._theta[rows], self._pos[rows]
-        n = len(self.pts)
-        return ((ratio < 1.0) & (self._cert_angles[pos + (n - 3)] < theta - half)
-                & (theta + half < self._cert_angles[pos + (n + 2)]))
-
-    def _sector_dist2(self, center, refl, bound, rows):
-        """The values of rows, of the bound pass just made over refl with
-        the given bounds, on a loop that can certify: each row's minimum
-        over the segments between consecutive sorted angles that meet its
-        sector, every segment where r / rho is not below 1 (or nan).
-
-        Each row's segments run through the candidate kernel in chunks of
-        _BOUND_SEGS columns, its last chunk padded with its own last
+        Each such row's segments run through the candidate kernel in chunks
+        of _BOUND_SEGS columns, its last chunk padded with its own last
         segment; a row's value is the smallest of its chunks'.
         """
         n = len(self.pts)
-        refl, theta = refl[rows], self._theta[rows]
-        ratio, half = self._sector(center, refl, bound[rows])
+        refl = refl[rows]
+        out, theta, pos = (part[rows] for part in bounds)
+        ratio, half = self._sector(center, refl, out)
         # extended positions e: segment e joins the angles e and e + 1
         first = np.searchsorted(self._cert_angles, theta - half) - 1
         last = np.searchsorted(self._cert_angles, theta + half, side="right") - 1
-        every = ~(ratio < 1.0) | (last - first >= n - 1)
+        near = ratio < 1.0
+        todo = np.flatnonzero(~(near & (first >= pos + (n - 3)) & (last <= pos + (n + 1))))
+        every = ~near | (last - first >= n - 1)
         first[every] = 0
         last[every] = n - 1
+        refl, first, last = refl[todo], first[todo], last[todo]
         chunks = (last - first) // _BOUND_SEGS + 1
         ends = np.cumsum(chunks)
-        out = np.empty(len(rows))
         start = 0
-        while start < len(rows):
+        while start < len(todo):
             # blocks of at most n chunks, and at least one row, fit _work
             base = ends[start - 1] if start else 0
             stop = max(start + 1, int(np.searchsorted(ends, base + n, side="right")))
@@ -487,27 +461,21 @@ class _LoopGeometry:
             cand = self._sector_seg[cols % n]
             vals = max_min_dist_candidates(refl[block][owner], self.seg_a, self.seg_d,
                                            self.seg_len2, cand.T, work=self._work)
-            out[block] = np.minimum.reduceat(vals, lead)
+            out[todo[block]] = np.minimum.reduceat(vals, lead)
             start = stop
         return out
 
-    def _values(self, center, refl, rows, bound):
-        """The values of rows: with the bounds of the bound pass just made
-        over refl, a certified row's bound, the others refined.  Without
-        bounds, on a loop that can certify, the rows take a bound pass of
-        their own first."""
-        if bound is None and self._cert_angles is not None:
+    def _values(self, center, refl, rows, bounds):
+        """The values of rows, from the bound pass bounds over refl.  On a
+        loop that certifies, rows without bounds take a bound pass of their
+        own first; the general class needs none."""
+        if self._cert_angles is None:
+            return self._row_dist2(refl[rows])
+        if bounds is None:
             refl = refl[rows]
             rows = np.arange(len(refl))
-            bound = self._bound_dist2(refl)
-        exact = None if bound is None else self._exact_rows(center, refl, bound, rows)
-        if exact is None:
-            return self._row_dist2(refl[rows])
-        vals = bound[rows]
-        todo = ~exact
-        if todo.any():
-            vals[todo] = self._sector_dist2(center, refl, bound, rows[todo])
-        return vals
+            bounds = self._bound_dist2(refl)
+        return self._sector_dist2(center, refl, bounds, rows)
 
     def _outward(self, refl, cols):
         """(s, nx, ny), (8, m) arrays: the outward distance s from each
@@ -527,26 +495,26 @@ class _LoopGeometry:
 
     def _row_lower(self, center, refl, cols):
         """Each row's certified lower bound on the root of its value, on a
-        strictly convex loop (None on any other): the largest outward
-        distance from the reflected point to the supporting lines of the
-        (8, m) window segments cols, less _slack.
+        loop that certifies: the largest outward distance from the
+        reflected point to the supporting lines of the (8, m) window
+        segments cols, less _slack.
 
         The loop lies in the inner half-plane of each of its edges, so a
         point is at least that far from every segment, and a row's value
         is the squared distance to the nearest of some of the segments.
         """
-        if self._normals is None:
-            return None
         return self._outward(refl, cols)[0].max(axis=0) - self._slack(center)
 
-    def _rejects(self, center, refl, bound, rows, cutoff):
+    def _rejects(self, center, refl, bounds, rows, cutoff):
         """Whether the lower bounds of rows, in the windows of the bound
-        pass just made over refl, prove the score's root above cutoff.
-        Only rows whose upper bound exceeds cutoff squared can, so only
-        they are bounded; a nan bound proves nothing."""
+        pass bounds over refl, prove the score's root above cutoff; never
+        on a loop of the general class.  That pass must be the last one
+        made: its windows are in _win.  Only rows whose upper bound exceeds
+        cutoff squared can, so only they are bounded; a nan bound proves
+        nothing."""
         if self._normals is None or not cutoff < math.inf:
             return False
-        rows = rows[bound[rows] > cutoff * cutoff]
+        rows = rows[bounds[0][rows] > cutoff * cutoff]
         if not len(rows):
             return False
         cols = self._window_cols(len(refl))[:, rows]
@@ -555,7 +523,7 @@ class _LoopGeometry:
     def floor(self, center, rows):
         """A certified lower bound on the root of the score about centers
         near center, from the given scored rows alone, as a function of
-        the center; None on a loop that is not strictly convex.
+        the center; None on a loop of the general class.
 
         The rows' windows about center are kept.  Moving the center by
         delta moves each reflected point by 2 delta, and so its outward
@@ -582,7 +550,7 @@ class _LoopGeometry:
         return bound
 
     def _row_dist2(self, refl):
-        """Each row's value on a loop that cannot certify: the squared
+        """Each row's value on a loop of the general class: the squared
         distance from each reflected point to the nearest segment of its
         near set and its window."""
         cand, work = self._near_buffers
@@ -621,41 +589,41 @@ class _LoopGeometry:
         partial result is returned at once, and the full maximum is at
         least as large.  Otherwise every other row whose bound exceeds the
         seed's maximum is refined too, and the first value returned is the
-        largest over every scored row.  Rows of the bound pass that the
-        window certificate proves exact (_exact_rows) keep their bound as
-        their value: they count as refined, at no cost.  The default seed
-        has them from the bound pass of every row; a given seed, on a loop
-        that can certify, from a bound pass over the seed alone (_values).
+        largest over every scored row.  On a loop that certifies, rows
+        whose sector lies in their window keep their bound as their value
+        (_sector_dist2): they count as refined, at no cost.  The default
+        seed has them from the bound pass of every row; a given seed from a
+        bound pass over the seed alone (_values).
 
         With a finite cutoff, None is returned instead as soon as the lower
-        bounds of a convex loop prove the score's root above cutoff: those
-        of the default seed before it is refined, and those of the other
-        rows to be refined before they are (_rejects).
+        bounds of a loop that certifies prove the score's root above
+        cutoff: those of the default seed before it is refined, and those
+        of the other rows to be refined before they are (_rejects).
         """
         center = np.asarray(center, dtype=float)
         refl = 2.0 * center - self._scored(center)
-        bound = None
+        bounds = None
         if seed is not None:
             seed = seed[seed < len(refl)]
         if seed is None or not len(seed):
-            bound = self._bound_dist2(refl)
-            seed = _worst_rows(bound)
-            if self._rejects(center, refl, bound, seed, cutoff):
+            bounds = self._bound_dist2(refl)
+            seed = _worst_rows(bounds[0])
+            if self._rejects(center, refl, bounds, seed, cutoff):
                 return None
-        vals = self._values(center, refl, seed, bound)
+        vals = self._values(center, refl, seed, bounds)
         top = vals.max()
         if _root(top) >= stop:
             return top, seed, vals
-        if bound is None:
-            bound = self._bound_dist2(refl)
-        more = bound > top
+        if bounds is None:
+            bounds = self._bound_dist2(refl)
+        more = bounds[0] > top
         more[seed] = False
         rest = np.flatnonzero(more)
         if not len(rest):
             return top, seed, vals
-        if self._rejects(center, refl, bound, rest, cutoff):
+        if self._rejects(center, refl, bounds, rest, cutoff):
             return None
-        extra = self._values(center, refl, rest, bound)
+        extra = self._values(center, refl, rest, bounds)
         return (max(top, extra.max()), np.concatenate([seed, rest]),
                 np.concatenate([vals, extra]))
 
@@ -691,8 +659,9 @@ def _chart_diameter(pts, convex=None):
     """Max pairwise distance, exact: the square root of the largest
     dx*dx + dy*dy over the antipodal vertex pairs of the loop's convex hull.
 
-    A loop that is a strictly convex polygon winding once, as every traced
-    loop is, is its own hull; any other loop takes its hull from Qhull.
+    A loop that is a strictly convex polygon winding once, as every
+    quadric section is, is its own hull; any other loop takes its hull from
+    Qhull.
     Points that Qhull finds flat (collinear or repeated) lie on one line,
     whose diameter is the distance between its two ends.  convex, if
     given, is _convex_ccw(pts).
@@ -844,10 +813,10 @@ def _centroid_descent(geom, free_center):
     current best center.  Those values are the bits any evaluation gives
     the same rows, and the score is their maximum or more, so a trial that
     already reaches the best score there is rejected at once, exactly as
-    its full score would reject it.  On a convex loop a trial is rejected
-    earlier still when the lower bounds of those rows (floor), or else of
-    the rows left to refine, prove its score above the best; a bound never
-    supplies a score.
+    its full score would reject it.  On a loop that certifies a trial is
+    rejected earlier still when the lower bounds of those rows (floor), or
+    else of the rows left to refine, prove its score above the best; a
+    bound never supplies a score.
     The worst rows of an accepted center are taken from the rows its
     evaluation refined.
     """

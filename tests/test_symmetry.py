@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from scipy.spatial import cKDTree
 
 import revquad as rq
@@ -67,6 +67,19 @@ def polygons(draw):
     return np.column_stack([rad * np.cos(ang), 0.6 * rad * np.sin(ang)]) + rng.normal(0.0, 3.0, 2)
 
 
+def wiggly_section(n):
+    """A traced section of F = 2 + 0.3 sin(10 z), a 400-row table on
+    [-1, 1], cut by Plane(0.4, 0): a loop of 2n - 2 points that is not
+    convex, so it is in the general class."""
+    z = np.linspace(-1.0, 1.0, 400)
+    prof = rq.make_sampled_profile(z, 2.0 + 0.3 * np.sin(10.0 * z))
+    return rq.trace_section(prof, Plane(0.4, 0.0), n)
+
+
+# 254 points, scanned all-pairs, and 2046, pruned by the k-d tree
+WIGGLY = {n: wiggly_section(n) for n in (128, 1024)}
+
+
 class TestCentroid:
     def test_circle(self):
         loop = synthetic_loop(circle_points(0.0, 0.3, 1.0, 64))
@@ -122,15 +135,19 @@ class TestAsymmetryAt:
             loop = rq.trace_section(sphere, Plane(0.5, 0.3), n)
             assert rq.asymmetry_at(loop, (0.0, 0.24)) <= 1e-12
 
-    @pytest.mark.parametrize("n", [32, 513])  # 62 points scanned all-pairs, 1024 by k-d tree
+    @pytest.mark.parametrize("n", [32, 513])
     def test_non_finite_or_overflowing_center_rejected(self, cubic, n):
-        loop = rq.trace_section(cubic, Plane(0.4, 0.0), n)
-        assert symmetry._LoopGeometry(loop)._brute == (n == 32)
-        for center in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan),
-                       (1e300, 1e300), (1e308, 0.0), (0.0, -1.7e308)):
-            with pytest.raises(InvalidDomain):
-                rq.asymmetry_at(loop, center)
-        assert math.isfinite(rq.asymmetry_at(loop, (1e3, -1e3)))
+        # the cubic's 62 or 1024 points refine in sectors; the wiggly
+        # section's 254 are scanned all-pairs, its 2046 pruned by the k-d tree
+        wiggly = WIGGLY[128 if n == 32 else 1024]
+        geom = symmetry._LoopGeometry(wiggly)
+        assert geom._cert_angles is None and geom._brute == (n == 32)
+        for loop in (rq.trace_section(cubic, Plane(0.4, 0.0), n), wiggly):
+            for center in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan),
+                           (1e300, 1e300), (1e308, 0.0), (0.0, -1.7e308)):
+                with pytest.raises(InvalidDomain):
+                    rq.asymmetry_at(loop, center)
+            assert math.isfinite(rq.asymmetry_at(loop, (1e3, -1e3)))
 
     def test_cubic_section_is_asymmetric(self, cubic):
         loop = rq.trace_section(cubic, Plane(0.4, 0.0), 1024)
@@ -179,10 +196,15 @@ class TestAsymmetryAt:
         assert abs(fast - brute) <= 1e-12 + 1e-9 * brute
 
     def test_matches_oracle_on_large_traced_loop(self, hyperboloid):
-        # above the pair budget the implementation switches to candidate
-        # pruning; cross-check both a symmetric and an offset center
+        # the hyperboloid's section refines in sectors, at a symmetric and an
+        # offset center; the wiggly sections are scanned all-pairs or pruned
+        # by the k-d tree, at the center centrality reports and off it
         loop = rq.trace_section(hyperboloid, Plane(0.4, 0.3), 256)
-        for center in ((0.0, 0.3215), (0.05, 0.25)):
+        cases = [(loop, (0.0, 0.3215)), (loop, (0.05, 0.25))]
+        for wiggly in WIGGLY.values():
+            center = rq.centrality(wiggly, 1e-4).center
+            cases += [(wiggly, center), (wiggly, (0.03, center[1] - 0.02))]
+        for loop, center in cases:
             fast = rq.asymmetry_at(loop, center)
             brute = oracle_asymmetry(loop.points, center)
             assert abs(fast - brute) <= 1e-12 + 1e-9 * brute
@@ -420,9 +442,9 @@ def trial_centers(geom, rng):
 
 
 class TestBoundThenRefine:
-    """Each row is bounded by its angular window and refined with its k-d
-    candidates only when the bound can hold the maximum; the score must
-    be the all-rows maximum, bit for bit, whichever rows were refined."""
+    """Each row is bounded by its angular window and refined only when the
+    bound can hold the maximum; the score must be the all-rows maximum, bit
+    for bit, whichever rows were refined."""
 
     @given(case=bounded_loops(), seed=st.integers(0, 2**32 - 1))
     def test_bound_covers_rows_and_refinement_is_exact(self, case, seed):
@@ -432,7 +454,7 @@ class TestBoundThenRefine:
         for center in trial_centers(geom, rng):
             vals = geom.reflect_dist2(center)
             pts = geom.pts[: len(vals)]
-            bound = geom._bound_dist2(2.0 * np.asarray(center) - pts)
+            bound = geom._bound_dist2(2.0 * np.asarray(center) - pts)[0]
             assert (bound >= vals).all()
             top, rows, got = geom.max_dist2(center)
             assert top == vals.max()
@@ -510,8 +532,9 @@ class TestLowerBound:
     def test_row_bound_never_exceeds_oracle_distance(self, pts, seed):
         geom = _LoopGeometry(synthetic_loop(pts))
         if geom._normals is None:
-            # rounding made a hair-thin edge turn the wrong way
-            assert symmetry._convex_ccw(pts)[0] is None
+            # the general class, which has no lower bound: rounding made a
+            # hair-thin edge turn the wrong way, or the loop cannot certify
+            assert geom._cert_angles is None
             return
         rng = np.random.default_rng(seed)
         for center in nearby_centers(geom, rng):
@@ -522,8 +545,8 @@ class TestLowerBound:
             own = geom._row_lower(center, refl, geom._window_of(refl))
             assert (own[picked] <= exact).all()
             # the bound pass's windows give the rows the same guarantee
-            bound = geom._bound_dist2(refl)
-            assert not geom._rejects(center, refl, bound, picked, exact.max())
+            bounds = geom._bound_dist2(refl)
+            assert not geom._rejects(center, refl, bounds, picked, exact.max())
             # the descent's floor, kept from center and moved to cand
             floor = geom.floor(center, picked)
             for cand in (center, center + rng.uniform(-0.1, 0.1, 2) * geom.diameter,
@@ -546,14 +569,14 @@ class TestLowerBound:
     @given(poly=polygons())
     def test_non_convex_loops_never_take_the_bound(self, poly):
         geom = _LoopGeometry(synthetic_loop(poly))
-        convex = symmetry._convex_ccw(poly)[0] is not None
-        assert (geom._normals is not None) == convex
-        if convex:
+        # edge normals exist exactly on loops that certify, all convex
+        assert (geom._normals is None) == (geom._cert_angles is None)
+        if symmetry._convex_ccw(poly)[0] is not None:
             return
+        assert geom._normals is None
         center = geom.box_center
         refl = 2.0 * center - geom.pts
         rows = np.arange(len(refl))
-        assert geom._row_lower(center, refl, geom._window_of(refl)) is None
         assert geom.floor(center, rows) is None
         assert not geom._rejects(center, refl, geom._bound_dist2(refl), rows, 0.0)
 
@@ -579,14 +602,17 @@ class TestLowerBound:
         assert not floor(np.array([0.0, math.nan])) > -math.inf
         assert not floor(np.array([math.nan, geom.box_center[1]])) > -math.inf
         refl = 2.0 * center - geom._scored(center)
-        bound = geom._bound_dist2(refl)
+        bounds = geom._bound_dist2(refl)
         refl[5] = math.nan  # one nan row among rows that would certify
         rows = np.arange(len(refl))
         assert math.isnan(geom._row_lower(center, refl, geom._window_of(refl))[5])
-        assert not geom._rejects(center, refl, np.full(len(refl), math.inf), rows, 0.0)
-        assert not geom._rejects(center, refl, bound, rows, math.nan)
+        inf_bounds = (np.full(len(refl), math.inf),) + bounds[1:]
+        assert not geom._rejects(center, refl, inf_bounds, rows, 0.0)
+        assert not geom._rejects(center, refl, bounds, rows, math.nan)
 
     @given(case=bounded_loops(), tol=st.sampled_from((1e-5, 1e-4, 3e-3)))
+    @example(case=(WIGGLY[128], False), tol=1e-4)
+    @example(case=(WIGGLY[1024], True), tol=1e-4)
     def test_rejection_changes_no_bits(self, case, tol):
         loop, free = case
         with_bound = rq.centrality(loop, tol, free_center=free)
@@ -646,46 +672,87 @@ def all_segments_dist2(geom, refl):
     return reference_min_dist2_candidates(refl, geom.seg_a, geom.seg_d, geom.seg_len2, cand)
 
 
+def certified(geom, center, refl, bounds):
+    """Which rows of the bound pass bounds over refl the window certificate
+    holds for, restated from the module docstring: the disc of radius r
+    leaves out the box center, and the widened sector theta +- half lies
+    strictly between the sorted angles at positions j - 3 and j + 2."""
+    bound, theta, pos = bounds
+    ratio, half = geom._sector(center, refl, bound)
+    n, ext = len(geom.pts), geom._cert_angles
+    return (ratio < 1.0) & (ext[pos + n - 3] < theta - half) & (theta + half < ext[pos + n + 2])
+
+
+def uncertified(bounds, n):
+    """The bound pass bounds with its sorted positions moved past every
+    angle of an n-point loop, so that no row keeps its bound."""
+    bound, theta, pos = bounds
+    return bound, theta, pos + 3 * n
+
+
+def refine_every_row(mp):
+    """Make every bound pass keep no row's bound, so that sector
+    refinement refines every row of a loop that certifies."""
+    bound_pass = _LoopGeometry._bound_dist2
+    mp.setattr(_LoopGeometry, "_bound_dist2",
+               lambda self, refl: uncertified(bound_pass(self, refl), len(self.pts)))
+
+
+def count_kernel_runs(mp):
+    """Record the row count of every candidate-kernel run."""
+    runs = []
+    kernel = symmetry.max_min_dist_candidates
+    mp.setattr(symmetry, "max_min_dist_candidates",
+               lambda refl, *args, **kw: runs.append(len(refl)) or kernel(refl, *args, **kw))
+    return runs
+
+
 def cannot_certify(geom):
-    center = geom.box_center
-    refl = 2.0 * center - geom.pts
-    bound = geom._bound_dist2(refl)
-    return geom._exact_rows(center, refl, bound, np.arange(len(refl))) is None
+    return geom._cert_angles is None and geom._normals is None
 
 
 class TestWindowCertificate:
-    """On a strictly convex loop around its box center, a row whose disc
-    of candidates fits in its angular window takes its window minimum as
-    its value; that value is the all-segments minimum, bit for bit."""
+    """On a loop that certifies, a row whose disc of candidates fits in its
+    angular window keeps its window minimum as its value, with no kernel
+    run; that value is the all-segments minimum, bit for bit."""
 
     @given(pts=certificate_loops(), seed=st.integers(0, 2**32 - 1))
     def test_certified_rows_match_all_pairs_oracle(self, pts, seed):
         geom = _LoopGeometry(synthetic_loop(pts))
+        if geom._cert_angles is None:
+            assert cannot_certify(geom)
+            return
         rng = np.random.default_rng(seed)
         far = tuple(geom.box_center + 3.0 * geom.diameter * rng.uniform(-1.0, 1.0, 2))
         for center in nearby_centers(geom, rng) + [far]:
             center = np.asarray(center)
             refl = 2.0 * center - geom._scored(center)
-            bound = geom._bound_dist2(refl)
-            exact = geom._exact_rows(center, refl, bound, np.arange(len(refl)))
-            if exact is None:
-                assert geom._cert_angles is None
-                continue
-            rows = np.flatnonzero(exact)
+            bounds = geom._bound_dist2(refl)
+            # the rows sector refinement keeps are the certified rows: with
+            # bounds 1 ulp up, a kept row returns its bound, a refined row
+            # its all-segments minimum, which is at most the true bound
+            bumped = (np.nextafter(bounds[0], math.inf),) + bounds[1:]
+            every = np.arange(len(refl))
+            kept = geom._sector_dist2(center, refl, bumped, every) == bumped[0]
+            assert np.array_equal(kept, certified(geom, center, refl, bumped))
+            rows = np.flatnonzero(certified(geom, center, refl, bounds))
             rows = rng.choice(rows, min(64, len(rows)), replace=False)
-            assert np.array_equal(bound[rows], all_segments_dist2(geom, refl[rows]))
+            assert np.array_equal(bounds[0][rows], all_segments_dist2(geom, refl[rows]))
+            # sector refinement keeps these rows' bounds, running no kernel
+            with pytest.MonkeyPatch.context() as mp:
+                runs = count_kernel_runs(mp)
+                got = geom._sector_dist2(center, refl, bounds, rows)
+            assert runs == [] and np.array_equal(got, bounds[0][rows])
             # max_dist2 takes the same values
             assert geom.max_dist2(center)[0] == geom.reflect_dist2(center).max()
 
     @pytest.mark.parametrize("n", [128, 1024])
     def test_quadric_sections_certify_every_row(self, n, monkeypatch):
-        calls = []
+        scans = []
         refine = _LoopGeometry._row_dist2
         monkeypatch.setattr(_LoopGeometry, "_row_dist2",
-                            lambda self, refl: calls.append(len(refl)) or refine(self, refl))
-        sector = _LoopGeometry._sector_dist2
-        monkeypatch.setattr(_LoopGeometry, "_sector_dist2",
-                            lambda self, *args: calls.append(len(args[-1])) or sector(self, *args))
+                            lambda self, refl: scans.append(len(refl)) or refine(self, refl))
+        runs = count_kernel_runs(monkeypatch)
         for spec in ("sphere", "cylinder:1,10", "hyperboloid:1,2", "paraboloid:2,1"):
             prof = rq.parse_profile(spec)
             for m, frac in ((0.1, -0.4), (0.3, 0.0), (0.45, 0.2)):
@@ -693,11 +760,17 @@ class TestWindowCertificate:
                 geom = _LoopGeometry(loop)
                 center = np.array([0.0, 0.5 * (loop.z_lo + loop.z_hi)])
                 refl = 2.0 * center - geom._scored(center)
-                bound = geom._bound_dist2(refl)
-                assert geom._exact_rows(center, refl, bound, np.arange(len(refl))).all()
+                bounds = geom._bound_dist2(refl)
+                assert certified(geom, center, refl, bounds).all()
+                del runs[:]
+                got = geom._sector_dist2(center, refl, bounds, np.arange(len(refl)))
+                assert runs == [] and np.array_equal(got, bounds[0])
                 assert rq.centrality(loop, 1e-4).central
-        # no row was refined: no sector, no all-pairs scan, no k-d tree
-        assert calls == []
+                # one kernel run, the bound pass over the scored rows: no
+                # row was refined
+                assert runs == [len(refl)]
+        # no all-pairs scan, no k-d tree
+        assert scans == []
 
     @given(poly=polygons())
     def test_non_convex_loops_never_certify(self, poly):
@@ -709,7 +782,8 @@ class TestWindowCertificate:
         "crescent", "doubly wound", "star", "right triangle", "arc and chord"])
     def test_named_loops_never_certify(self, cubic, name):
         # a convex loop's box center lies inside it or on its boundary; the
-        # triangle's lies on its hypotenuse, the arc's on its chord
+        # triangle's lies on its hypotenuse, the arc's on its chord, so
+        # these two convex loops are in the general class too
         traced = rq.trace_section(cubic, Plane(0.45, -0.2), 64).points
         arc = np.radians([-10.0, 20.0, 50.0, 80.0])
         pts = {
@@ -721,19 +795,28 @@ class TestWindowCertificate:
         }[name]
         geom = _LoopGeometry(synthetic_loop(pts))
         assert cannot_certify(geom)
-        assert (geom._normals is not None) == (name in ("right triangle", "arc and chord"))
+        assert (symmetry._convex_ccw(pts)[0] is not None) == (
+            name in ("right triangle", "arc and chord"))
+        assert geom.floor(geom.box_center, np.arange(3)) is None
 
     def test_nan_certifies_nothing(self, sphere):
         loop = rq.trace_section(sphere, Plane(0.3, 0.1), 256)
         geom = _LoopGeometry(loop)
         center = np.array([0.0, 0.5 * (loop.z_lo + loop.z_hi)])
         refl = 2.0 * center - geom._scored(center)
-        bound = geom._bound_dist2(refl)
-        bound[7] = math.nan
-        exact = geom._exact_rows(center, refl, bound, np.arange(len(refl)))
+        bounds = geom._bound_dist2(refl)
+        want = bounds[0].copy()
+        bounds[0][7] = math.nan
+        exact = certified(geom, center, refl, bounds)
         assert not exact[7] and exact.sum() == len(refl) - 1
+        # the nan row is refined over every segment; the others keep their bounds
+        got = geom._sector_dist2(center, refl, bounds, np.arange(len(refl)))
+        assert got[7] == all_segments_dist2(geom, refl[7:8])[0]
+        assert np.array_equal(np.delete(got, 7), np.delete(want, 7))
 
     @given(case=bounded_loops(), tol=st.sampled_from((1e-5, 1e-4, 3e-3)))
+    @example(case=(WIGGLY[128], True), tol=1e-4)
+    @example(case=(WIGGLY[1024], False), tol=1e-4)
     def test_certificate_changes_no_bits(self, case, tol):
         loop, free = case
         geom = _LoopGeometry(loop)
@@ -741,14 +824,14 @@ class TestWindowCertificate:
         with_cert = [rq.centrality(loop, tol, free_center=free)]
         with_cert += [rq.asymmetry_at(loop, c) for c in centers]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_LoopGeometry, "_exact_rows", lambda self, *args: None)
+            refine_every_row(mp)
             plain = [rq.centrality(loop, tol, free_center=free)]
             plain += [rq.asymmetry_at(loop, c) for c in centers]
         assert repr(with_cert) == repr(plain)  # bits, signed zeros too
 
 
 class TestSectorRefinement:
-    """On a loop that can certify, a row the window leaves open takes the
+    """On a loop that certifies, a row the window leaves open takes the
     minimum over the segments that meet its sector, or over every segment
     where r / rho is not below 1: the all-segments value, bit for bit."""
 
@@ -765,8 +848,11 @@ class TestSectorRefinement:
             refl = 2.0 * center - geom._scored(center)
             rows = rng.choice(len(refl), min(64, len(refl)), replace=False)
             want = all_segments_dist2(geom, refl[rows])
-            bound = geom._bound_dist2(refl)
-            assert np.array_equal(geom._sector_dist2(center, refl, bound, rows), want)
+            bounds = geom._bound_dist2(refl)
+            assert np.array_equal(geom._sector_dist2(center, refl, bounds, rows), want)
+            # every row refined in its sector, certified or not
+            refined = geom._sector_dist2(center, refl, uncertified(bounds, len(geom.pts)), rows)
+            assert np.array_equal(refined, want)
             # every evaluation takes these values: the reference, a given
             # seed (with its own bound pass) and the default seed
             assert np.array_equal(geom.reflect_dist2(center, rows), want)
@@ -782,15 +868,11 @@ class TestSectorRefinement:
         assert geom._cert_angles is not None
         center = np.array([3.0 * geom.diameter, 0.01])
         refl = 2.0 * center - geom.pts
-        bound = geom._bound_dist2(refl)
-        assert (geom._sector(center, refl, bound)[0] >= 1.0).all()
+        bounds = geom._bound_dist2(refl)
+        assert (geom._sector(center, refl, bounds[0])[0] >= 1.0).all()
         # 64 rows of 8 chunks each run in blocks of at most 64 chunks
-        blocks = []
-        kernel = symmetry.max_min_dist_candidates
-        monkeypatch.setattr(symmetry, "max_min_dist_candidates",
-                            lambda refl, *args, **kw: blocks.append(len(refl)) or kernel(
-                                refl, *args, **kw))
-        got = geom._sector_dist2(center, refl, bound, np.arange(len(refl)))
+        blocks = count_kernel_runs(monkeypatch)
+        got = geom._sector_dist2(center, refl, bounds, np.arange(len(refl)))
         assert blocks == [64] * 8
         assert np.array_equal(got, all_segments_dist2(geom, refl))
 
