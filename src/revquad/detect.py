@@ -247,7 +247,16 @@ def fit_quadratic(samples):
 
 
 def sweep_intercepts(q, delta, n_planes):
-    """The detector's intercept grid: n_planes values just inside |beta| < q - 2 delta."""
+    """The detector's intercept grid: n_planes values just inside |beta| < q - 2 delta.
+
+    n_planes must be an integer >= 1 and delta lie in (0, q/2); anything
+    else raises InvalidDomain.
+    """
+    n_planes = _count(n_planes, "plane count")
+    if n_planes < 1:
+        raise InvalidDomain(f"need at least 1 plane, got {n_planes!r}")
+    if not (0.0 < delta < q / 2.0):
+        raise InvalidDomain(f"need 0 < delta < q/2, got delta = {delta!r}")
     span = q - 2.0 * delta
     eta = span / (10.0 * n_planes)
     return np.linspace(-(span - eta), span - eta, n_planes)

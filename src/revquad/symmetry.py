@@ -30,9 +30,9 @@ A row is one scored vertex.  The angular window of a row is both
 segments at each of the 4 vertices whose polar angles about the
 bounding-box center bracket the reflected point's; the squared distance W
 to its nearest segment bounds the row's value from above and needs no tree
-query.  An evaluation bounds every row, refines a seed batch of rows (the
-descent's worst rows at its best center, else the 64 rows of largest
-bound), and then refines only the rows whose bound exceeds the seed's
+query.  An evaluation refines a seed batch of rows (the descent's worst
+rows at its best center, else the 64 rows of largest bound) and, after one
+bound pass over every row, only the rows whose bound exceeds the seed's
 maximum L: a row bounded by L cannot raise the maximum (the pruning of
 exact Hausdorff distances, Taha & Hanbury 2015).  The score is thus the
 largest row value over all scored rows, whichever rows were refined.  How
@@ -64,13 +64,13 @@ outward distance to the edge's supporting line away from every segment.
 The largest of these distances over the window's edges, less a rounding
 slack a thousand times the rounding of either side, is a certified lower
 bound on the root of the row's value.  A lower bound never supplies a
-score: it only rejects.  The center search drops a trial whose worst rows'
-bounds (from windows kept at the best center and moved with the trial)
-already exceed the best score, or, when the exact worst rows do not settle
-it, whose rows still to be refined do; the midpoint test stops once a bound
-or a partial maximum proves the asymmetry above the tolerance.  A rejected
-trial's exact score would have been rejected too, so every reported center,
-score and witness keeps its bits.
+score: it only rejects.  An evaluation with a cut (the tolerance of the
+midpoint test, the best score of the center search) stops as soon as the
+lower bounds from its bound pass, or the maximum of its refined rows, reach
+the cut; the center search drops a trial earlier still when its best
+center's worst rows, their windows kept and moved with the trial, do.  A
+rejected trial's exact score would have been rejected too, so every
+reported center, score and witness keeps its bits.
 
 Every other loop is in the general class: non-convex loops, a traced
 section of a wiggly profile among them, and convex loops whose box center
@@ -133,8 +133,8 @@ _WINDOW_OFFSETS = np.arange(_BOUND_SEGS // 2)[:, None]
 # The columns of one chunk of a row's sector segments (_sector_dist2).
 _CHUNK_COLUMNS = np.arange(_BOUND_SEGS)[:, None]
 
-# Rows refined first in an evaluation: the descent's worst rows of its best
-# center, or the rows of largest bound (see _LoopGeometry.max_dist2).
+# Rows in an evaluation's seed, which it refines first: the rows of largest
+# bound, or the descent's worst rows at its best center (max_dist2).
 _WORST_POINTS = 64
 
 # Rounding slack of a row's lower bound, relative to the scale of the
@@ -246,19 +246,19 @@ def _segment_dist2(apx, apy, dx, dy, len2, t, tmp):
 class _LoopGeometry:
     """Per-loop precomputation shared by repeated asymmetry evaluations.
 
-    Each evaluation bounds every scored row and refines only the rows that
-    can hold the maximum (max_dist2; the row value, the pruning rule and
-    the two loop classes are in the module docstring).  For the bound, the
-    vertices' polar angles about the bounding-box center, in box-normalised
-    coordinates, are sorted here once; a bound pass (_bound_dist2) is a
-    value, which the refinement and the rejection read.  The loop's class is
-    decided here once: a loop that certifies has edge normals
-    (_certify_normals), refines in sectors (_sector_dist2) and bounds rows
-    from below (_rejects, floor); on any other, a row's first refinement
-    allocates the all-pairs scan or builds the k-d tree (_row_dist2).  Every
-    row's value is a function of the loop, the center and the row alone, so
-    the score does not depend on which rows were refined, and reflect_dist2,
-    which refines every row, is its reference.
+    Each evaluation makes at most one bound pass and refines only the rows
+    that can hold the maximum (max_dist2; the row value, the pruning rule
+    and the two loop classes are in the module docstring).  For the bound,
+    the vertices' polar angles about the bounding-box center, in
+    box-normalised coordinates, are sorted here once; a bound pass
+    (_bound_dist2) is a value, which the refinement and the rejection read.
+    The loop's class is decided here once: a loop that certifies has edge
+    normals (_certify_normals), refines in sectors (_sector_dist2) and
+    bounds rows from below (_rejects, floor); on any other, a row's first
+    refinement allocates the all-pairs scan or builds the k-d tree
+    (_row_dist2).  Every row's value is a function of the loop, the center
+    and the row alone, so the score does not depend on which rows were
+    refined, and reflect_dist2, which refines every row, is its reference.
 
     The scratch arrays of the distance kernels are allocated here once and
     reused by every evaluation, so the many evaluations of a centre search
@@ -466,15 +466,10 @@ class _LoopGeometry:
         return out
 
     def _values(self, center, refl, rows, bounds):
-        """The values of rows, from the bound pass bounds over refl.  On a
-        loop that certifies, rows without bounds take a bound pass of their
-        own first; the general class needs none."""
+        """The values of rows, from the bound pass bounds over refl, which
+        only a loop that certifies reads."""
         if self._cert_angles is None:
             return self._row_dist2(refl[rows])
-        if bounds is None:
-            refl = refl[rows]
-            rows = np.arange(len(refl))
-            bounds = self._bound_dist2(refl)
         return self._sector_dist2(center, refl, bounds, rows)
 
     def _outward(self, refl, cols):
@@ -505,16 +500,16 @@ class _LoopGeometry:
         """
         return self._outward(refl, cols)[0].max(axis=0) - self._slack(center)
 
-    def _rejects(self, center, refl, bounds, rows, cutoff):
-        """Whether the lower bounds of rows, in the windows of the bound
-        pass bounds over refl, prove the score's root above cutoff; never
-        on a loop of the general class.  That pass must be the last one
-        made: its windows are in _win.  Only rows whose upper bound exceeds
+    def _rejects(self, center, refl, bounds, cutoff):
+        """Whether the rows' lower bounds, in the windows of the bound pass
+        bounds over refl, prove the score's root above cutoff; never on a
+        loop of the general class.  That pass must be the last one made:
+        its windows are in _win.  Only rows whose upper bound exceeds
         cutoff squared can, so only they are bounded; a nan bound proves
         nothing."""
         if self._normals is None or not cutoff < math.inf:
             return False
-        rows = rows[bounds[0][rows] > cutoff * cutoff]
+        rows = np.flatnonzero(bounds[0] > cutoff * cutoff)
         if not len(rows):
             return False
         cols = self._window_cols(len(refl))[:, rows]
@@ -579,41 +574,38 @@ class _LoopGeometry:
         """
         center = np.asarray(center, dtype=float)
         refl = 2.0 * center - (self._scored(center) if rows is None else self.pts[rows])
-        return self._values(center, refl, np.arange(len(refl)), None)
+        return self._values(center, refl, np.arange(len(refl)), self._bound_dist2(refl))
 
-    def max_dist2(self, center, seed=None, stop=math.inf, cutoff=math.inf):
-        """(largest row value, refined rows, their values) about center.
+    def max_dist2(self, center, seed=None, cut=math.inf):
+        """(largest row value, refined rows, their values) about center, or
+        None once the score's root is proven to be at least cut.
 
         The seed rows (default: the _WORST_POINTS rows of largest bound)
-        are refined first; if the root of their maximum reaches stop, that
-        partial result is returned at once, and the full maximum is at
-        least as large.  Otherwise every other row whose bound exceeds the
-        seed's maximum is refined too, and the first value returned is the
-        largest over every scored row.  On a loop that certifies, rows
-        whose sector lies in their window keep their bound as their value
-        (_sector_dist2): they count as refined, at no cost.  The default
-        seed has them from the bound pass of every row; a given seed from a
-        bound pass over the seed alone (_values).
-
-        With a finite cutoff, None is returned instead as soon as the lower
-        bounds of a loop that certifies prove the score's root above
-        cutoff: those of the default seed before it is refined, and those
-        of the other rows to be refined before they are (_rejects).
+        are refined first, then every other row whose bound exceeds their
+        maximum, so the first value returned is the largest over every
+        scored row.  A loop that certifies makes its one bound pass first,
+        and its lower bounds may reject at once (_rejects); rows whose
+        sector lies in their window keep their bound as their value
+        (_sector_dist2), refined at no cost.  The general class refines a
+        given seed before its bound pass.  None is returned too as soon as
+        a refined maximum's root reaches cut or is nan; with cut = inf,
+        never, not even when a value overflows to inf.
         """
         center = np.asarray(center, dtype=float)
         refl = 2.0 * center - self._scored(center)
-        bounds = None
         if seed is not None:
             seed = seed[seed < len(refl)]
-        if seed is None or not len(seed):
+        bounds = None
+        if seed is None or not len(seed) or self._normals is not None:
             bounds = self._bound_dist2(refl)
-            seed = _worst_rows(bounds[0])
-            if self._rejects(center, refl, bounds, seed, cutoff):
+            if self._rejects(center, refl, bounds, cut * _REJECT_MARGIN):
                 return None
+            if seed is None or not len(seed):
+                seed = _worst_rows(bounds[0])
         vals = self._values(center, refl, seed, bounds)
         top = vals.max()
-        if _root(top) >= stop:
-            return top, seed, vals
+        if cut != math.inf and not _root(top) < cut:
+            return None
         if bounds is None:
             bounds = self._bound_dist2(refl)
         more = bounds[0] > top
@@ -621,11 +613,11 @@ class _LoopGeometry:
         rest = np.flatnonzero(more)
         if not len(rest):
             return top, seed, vals
-        if self._rejects(center, refl, bounds, rest, cutoff):
-            return None
         extra = self._values(center, refl, rest, bounds)
-        return (max(top, extra.max()), np.concatenate([seed, rest]),
-                np.concatenate([vals, extra]))
+        top = max(top, extra.max())
+        if cut != math.inf and not _root(top) < cut:
+            return None
+        return top, np.concatenate([seed, rest]), np.concatenate([vals, extra])
 
     def max_reflect_distance(self, center):
         return _root(self.max_dist2(center)[0])
@@ -792,9 +784,9 @@ def centrality(loop, tol, free_center=False):
     center = geom.box_center.copy()
     if not free_center:
         center[0] = 0.0
-    # a partial maximum or a lower bound past the cut proves asym > tol
+    # a refined maximum or a lower bound past the cut proves asym > tol
     cut = tol * geom.diameter * _REJECT_MARGIN
-    got = geom.max_dist2(center, stop=cut, cutoff=cut)
+    got = geom.max_dist2(center, cut=cut)
     asym = math.inf if got is None else _root(got[0]) / geom.diameter
     if not asym <= tol:
         center, asym = _centroid_descent(geom, free_center)
@@ -809,16 +801,14 @@ def centrality(loop, tol, free_center=False):
 def _centroid_descent(geom, free_center):
     """Coordinate descent from the centroid; returns (center, asymmetry).
 
-    A trial center is refined first on the worst-scoring rows of the
-    current best center.  Those values are the bits any evaluation gives
-    the same rows, and the score is their maximum or more, so a trial that
-    already reaches the best score there is rejected at once, exactly as
-    its full score would reject it.  On a loop that certifies a trial is
-    rejected earlier still when the lower bounds of those rows (floor), or
-    else of the rows left to refine, prove its score above the best; a
-    bound never supplies a score.
-    The worst rows of an accepted center are taken from the rows its
-    evaluation refined.
+    A trial center is an evaluation seeded with the worst rows of the best
+    center and cut at the best score, so it returns a score only when that
+    score is lower, and the trial is then accepted.  Its values are the
+    bits any evaluation gives its rows, and a bound never supplies a score,
+    so a rejected trial's full score would have been rejected too.  On a
+    loop that certifies, the best center's worst rows bound a trial from
+    below before its evaluation (floor).  The worst rows of an accepted
+    center are taken from the rows its evaluation refined.
     """
     cy, cz = centroid(geom.pts)
     center = np.array([cy, cz]) if free_center else np.array([0.0, cz])
@@ -832,16 +822,12 @@ def _centroid_descent(geom, free_center):
     for _ in range(20):
         for d in dirs:
             for cand in (center + step * d, center - step * d):
-                cutoff = best * _REJECT_MARGIN
-                if floor is not None and floor(cand) > cutoff:
+                if floor is not None and floor(cand) > best * _REJECT_MARGIN:
                     continue
-                got = geom.max_dist2(cand, worst, stop=best, cutoff=cutoff)
-                if got is None:
-                    continue
-                top, rows, vals = got
-                val = _root(top)
-                if val < best:
-                    best, center, worst = val, cand, rows[_worst_rows(vals)]
+                got = geom.max_dist2(cand, worst, best)
+                if got is not None:
+                    top, rows, vals = got
+                    best, center, worst = _root(top), cand, rows[_worst_rows(vals)]
                     floor = geom.floor(center, worst)
                     break
         step *= 0.5

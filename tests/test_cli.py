@@ -119,6 +119,19 @@ class TestSectionCommand:
         assert out == ""
         assert len(target.read_text().splitlines()) == 128
 
+    def test_out_into_missing_directory_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "loop.csv"
+        code, out, err = run_cli(
+            capsys,
+            "section", "--profile", "sphere",
+            "--slope", "1", "--intercept", "0", "--samples", "64",
+            "--out", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert not target.parent.exists()
+
 
 class TestCenterCommand:
     def test_central_section(self, capsys):
@@ -187,7 +200,7 @@ class TestDetectCommand:
         assert "delta" in err
 
     def test_workers_below_one_is_usage_error(self, capsys):
-        for value in ("0", "-2"):
+        for value in ("0", "-2", "abc"):
             with pytest.raises(SystemExit) as exc:
                 main(["detect", "--profile", "sphere", "--workers", value])
             assert exc.value.code == 2
@@ -198,6 +211,12 @@ class TestDetectCommand:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    def test_two_workers_match_serial_output(self, capsys):
+        args = ("detect", "--profile", "poly:2,0,0,1;1", "--planes", "5", "--samples", "256")
+        serial = run_cli(capsys, *args)
+        assert run_cli(capsys, *args, "--workers", "2") == serial
+        assert serial[0] == 1
 
 
 class TestReconstructCommand:
@@ -251,6 +270,14 @@ class TestReconstructCommand:
         assert code == 2
         assert "beta" in err
 
+    @pytest.mark.parametrize("option, value", [
+        ("--planes", "0"), ("--planes", "-1"), ("--delta", "0.5")])
+    def test_bad_sweep_exits_2(self, capsys, option, value):
+        code, out, err = run_cli(capsys, "reconstruct", "--profile", "sphere", option, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestMvtCommand:
     def test_quadratic(self, capsys):
@@ -288,6 +315,12 @@ class TestMvtCommand:
     def test_output_bytes(self, capsys, argv, expected):
         _, out, _ = run_cli(capsys, "mvt", *argv)
         assert out == expected
+
+    def test_one_point_grid_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "mvt", "--poly", "1,2,3", "--grid", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_bad_poly_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "mvt", "--poly", "1,x,3")

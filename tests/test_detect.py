@@ -197,6 +197,17 @@ class TestSweepIntercepts:
         assert np.allclose(betas, -betas[::-1], atol=1e-15)
         assert np.all(np.diff(betas) > 0.0)
 
+    @pytest.mark.parametrize("n_planes", [0, -1, 2.5])
+    def test_plane_count_below_one_or_not_integer_rejected(self, n_planes):
+        with pytest.raises(InvalidDomain):
+            rq.sweep_intercepts(1.0, 0.1, n_planes)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, 0.5, 0.7, math.nan])
+    def test_delta_outside_half_q_rejected(self, delta):
+        # delta = q/2 would put every intercept at beta = 0
+        with pytest.raises(InvalidDomain):
+            rq.sweep_intercepts(1.0, delta, 17)
+
 
 class TestDetectQuadric:
     def test_preconditions(self, sphere):

@@ -2,9 +2,10 @@
 
 ``tests/data/golden_centrality.json`` holds the ``centrality_json`` text of
 a fixed set of loops (non-quadric planes from the benchmark's catalog and
-two quadric sections) at n = 128 (the all-pairs path), 512 and 2048 (the
-k-d path), with the centre pinned to the axis and free, central and not;
-and the ``verdict_json`` text of the README's bumped quartic at the
+two quadric sections) at n = 128, 512 and 2048, with the centre pinned to
+the axis and free, central and not.  Every one of these loops certifies,
+so each is scored by the window bound and sector refinement.  It also
+holds the ``verdict_json`` text of the README's bumped quartic at the
 acceptance budget.  A speed-up must reproduce every byte.  The file is
 only read.
 

@@ -70,6 +70,12 @@ class TestEval:
         with pytest.raises(NonPositiveProfile):
             rq.make_polynomial_profile([1.0, 0.0, -2.0], 1.0)
 
+    @pytest.mark.parametrize("coeffs", [[], [[1.0, 0.5]], [1.0, np.nan]],
+                             ids=["empty", "2-d", "nan"])
+    def test_bad_coefficients_rejected(self, coeffs):
+        with pytest.raises(InvalidDomain):
+            rq.make_polynomial_profile(coeffs, 1.0)
+
     def test_dip_between_grid_nodes_rejected(self):
         # F = (z - z0)^2 - 1e-9 is negative only within 3.2e-5 of z0, which
         # sits midway between two nodes of a 4097-point grid on |z| < 1
@@ -236,6 +242,11 @@ class TestSampled:
             rq.make_sampled_profile(good_z, np.array([1.0, 1.0, 0.0, 1.0]))
         with pytest.raises(InvalidDomain):
             rq.make_sampled_profile(good_z + 1.0, np.ones(4))  # no straddle
+        for z, f in ((good_z, np.array([1.0, np.nan, 1.0, 1.0])),
+                     (np.array([-np.inf, -0.1, 0.1, 0.5]), np.ones(4)),
+                     (good_z, np.array([1.0, 1.0, np.inf, 1.0]))):
+            with pytest.raises(InvalidDomain):
+                rq.make_sampled_profile(z, f)  # not finite
 
     def test_interpolation_hits_samples(self):
         p = self.build()
@@ -513,6 +524,18 @@ class TestParser:
         assert p.kind == "sampled"
         assert p.q == pytest.approx(0.9)
         assert p.eval(0.4) == pytest.approx(2.2, abs=1e-9)
+        # blank lines are skipped
+        path.write_text("\n\n".join(rows) + "\n\n")
+        assert rq.parse_profile(f"samples:{path}") == p
+
+    @pytest.mark.parametrize("text", [
+        "", "z,F\n0,1\n0.5,1,2\n", "z,F\n-0.5,1\n0,x\n"],
+        ids=["empty", "three columns", "not a number"])
+    def test_samples_csv_rejections(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            rq.parse_profile(f"samples:{path}")
 
     def test_samples_csv_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -535,10 +558,17 @@ class TestParser:
             "quadric:1,x,3,4",
             "wat:1",
             "samples:",
+            None,
+            1.0,
         ],
     )
     def test_malformed_specs(self, spec):
         with pytest.raises(ParseError):
+            rq.parse_profile(spec)
+
+    @pytest.mark.parametrize("spec", ["quadric:-1,0,1,0", "quadric:-1,0,1,-1", "poly:1;nan"])
+    def test_non_positive_or_non_finite_q_rejected(self, spec):
+        with pytest.raises(InvalidDomain):
             rq.parse_profile(spec)
 
     def test_parse_error_carries_position(self):

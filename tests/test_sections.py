@@ -259,6 +259,11 @@ class TestTraceSection:
         radii = np.hypot(loop.points[:, 0], loop.points[:, 1])
         assert np.allclose(radii, 1.0, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("beta", [1.0, -1.0, 1.5])
+    def test_intercept_outside_domain(self, sphere, beta):
+        with pytest.raises(OutOfDomain):
+            rq.trace_section(sphere, Plane(0.5, beta), 64)
+
     def test_minimum_sample_count(self, sphere):
         with pytest.raises(InvalidDomain):
             rq.trace_section(sphere, Plane(1.0, 0.0), 15)

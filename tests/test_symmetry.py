@@ -462,9 +462,37 @@ class TestBoundThenRefine:
             # any seed, rows out of range included, gives the same maximum
             picked = rng.choice(len(geom.pts), 40, replace=False)
             assert geom.max_dist2(center, picked)[0] == top
-            # a stop below the score ends on a seed whose maximum reaches it
-            part, _, got = geom.max_dist2(center, picked, stop=0.5 * math.sqrt(top))
-            assert part <= top and got.max() == part
+            # a cut at or below the score's root gives None, whatever the
+            # seed; a larger one gives the exact maximum
+            root = math.sqrt(top)
+            for seed in (None, picked):
+                for cut in (0.5 * root, root):
+                    assert geom.max_dist2(center, seed, cut) is None
+                for cut in (np.nextafter(root, math.inf), 2.0 * root + 1.0):
+                    assert geom.max_dist2(center, seed, cut)[0] == top
+
+    @given(case=bounded_loops(), seed=st.integers(0, 2**32 - 1))
+    def test_one_bound_pass_per_evaluation(self, case, seed):
+        loop, _ = case
+        geom = _LoopGeometry(loop)
+        rng = np.random.default_rng(seed)
+        events = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_bound_dist2", "_row_dist2"):
+                method = getattr(_LoopGeometry, name)
+                mp.setattr(_LoopGeometry, name, lambda self, *args, name=name, method=method:
+                           events.append(name) or method(self, *args))
+            for center in trial_centers(geom, rng):
+                top = geom.reflect_dist2(center).max()
+                picked = rng.choice(len(geom.pts), 40, replace=False)
+                for given in (None, picked):
+                    for cut in (math.inf, 0.5 * math.sqrt(top), 2.0 * math.sqrt(top) + 1.0):
+                        del events[:]
+                        geom.max_dist2(center, given, cut)
+                        assert events.count("_bound_dist2") <= 1
+                        # the general class refines a given seed first
+                        if given is not None and geom._cert_angles is None:
+                            assert events[0] == "_row_dist2"
 
     @given(case=bounded_loops(), seed=st.integers(0, 2**32 - 1))
     def test_oracle_never_exceeds_score(self, case, seed):
@@ -544,9 +572,10 @@ class TestLowerBound:
             exact = oracle_distances(pts, refl[picked])
             own = geom._row_lower(center, refl, geom._window_of(refl))
             assert (own[picked] <= exact).all()
-            # the bound pass's windows give the rows the same guarantee
+            # the bound pass's windows give every row the same guarantee:
+            # no rejection at the oracle's all-rows score
             bounds = geom._bound_dist2(refl)
-            assert not geom._rejects(center, refl, bounds, picked, exact.max())
+            assert not geom._rejects(center, refl, bounds, oracle_distances(pts, refl).max())
             # the descent's floor, kept from center and moved to cand
             floor = geom.floor(center, picked)
             for cand in (center, center + rng.uniform(-0.1, 0.1, 2) * geom.diameter,
@@ -578,7 +607,17 @@ class TestLowerBound:
         refl = 2.0 * center - geom.pts
         rows = np.arange(len(refl))
         assert geom.floor(center, rows) is None
-        assert not geom._rejects(center, refl, geom._bound_dist2(refl), rows, 0.0)
+        assert not geom._rejects(center, refl, geom._bound_dist2(refl), 0.0)
+
+    def test_floor_gives_no_bound_where_fewer_rows_are_scored(self, cubic):
+        # a traced loop's lower branch is scored off the axis, not on it
+        loop = rq.trace_section(cubic, Plane(0.4, 0.0), 128)
+        geom = _LoopGeometry(loop)
+        z = 0.5 * (loop.z_lo + loop.z_hi)
+        center = np.array([1e-3 * geom.diameter, z])
+        floor = geom.floor(center, np.arange(geom._half, len(geom.pts)))
+        assert floor(center) > 0.0
+        assert floor(np.array([0.0, z])) == -math.inf
 
     @pytest.mark.parametrize("name", ["crescent", "doubly wound", "star"])
     def test_named_non_convex_loops(self, cubic, name):
@@ -604,11 +643,10 @@ class TestLowerBound:
         refl = 2.0 * center - geom._scored(center)
         bounds = geom._bound_dist2(refl)
         refl[5] = math.nan  # one nan row among rows that would certify
-        rows = np.arange(len(refl))
         assert math.isnan(geom._row_lower(center, refl, geom._window_of(refl))[5])
         inf_bounds = (np.full(len(refl), math.inf),) + bounds[1:]
-        assert not geom._rejects(center, refl, inf_bounds, rows, 0.0)
-        assert not geom._rejects(center, refl, bounds, rows, math.nan)
+        assert not geom._rejects(center, refl, inf_bounds, 0.0)
+        assert not geom._rejects(center, refl, bounds, math.nan)
 
     @given(case=bounded_loops(), tol=st.sampled_from((1e-5, 1e-4, 3e-3)))
     @example(case=(WIGGLY[128], False), tol=1e-4)
@@ -854,7 +892,7 @@ class TestSectorRefinement:
             refined = geom._sector_dist2(center, refl, uncertified(bounds, len(geom.pts)), rows)
             assert np.array_equal(refined, want)
             # every evaluation takes these values: the reference, a given
-            # seed (with its own bound pass) and the default seed
+            # seed and the default seed
             assert np.array_equal(geom.reflect_dist2(center, rows), want)
             assert np.array_equal(geom.max_dist2(center, rows)[2][: len(rows)], want)
             assert geom.max_dist2(center)[0] == geom.reflect_dist2(center).max()
@@ -982,6 +1020,7 @@ class TestChartDiameter:
 
     def test_degenerate_loops_rejected(self):
         for pts in (np.tile([[0.3, -0.1]], (5, 1)),
+                    [[0.0, 0.0], [1.0, 0.0]], [0.0, 1.0, 2.0],
                     [[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]],
                     [[0.0, 0.0], [np.inf, 0.0], [0.0, 1.0]]):
             with pytest.raises(DegenerateLoop):
