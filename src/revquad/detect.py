@@ -36,7 +36,17 @@ from .errors import (
     SlabViolation,
 )
 from .profiles import QuadricParams, infimum_radius
-from .sections import Plane, _count, section_extent, slope_bound, trace_section
+# section_extent is not called here; it stays a name of this module, as
+# trace_section and centrality are, for perfbench/spans.py to wrap.
+from .sections import (
+    Plane,
+    _closing_brackets,
+    _count,
+    _section_extents,
+    section_extent,  # noqa: F401
+    slope_bound,
+    trace_section,
+)
 from .symmetry import CentralityReport, centrality
 
 __all__ = [
@@ -120,16 +130,14 @@ def center_heights(profile, m, betas, n, tol, delta=None):
     """
     if not (m > 0.0):
         raise InvalidDomain(f"need slope m > 0, got {m!r}")
-    entries = []
-    for beta in betas:
-        rec = _test_plane(profile, float(m), float(beta), n, tol, delta)
-        entries.append(CenterEntry(rec.beta, rec.zeta, rec.asymmetry))
-    return CenterCurve(m=float(m), entries=tuple(entries))
+    records = _records(_test_planes([(profile, float(m), float(b), n, tol, delta) for b in betas]))
+    entries = tuple(CenterEntry(r.beta, r.zeta, r.asymmetry) for r in records)
+    return CenterCurve(m=float(m), entries=entries)
 
 
-def _test_plane(profile, m, beta, n, tol, delta=None):
+def _test_plane(profile, m, beta, n, tol, delta=None, extent=None):
     try:
-        loop = trace_section(profile, Plane(m, beta), n)
+        loop = trace_section(profile, Plane(m, beta), n, extent)
         report = centrality(loop, tol)
     except RevquadError as exc:
         raise exc.__class__(f"beta = {beta!r}: {exc}") from exc
@@ -158,10 +166,51 @@ def _test_plane_star(args):
     return _test_plane(*args)
 
 
-def _map_pooled(size, args):
-    """Test the planes of args, in order, on the process's warm pool.
+def _test_planes(batch):
+    """Test a batch of planes of one profile, in order, up to the first that fails.
 
-    The pool of size workers is built on first use.  A pool of another size
+    batch holds _test_plane's arguments (profile, m, beta, n, tol, delta),
+    with the same profile throughout.  The extents of all the planes are
+    bisected together first; then each plane is traced and scored through
+    _test_plane_star, its extent passed in.  Returns the records and, after
+    them, the tagged error of the first plane that fails, if one does.
+    """
+    planes = []
+    for _, m, beta, *_ in batch:
+        try:
+            planes.append(Plane(m, beta))
+        except InvalidDomain:
+            break  # _test_plane raises it, tagged, and the batch ends there
+    extents = _section_extents(batch[0][0], planes) if planes else []
+    out = []
+    for i, args in enumerate(batch):
+        # an extent that failed is found again in trace_section, which
+        # raises its error after its own checks, as it does alone
+        extent = extents[i] if i < len(extents) else None
+        if isinstance(extent, RevquadError):
+            extent = None
+        try:
+            out.append(_test_plane_star((*args, extent)))
+        except RevquadError as exc:
+            out.append(exc)
+            break
+    return out
+
+
+def _records(entries):
+    """The records of _test_planes's entries; its error, if any, is raised."""
+    for entry in entries:
+        if isinstance(entry, RevquadError):
+            raise entry
+    return entries
+
+
+def _map_pooled(size, args):
+    """Test the planes of args on the process's warm pool, one task per worker.
+
+    Task i holds the planes args[i::size], tested by _test_planes; the
+    entries come back in plane order, up to the first error.  The pool of
+    size workers is built on first use.  A pool of another size
     is shut down and replaced; one built by another process (this one is a
     fork of it) belongs to that process, so it is dropped, not shut down.
     A pool that breaks is dropped too: the call raises, the next one builds
@@ -177,11 +226,19 @@ def _map_pooled(size, args):
         _pool = (ProcessPoolExecutor(max_workers=size), size, pid)
     pool = _pool[0]
     try:
-        return list(pool.map(_test_plane_star, args))
+        batches = list(pool.map(_test_planes, [args[i::size] for i in range(size)]))
     except BrokenProcessPool:
         _pool = None
         pool.shutdown(wait=False)
         raise
+    # plane j is entry j // size of task j % size; a task stops after its
+    # first error, which this walk meets before any plane the task skipped
+    entries = []
+    for j in range(len(args)):
+        entries.append(batches[j % size][j // size])
+        if isinstance(entries[-1], RevquadError):
+            break
+    return entries
 
 
 def predicted_center_height(params, plane):
@@ -267,29 +324,38 @@ def _probe_planes(profile, delta, mu):
 
     For each probe intercept, start from a slope sized to the room left
     between beta and the domain edge and shrink it geometrically until the
-    section closes, which section_extent decides.  Falls back to the slab
-    slope when nothing closes.
+    section closes, as section_extent decides it before it bisects.  The
+    probes still open in a shrink round are decided together.  Falls back
+    to the slab slope when nothing closes; raises the first probe's error
+    other than LoopEscapesDomain.
     """
     q = profile.q
     half = 0.5 * (q - 2.0 * delta)
     betas = np.linspace(-half, half, PROBE_COUNT)
     floor = 0.5 * mu
-    jobs = []
-    for beta in betas:
-        m = _PROBE_SHRINK * (q - abs(beta)) / np.sqrt(profile.eval(beta))
-        chosen = floor
-        for _ in range(_PROBE_TRIES):
-            if m <= floor:
-                break
-            try:
-                section_extent(profile, Plane(m, beta))
-            except LoopEscapesDomain:
-                m *= _PROBE_SHRINK
-                continue
-            chosen = m
+    slopes = list(_PROBE_SHRINK * (q - np.abs(betas)) / np.sqrt(profile.eval(betas)))
+    chosen = [floor] * len(betas)
+    errors = [None] * len(betas)
+    todo = range(len(betas))
+    for _ in range(_PROBE_TRIES):
+        todo = [k for k in todo if not slopes[k] <= floor]
+        if not todo:
             break
-        jobs.append((float(chosen), float(beta)))
-    return jobs
+        found = _closing_brackets(profile, [Plane(slopes[k], betas[k]) for k in todo])
+        escaped = []
+        for k, f in zip(todo, found):
+            if isinstance(f, LoopEscapesDomain):
+                slopes[k] *= _PROBE_SHRINK
+                escaped.append(k)
+            elif isinstance(f, RevquadError):
+                errors[k] = f
+            else:
+                chosen[k] = slopes[k]
+        todo = escaped
+    for err in errors:
+        if err is not None:
+            raise err
+    return [(float(m), float(beta)) for m, beta in zip(chosen, betas)]
 
 
 def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
@@ -304,12 +370,15 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
     flagged rather than certified.
 
     workers is an integer >= 1; workers > 1 evaluates planes in a process
-    pool of min(workers, planes, CPUs) processes (serially when that is 1);
-    results are aggregated in deterministic plane order, so the verdict
-    does not depend on the worker count.  Pooled calls share one warm pool
-    for the life of the process: it is built by the first pooled call,
-    rebuilt when a call needs another size, after a fork, or after a worker
-    died, and shut down at interpreter exit.
+    pool of k = min(workers, planes, CPUs) processes (serially when that is
+    1), one task per worker: task i holds the planes i, i + k, i + 2k, ...
+    Each batch (the serial run is one) bisects its planes' extents in
+    lock-step, with the bits each extent has alone.  Records are put back
+    in plane order, and the first failing plane's error is raised, so the
+    outcome does not depend on the worker count.  Pooled calls share one
+    warm pool for the life of the process: it is built by the first pooled
+    call, rebuilt when a call needs another size, after a fork, or after a
+    worker died, and shut down at interpreter exit.
     """
     q = profile.q
     if not (0.0 < delta < q / 3.0):
@@ -335,10 +404,7 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
     args = [(profile, m, beta, n_samples, tol, delta if i < n_sweep else None)
             for i, (m, beta) in enumerate(jobs)]
     procs = min(workers, len(args), os.cpu_count() or 1)
-    if procs > 1:
-        records = _map_pooled(procs, args)
-    else:
-        records = [_test_plane(*a) for a in args]
+    records = _records(_map_pooled(procs, args) if procs > 1 else _test_planes(args))
 
     curve = CenterCurve(
         m=m_sweep,

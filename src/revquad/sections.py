@@ -24,6 +24,7 @@ from .errors import (
     NonPositiveProfile,
     NonSimpleSection,
     OutOfDomain,
+    RevquadError,
     ZeroSlope,
 )
 from .profiles import _gap_roots, _value_range
@@ -86,13 +87,18 @@ def section_gap(profile, plane, z):
     """g(z) = F(z) - ((z - beta)/m)^2; positive strictly inside the loop."""
     if plane.m == 0.0:
         raise ZeroSlope("section gap needs a tilted plane (m > 0)")
-    val = profile.eval(z)
-    with np.errstate(over="ignore"):
-        off = (np.asarray(z, dtype=float) - plane.beta) / plane.m
-        out = val - off * off
+    out = _gap(profile, z, plane.beta, plane.m)
     if np.ndim(z) == 0:
         return float(out)
     return out
+
+
+def _gap(profile, z, beta, m):
+    """The section gap at z, elementwise for intercepts beta and slopes m."""
+    val = profile.eval(z)
+    with np.errstate(over="ignore"):
+        off = (np.asarray(z, dtype=float) - beta) / m
+        return val - off * off
 
 
 def section_extent(profile, plane):
@@ -106,37 +112,85 @@ def section_extent(profile, plane):
     does not change sign is skipped.  Raises LoopEscapesDomain when no root
     exists before |z| = q.
     """
-    if plane.m == 0.0:
-        raise ZeroSlope("section extent needs a tilted plane (m > 0)")
-    beta = plane.beta
-    if abs(beta) >= profile.q:
-        raise OutOfDomain(f"plane intercept |beta| >= q = {profile.q!r}")
-    if section_gap(profile, plane, beta) <= 0.0:
-        raise InvalidDomain("gap is not positive at z = beta")
-    gap = lambda z: section_gap(profile, plane, z)
-    roots = sorted(_gap_roots(profile, plane.m, beta).tolist())
+    (extent,) = _section_extents(profile, [plane])
+    if isinstance(extent, RevquadError):
+        raise extent
+    return extent
+
+
+def _section_extents(profile, planes):
+    """Per plane, what section_extent returns or raises (the error itself).
+
+    The brackets of all the planes are bisected together.
+    """
+    found = _closing_brackets(profile, planes)
+    live = [k for k, f in enumerate(found) if not isinstance(f, RevquadError)]
+    ends = _bisect_roots(profile, [planes[k] for k in live], [found[k] for k in live])
+    for k, end in zip(live, ends):
+        found[k] = end if isinstance(end, RevquadError) else (-end[1], end[0])
+    return found
+
+
+def _closing_brackets(profile, planes):
+    """section_extent's decision, short of the bisection, for each plane.
+
+    An entry is the error section_extent raises before it bisects, or the
+    plane's two brackets (lo, hi), gap(lo) > 0 >= gap(hi): the upper
+    side's in z, then the lower side's in the mirrored frame -z, where that
+    side looks for the first crossing above its own start.  The gaps at the
+    intercepts are one gap call, and the windows of every side of every
+    plane another.
+    """
+    out = [None] * len(planes)
+    todo = []
+    for k, plane in enumerate(planes):
+        if plane.m == 0.0:
+            out[k] = ZeroSlope("section extent needs a tilted plane (m > 0)")
+        elif abs(plane.beta) >= profile.q:
+            out[k] = OutOfDomain(f"plane intercept |beta| >= q = {profile.q!r}")
+        else:
+            todo.append(k)
+    beta = np.array([planes[k].beta for k in todo])
+    m = np.array([planes[k].m for k in todo])
+    read = _reader(profile, beta, beta, m)
     cap = profile.q * (1.0 - 2.0 ** -52)
-    # The lower side runs on the mirrored gap g(-z), so that each side
-    # looks for the first crossing above its own start; the windows of both
-    # sides are scored in one gap call.
-    sides = (_windows(beta, roots, cap), _windows(-beta, [-r for r in roots[::-1]], cap))
-    ends = [s * z for s, wins in zip(_SIGNS, sides) for win in wins for z in win]
-    read = _reader(gap, np.array(ends))
-    brackets, at = [], 0
-    for wins in sides:
-        found = None
-        for win in wins:
-            if found is None and read(at) > 0.0 >= read(at + 1):
-                found = win
-            at += 2
-        if found is None:
-            raise LoopEscapesDomain(
-                f"gap stays positive out to |z| = {cap!r}; "
-                "section does not close inside |z| < q"
-            )
-        brackets.append(found)
-    z_hi, z_lo = _bisect_roots(gap, brackets)
-    return -z_lo, z_hi
+    sides, ends, at_beta, at_m = {}, [], [], []
+    for i, k in enumerate(todo):
+        try:
+            if read(i) <= 0.0:
+                raise InvalidDomain("gap is not positive at z = beta")
+        except RevquadError as exc:
+            out[k] = exc
+            continue
+        plane = planes[k]
+        roots = sorted(_gap_roots(profile, plane.m, plane.beta).tolist())
+        wins = (_windows(plane.beta, roots, cap),
+                _windows(-plane.beta, [-r for r in roots[::-1]], cap))
+        sides[k] = (len(ends), wins)
+        ends += [s * z for s, side in zip(_SIGNS, wins) for win in side for z in win]
+        at_beta += [plane.beta] * (len(ends) - len(at_beta))
+        at_m += [plane.m] * (len(ends) - len(at_m))
+    read = _reader(profile, np.array(ends), np.array(at_beta), np.array(at_m))
+    for k, (at, wins) in sides.items():
+        brackets = []
+        try:
+            for side in wins:
+                found = None
+                for win in side:
+                    if found is None and read(at) > 0.0 >= read(at + 1):
+                        found = win
+                    at += 2
+                if found is None:
+                    raise LoopEscapesDomain(
+                        f"gap stays positive out to |z| = {cap!r}; "
+                        "section does not close inside |z| < q"
+                    )
+                brackets.append(found)
+        except RevquadError as exc:
+            out[k] = exc
+        else:
+            out[k] = brackets
+    return out
 
 
 def _windows(beta, roots, cap):
@@ -149,37 +203,51 @@ def _windows(beta, roots, cap):
     return wins
 
 
-def _reader(gap, zs):
-    """Index -> gap at zs[index], all from one gap call.
+def _reader(profile, z, beta, m):
+    """Index -> gap at z[index] on the plane (beta[index], m[index]), all
+    from one gap call.
 
     Should that call raise, each point is evaluated on its own when it is
-    read instead, so that only a point the scalar bisection would visit can
-    raise.
+    read instead, so that only a point the scalar bisection of its own
+    plane would visit can raise.
     """
     try:
-        return gap(zs).tolist().__getitem__
+        return _gap(profile, z, beta, m).tolist().__getitem__
     except NonPositiveProfile:
-        return lambda i: gap(zs[i])
+        return lambda i: float(_gap(profile, z[i], beta[i], m[i]))
 
 
-def _bisect_roots(gap, brackets):
-    """Bisect both brackets gap(lo) > 0 >= gap(hi) to exhaustion in lock-step.
+def _bisect_roots(profile, planes, brackets):
+    """Bisect the two brackets of every plane to exhaustion in lock-step.
 
-    brackets[0] is in z, brackets[1] in the mirrored frame -z.  Each round
-    builds the midpoint tree of every open bracket, _DEPTH levels deep, with
-    the scalar bisection's arithmetic (mid = 0.5 (lo + hi)), scores all of
-    it in one gap call, and walks each tree as the scalar bisection would:
-    stop when mid == lo or mid == hi, else keep lo = mid where gap(mid) > 0
-    and hi = mid elsewhere.  Returns the gap > 0 ends, as the brackets give
-    them.
+    brackets[k] holds plane k's brackets, gap(lo) > 0 >= gap(hi), the first
+    in z, the second in the mirrored frame -z.  Each round builds the
+    midpoint tree of every open bracket, _DEPTH levels deep, with the
+    scalar bisection's arithmetic (mid = 0.5 (lo + hi)), scores all of it in
+    one gap call, each point on its own plane, and walks each tree as the
+    scalar bisection would: stop when mid == lo or mid == hi, else keep
+    lo = mid where gap(mid) > 0 and hi = mid elsewhere.  So every bracket
+    ends where it would alone.  Returns per plane its two gap > 0 ends, as
+    the brackets give them, or the error that one of its points raised.
     """
-    bounds = [list(b) for b in brackets]
-    result = [None] * len(bounds)
+    bounds = [[list(b) for b in pair] for pair in brackets]
+    result = [[None, None] for _ in brackets]
+    beta = np.array([p.beta for p in planes])
+    m = np.array([p.m for p in planes])
+    width = 2**_DEPTH - 1
+    live = None
     while True:
-        live = [k for k, res in enumerate(result) if res is None]
-        if not live:
+        now = [(k, s) for k, res in enumerate(result)
+               if not isinstance(res, RevquadError) for s in (0, 1) if res[s] is None]
+        if not now:
             return result
-        edges = np.array([bounds[k] for k in live])
+        if now != live:
+            # each point's frame sign and plane, kept while no bracket closes
+            live = now
+            rows, signs = (list(c) for c in zip(*live))
+            sign = _SIGNS[signs, None]
+            at_beta, at_m = np.repeat(beta[rows], width), np.repeat(m[rows], width)
+        edges = np.array([bounds[k][s] for k, s in live])
         levels = []
         for _ in range(_DEPTH):
             mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
@@ -190,32 +258,38 @@ def _bisect_roots(gap, brackets):
             edges = split
         # heap order: node i has children 2i + 1 (lower half), 2i + 2 (upper)
         tree = np.hstack(levels)
-        read = _reader(gap, (_SIGNS[live, None] * tree).ravel())
-        width = tree.shape[1]
+        read = _reader(profile, (sign * tree).ravel(), at_beta, at_m)
         tree = tree.tolist()
-        for row, k in enumerate(live):
-            lo, hi = bounds[k]
+        for row, (k, s) in enumerate(live):
+            if isinstance(result[k], RevquadError):
+                continue
+            lo, hi = bounds[k][s]
             node = 0
-            for _ in range(_DEPTH):
-                mid = tree[row][node]
-                if mid == lo or mid == hi:
-                    result[k] = lo
-                    break
-                if read(row * width + node) > 0.0:
-                    lo, node = mid, 2 * node + 2
-                else:
-                    hi, node = mid, 2 * node + 1
-            bounds[k] = [lo, hi]
+            try:
+                for _ in range(_DEPTH):
+                    mid = tree[row][node]
+                    if mid == lo or mid == hi:
+                        result[k][s] = lo
+                        break
+                    if read(row * width + node) > 0.0:
+                        lo, node = mid, 2 * node + 2
+                    else:
+                        hi, node = mid, 2 * node + 1
+            except RevquadError as exc:
+                result[k] = exc
+            bounds[k][s] = [lo, hi]
 
 
-def trace_section(profile, plane, n):
+def trace_section(profile, plane, n, extent=None):
     """Trace the closed section with n sample levels.
 
     For m > 0 the z-extent is sampled at Chebyshev extrema
     z_k = mid + rad cos(k pi / (n-1)), which cluster toward the turning
     points where dy/dz blows up; the first and last nodes land exactly on
     z_lo and z_hi.  The returned loop has 2n - 2 distinct points.  For
-    m = 0 it has n points uniformly spaced in angle.
+    m = 0 it has n points uniformly spaced in angle.  extent, when given,
+    is section_extent(profile, plane), found beforehand; otherwise it is
+    found here.
     """
     n = _count(n, "sample level count")
     if n < 16:
@@ -229,7 +303,7 @@ def trace_section(profile, plane, n):
         pts = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
         return SectionLoop(plane=plane, points=pts, z_lo=plane.beta, z_hi=plane.beta)
 
-    z_lo, z_hi = section_extent(profile, plane)
+    z_lo, z_hi = section_extent(profile, plane) if extent is None else extent
     mid = 0.5 * (z_lo + z_hi)
     rad = 0.5 * (z_hi - z_lo)
     zs = mid + rad * np.cos(np.pi * np.arange(n) / (n - 1))

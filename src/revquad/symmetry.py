@@ -276,13 +276,19 @@ class _LoopGeometry:
         pts = _as_points(points)
         self.pts = pts
         self.seg_a = np.ascontiguousarray(pts)
-        self.seg_d = np.roll(pts, -1, axis=0) - pts
-        len2 = self.seg_d[:, 0] ** 2 + self.seg_d[:, 1] ** 2
-        if len2.sum() == 0.0:
-            raise DegenerateLoop("loop has zero total length")
+        # squares of a loop's lengths must stay finite for it to be scored
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.seg_d = np.roll(pts, -1, axis=0) - pts
+            len2 = self.seg_d[:, 0] ** 2 + self.seg_d[:, 1] ** 2
+            if not np.isfinite(len2).all():
+                raise InvalidDomain("squared edge lengths of the loop overflow")
+            if len2.sum() == 0.0:
+                raise DegenerateLoop("loop has zero total length")
+            convex = _convex_ccw(pts)
+            self.diameter = _chart_diameter(pts, convex)
+        if not math.isfinite(self.diameter):
+            raise InvalidDomain("the squared chart diameter of the loop overflows")
         self.seg_len2 = np.where(len2 > 0.0, len2, 1.0)
-        convex = _convex_ccw(pts)
-        self.diameter = _chart_diameter(pts, convex)
         if self.diameter == 0.0:
             raise DegenerateLoop("loop has zero diameter")
         self._half = _mirror_half(pts)

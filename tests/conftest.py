@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, settings
 
 import revquad as rq
 from revquad.profiles import _gap_roots
+from revquad.sections import _section_extents
 
 settings.register_profile(
     "suite",
@@ -246,3 +247,18 @@ def cubic():
 def quartic():
     """F(z) = 1 + z^2 + z^4 on (-1, 1): even but non-quadric."""
     return rq.parse_profile("poly:1,0,1,0,1;1")
+
+
+def _extent_outcome(prof, plane):
+    try:
+        return repr(rq.section_extent(prof, plane))
+    except rq.RevquadError as exc:
+        return type(exc), str(exc)
+
+
+def assert_batch_matches_one_plane_calls(prof, planes):
+    """The batched extents equal section_extent entry by entry: values by
+    repr, errors by class and message."""
+    got = [(type(e), str(e)) if isinstance(e, rq.RevquadError) else repr(e)
+           for e in _section_extents(prof, planes)]
+    assert got == [_extent_outcome(prof, plane) for plane in planes]

@@ -438,6 +438,31 @@ class TestWarmPool:
         assert detect_module._pool[0] is not old
         assert victim not in _worker_pids()
 
+    @pytest.mark.parametrize("spec", ["poly:2,0,0,1;1", "poly:1,0,-1,0,0.05;1"])
+    def test_refutations_match_serial(self, spec):
+        # the cubic and the README's bumped quartic at the acceptance budget:
+        # one task per worker gives the serial run's bytes, record by record
+        prof = rq.parse_profile(spec)
+        serial, pooled = (rq.detect_quadric(prof, 0.1 * prof.q, 17, 1024, 1e-4, workers=w)
+                          for w in (1, 2))
+        assert not serial.is_quadric
+        assert rq.verdict_json(pooled) == rq.verdict_json(serial)
+        assert repr(pooled.sections) == repr(serial.sections)
+        assert pooled.sections == serial.sections
+
+    def test_first_failing_plane_raises_as_in_serial(self, cylinder):
+        # With two workers, task 0 holds planes 0, 2, 4 and fails at plane 4
+        # (outside the domain); task 1 holds planes 1, 3, 5 and fails at
+        # plane 3 (escapes), the first failing plane in plane order.
+        planes = [(0.5, 0.0), (0.5, 1.0), (0.5, 2.0), (1.0, 9.8), (0.5, 12.0), (0.5, 3.0)]
+        args = [(cylinder, m, beta, 256, 1e-4, None) for m, beta in planes]
+        with pytest.raises(LoopEscapesDomain) as serial:
+            detect_module._records(detect_module._test_planes(args))
+        with pytest.raises(LoopEscapesDomain) as pooled:
+            detect_module._records(detect_module._map_pooled(2, args))
+        assert str(pooled.value) == str(serial.value)
+        assert str(serial.value).startswith("beta = 9.8: gap stays positive")
+
 
 MA_PROBE = """
 import sys

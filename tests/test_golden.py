@@ -31,6 +31,8 @@ import revquad as rq
 from revquad.formats import centrality_json, verdict_json
 from revquad.sections import section_extent
 
+from conftest import assert_batch_matches_one_plane_calls
+
 DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "golden_centrality.json").read_text())
 SAMPLED = json.loads((DATA / "golden_sampled.json").read_text())
@@ -122,3 +124,19 @@ def test_sampled_profile_bytes(case):
         assert got == e["extent"], e
     for e in case["infimum_radius"]:
         assert repr(rq.infimum_radius(prof, e["delta"])) == e["infimum_radius"]
+
+
+def test_batched_extents_of_the_golden_planes():
+    # the planes of every profile above, bisected in one batch, keep the
+    # bits each gives alone, errors included
+    batches = {}
+    for case in GOLDEN["centrality"]:
+        batches.setdefault(_profile(case["profile"]), []).append((case["m"], case["beta"]))
+    for case in SAMPLED["centrality"]:
+        prof = _sampled(f"table:{case['table_seed']}")
+        batches.setdefault(prof, []).append((case["m"], case["beta"]))
+    for case in SAMPLED["grids"]:
+        prof = _sampled(case["table"])
+        batches.setdefault(prof, []).extend((e["m"], e["beta"]) for e in case["extents"])
+    for prof, planes in batches.items():
+        assert_batch_matches_one_plane_calls(prof, [rq.Plane(m, beta) for m, beta in planes])

@@ -20,7 +20,7 @@ from revquad import (
 )
 from numpy.polynomial import polynomial as P
 
-from conftest import oracle_extent, oracle_root_extent
+from conftest import assert_batch_matches_one_plane_calls, oracle_extent, oracle_root_extent
 
 SQ2 = 1.0 / math.sqrt(2.0)
 _TABLE_Z = np.linspace(-0.95, 0.95, 1025)
@@ -209,6 +209,58 @@ class TestSectionExtent:
             warnings.simplefilter("error")
             with pytest.raises(LoopEscapesDomain):
                 rq.section_extent(sphere, Plane(1e200, 0.3))
+
+
+class TestBatchedExtents:
+    @given(
+        spec=st.sampled_from(("sphere", "cylinder:1,10", "hyperboloid:1,2",
+                              "poly:2,0,0,1;1", "poly:1,0,-1,0,0.05;1",
+                              "sampled-bump")),
+        planes=st.lists(st.tuples(st.sampled_from((0.0, 1e-200, 1e200)) | st.floats(0.0, 5.0),
+                                  st.floats(-1.2, 1.2)), min_size=1, max_size=8),
+    )
+    def test_matches_one_plane_calls(self, spec, planes):
+        prof = _SAMPLED_BUMP if spec == "sampled-bump" else rq.parse_profile(spec)
+        assert_batch_matches_one_plane_calls(prof, [Plane(m, f * prof.q) for m, f in planes])
+
+    def test_mixed_outcomes_in_one_batch(self, cylinder, hyperboloid):
+        # closing, escaping (near the domain edge and above the asymptotic
+        # cone), horizontal and out-of-domain planes side by side
+        planes = [Plane(0.5, 0.0), Plane(1.0, 9.8), Plane(0.0, 0.3), Plane(0.7, -10.0),
+                  Plane(0.7, 0.2), Plane(1.5, 0.0)]
+        assert_batch_matches_one_plane_calls(cylinder, planes)
+        assert_batch_matches_one_plane_calls(hyperboloid, planes)
+        kinds = [type(e) for e in sections._section_extents(cylinder, planes)]
+        assert kinds == [tuple, LoopEscapesDomain, ZeroSlope, OutOfDomain, tuple, tuple]
+
+    def test_sphere_batch_reaching_q(self, sphere):
+        # the steep planes' roots sit within a few ulp of z = +-q
+        planes = [Plane(m, beta) for m in (1.0, 1e6, 1e9, 1e15) for beta in (-0.999, 0.0, 0.5)]
+        assert_batch_matches_one_plane_calls(sphere, planes)
+
+    @pytest.mark.parametrize("bad, failing", [
+        (lambda z: z > 0.45, 0),  # the window of the first plane's upper root
+        (lambda z: abs(z - 5.0 ** -0.5) < 1e-10, 2),  # inside the third plane's window
+    ], ids=["window", "bisection"])
+    def test_failing_point_fails_only_its_plane(self, sphere, monkeypatch, bad, failing):
+        # A profile that raises at some points makes each batched gap call
+        # that holds one raise, so every point is read on its own: only the
+        # plane that visits such a point fails, with that point's error.
+        evaluate = rq.Profile.eval
+
+        def cliff(self, z):
+            if np.any(bad(np.asarray(z))):
+                raise rq.NonPositiveProfile("profile value <= 0 inside |z| < q")
+            return evaluate(self, z)
+
+        monkeypatch.setattr(rq.Profile, "eval", cliff)
+        # upper roots 0.841, 0.411 and 1/sqrt(5), the window read by the
+        # closing decision at 1/sqrt(5) +- 4.5e-10
+        planes = [Plane(1.0, 0.3), Plane(1.0, -0.5), Plane(0.5, 0.0)]
+        assert_batch_matches_one_plane_calls(sphere, planes)
+        kinds = [type(e) for e in sections._section_extents(sphere, planes)]
+        assert [k for k, kind in enumerate(kinds) if kind is not tuple] == [failing]
+        assert kinds[failing] is rq.NonPositiveProfile
 
 
 class TestTraceSection:

@@ -1057,6 +1057,22 @@ class TestCentrality:
         assert rep.central is False
         assert rep.asymmetry > 1e-3
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("free_center", [False, True])
+    def test_overflowing_loop_rejected(self, free_center):
+        # a 64-point ellipse: scaled by 1e160 its squared edge lengths
+        # overflow, by 1e300 everything squared does; at 1e150 every square
+        # is finite and the loop is scored
+        t = 2.0 * np.pi * np.arange(64) / 64
+        ellipse = np.column_stack([2.0 * np.cos(t), np.sin(t) + 0.3])
+        for scale in (1e160, 1e300):
+            with pytest.raises(InvalidDomain, match="overflow"):
+                rq.centrality(ellipse * scale, 1e-4, free_center=free_center)
+        rep = rq.centrality(ellipse * 1e150, 1e-4, free_center=free_center)
+        assert rep.central is True
+        assert rep.asymmetry <= 1e-12
+        assert rep.center[0] / 1e150 == pytest.approx(0.0, abs=1e-12)
+
     def test_report_invariants(self, paraboloid):
         loop = rq.trace_section(paraboloid, Plane(0.3, 0.1), 256)
         rep = rq.centrality(loop, 1e-4)
