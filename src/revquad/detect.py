@@ -307,7 +307,7 @@ def sweep_intercepts(q, delta, n_planes):
     """The detector's intercept grid: n_planes values just inside |beta| < q - 2 delta.
 
     n_planes must be an integer >= 1 and delta lie in (0, q/2); anything
-    else raises InvalidDomain.
+    else, or a grid numpy cannot allocate, raises InvalidDomain.
     """
     n_planes = _count(n_planes, "plane count")
     if n_planes < 1:
@@ -316,7 +316,10 @@ def sweep_intercepts(q, delta, n_planes):
         raise InvalidDomain(f"need 0 < delta < q/2, got delta = {delta!r}")
     span = q - 2.0 * delta
     eta = span / (10.0 * n_planes)
-    return np.linspace(-(span - eta), span - eta, n_planes)
+    try:
+        return np.linspace(-(span - eta), span - eta, n_planes)
+    except (MemoryError, ValueError):  # numpy: too much memory, or past its size limit
+        raise InvalidDomain(f"cannot allocate {n_planes!r} intercepts") from None
 
 
 def _probe_planes(profile, delta, mu):

@@ -296,17 +296,21 @@ def trace_section(profile, plane, n, extent=None):
         raise InvalidDomain(f"need n >= 16 sample levels, got {n!r}")
     if abs(plane.beta) >= profile.q:
         raise OutOfDomain(f"plane intercept |beta| >= q = {profile.q!r}")
+    try:
+        levels = np.arange(n)
+    except (MemoryError, ValueError):  # numpy: too much memory, or past its size limit
+        raise InvalidDomain(f"cannot allocate {n!r} sample levels") from None
 
     if plane.m == 0.0:
         r = math.sqrt(profile.eval(plane.beta))
-        ang = 2.0 * np.pi * np.arange(n) / n
+        ang = 2.0 * np.pi * levels / n
         pts = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
         return SectionLoop(plane=plane, points=pts, z_lo=plane.beta, z_hi=plane.beta)
 
     z_lo, z_hi = section_extent(profile, plane) if extent is None else extent
     mid = 0.5 * (z_lo + z_hi)
     rad = 0.5 * (z_hi - z_lo)
-    zs = mid + rad * np.cos(np.pi * np.arange(n) / (n - 1))
+    zs = mid + rad * np.cos(np.pi * levels / (n - 1))
     zs[0] = z_hi
     zs[-1] = z_lo
     gap = section_gap(profile, plane, zs)

@@ -32,7 +32,7 @@ bounding-box center bracket the reflected point's; the squared distance W
 to its nearest segment bounds the row's value from above and needs no tree
 query.  An evaluation refines a seed batch of rows (the descent's worst
 rows at its best center, else the 64 rows of largest bound) and, after one
-bound pass over every row, only the rows whose bound exceeds the seed's
+bound pass over its rows, only the rows whose bound exceeds the seed's
 maximum L: a row bounded by L cannot raise the maximum (the pruning of
 exact Hausdorff distances, Taha & Hanbury 2015).  The score is thus the
 largest row value over all scored rows, whichever rows were refined.  How
@@ -43,7 +43,10 @@ A loop certifies when it is strictly convex, its box center lies inside
 every edge's line by more than a rounding slack, and its vertices' sorted
 angles run in loop order, either way round.  Quadric sections and every
 traced loop of the benchmark do.  A row's value is then the squared
-distance from its reflection to the whole polyline.  Each segment sweeps
+distance from its reflection to the whole polyline, and its window's 4
+vertices are consecutive along the loop, so their 8 segments are only 5
+distinct ones, the segments between the sorted positions j - 3 and j + 2;
+the window holds just these 5.  Each segment sweeps
 the angles between its two ends, which sit at consecutive sorted
 positions.  Any segment whose computed distance could undercut W comes
 within r = sqrt(W) plus the slack of the reflected point, r in
@@ -71,6 +74,18 @@ the cut; the center search drops a trial earlier still when its best
 center's worst rows, their windows kept and moved with the trial, do.  A
 rejected trial's exact score would have been rejected too, so every
 reported center, score and witness keeps its bits.
+
+Such a loop bounds each row from above across centers too, by a ceiling.
+A row's value is the squared distance from its reflection to the
+polyline, and moving the center by delta moves the reflection by 2 delta,
+so the root of the value moves by at most 2 |delta| (the Lipschitz bound
+of Shubert 1972).  The center search keeps a ceiling for each row at its
+best center: the root of the row's refined value, else of its bound, else
+the ceiling the row was carried in with.  A trial one step away adds 2
+step and a rounding slack to every ceiling, and only rows whose ceiling
+exceeds the trial's lower bound (the floor above) take its bound pass: any
+other row's value is at most the score's, so leaving it out keeps the
+score's bits.
 
 Every other loop is in the general class: non-convex loops, a traced
 section of a wiggly profile among them, and convex loops whose box center
@@ -130,6 +145,10 @@ _KNN = 8
 # each of the 4 vertices whose angles bracket the reflected point's.
 _BOUND_SEGS = 8
 _WINDOW_OFFSETS = np.arange(_BOUND_SEGS // 2)[:, None]
+# On a loop that certifies, those are the 5 distinct segments between the
+# sorted positions 3 below and 2 above the point's (_LoopGeometry._window).
+_CERT_SEGS = 5
+_CERT_OFFSETS = np.arange(_CERT_SEGS)[:, None]
 # The columns of one chunk of a row's sector segments (_sector_dist2).
 _CHUNK_COLUMNS = np.arange(_BOUND_SEGS)[:, None]
 
@@ -140,6 +159,11 @@ _WORST_POINTS = 64
 # Rounding slack of a row's lower bound, relative to the scale of the
 # loop and the center (_LoopGeometry._slack).
 _SLACK = 1e-12
+
+# Rounding slacks (_LoopGeometry._slack) a ceiling gains with each move of
+# the center: one for the rounding of the values at either center and of
+# the move itself, with room to spare.
+_CEILING_SLACKS = 4.0
 
 # A rejection needs a lower bound this far above the score to beat.
 _REJECT_MARGIN = 1.0 + 1e-9
@@ -247,7 +271,7 @@ class _LoopGeometry:
     """Per-loop precomputation shared by repeated asymmetry evaluations.
 
     Each evaluation makes at most one bound pass and refines only the rows
-    that can hold the maximum (max_dist2; the row value, the pruning rule
+    that can hold the maximum (max_dist2; the row value, the pruning rules
     and the two loop classes are in the module docstring).  For the bound,
     the vertices' polar angles about the bounding-box center, in
     box-normalised coordinates, are sorted here once; a bound pass
@@ -302,8 +326,6 @@ class _LoopGeometry:
         angles = self._angles(pts)
         order = np.argsort(angles, kind="stable")
         self._sorted_angles = angles[order]
-        # _ring[j + 2] is the vertex at sorted position j, wrapping
-        self._ring = np.concatenate([order[-2:], order, order[:2]])
         # the windows of the last bound pass, kept for the lower bounds
         self._win = np.empty(n * _BOUND_SEGS, dtype=np.intp)
         # only a loop that certifies has edge normals and _cert_angles[j + n],
@@ -312,7 +334,11 @@ class _LoopGeometry:
         # positions j and j + 1 (mod n)
         self._normals = self._certify_normals(convex[0], order)
         self._cert_angles = None
-        if self._normals is not None:
+        if self._normals is None:
+            # _ring[j + 2] is the vertex at sorted position j, wrapping
+            self._ring = np.concatenate([order[-2:], order, order[:2]])
+            self._width = _BOUND_SEGS
+        else:
             two_pi = 2.0 * np.pi
             s = self._sorted_angles
             self._cert_angles = np.concatenate([s - two_pi, s, s + two_pi])
@@ -321,6 +347,10 @@ class _LoopGeometry:
             # counterclockwise, vertex order[j] starts that segment; clockwise,
             # order[j + 1] does
             self._sector_seg = order if order[1] == (order[0] + 1) % n else np.roll(order, -1)
+            # _ring[j + 3] is _sector_seg[j], wrapping
+            self._ring = np.concatenate([self._sector_seg[-3:], self._sector_seg,
+                                         self._sector_seg[:2]])
+            self._width = _CERT_SEGS
         self._brute = n * n <= _BRUTE_PAIR_LIMIT
         # the bound pass, and each sector block of at most n chunks, fits this
         self._work = np.empty(7 * n * _BOUND_SEGS)
@@ -377,16 +407,26 @@ class _LoopGeometry:
         return self._near_buffers[0][: k * m].reshape(k, m)
 
     def _window_cols(self, m):
-        """The (8, m) window columns of the last bound pass over m rows."""
-        return self._win[: _BOUND_SEGS * m].reshape(_BOUND_SEGS, m)
+        """The (width, m) window columns of the last bound pass over m rows."""
+        return self._win[: self._width * m].reshape(self._width, m)
 
     def _window(self, refl, cols):
-        """Write each reflected point's angular window into the (8, m) cols:
-        for an angle that sorts into position j, the vertices at sorted
-        positions j - 2 .. j + 1 and the segments that end at them.
-        Returns the angles and their sorted positions j."""
+        """Write each reflected point's angular window into cols: for an
+        angle that sorts into position j, the segments at the vertices at
+        sorted positions j - 2 .. j + 1.  Returns the angles and their
+        sorted positions j.
+
+        On a loop that certifies, those vertices are consecutive along the
+        loop, so their 8 segments are the 5 distinct segments between sorted
+        positions j - 3 and j + 2, _sector_seg[j - 3 .. j + 1], and cols is
+        (5, m).  Otherwise cols is (8, m): each vertex and the segment that
+        ends at it.
+        """
         theta = self._angles(refl)
         pos = np.searchsorted(self._sorted_angles, theta)
+        if self._normals is not None:
+            np.take(self._ring, pos + _CERT_OFFSETS, out=cols)
+            return theta, pos
         half = _BOUND_SEGS // 2
         np.add(pos, _WINDOW_OFFSETS, out=cols[half:])
         np.take(self._ring, cols[half:], out=cols[:half])
@@ -395,8 +435,8 @@ class _LoopGeometry:
         return theta, pos
 
     def _window_of(self, refl):
-        """The reflected points' windows, in a new (8, m) array."""
-        cols = np.empty((_BOUND_SEGS, len(refl)), dtype=np.intp)
+        """The reflected points' windows, in a new (width, m) array."""
+        cols = np.empty((self._width, len(refl)), dtype=np.intp)
         self._window(refl, cols)
         return cols
 
@@ -479,7 +519,7 @@ class _LoopGeometry:
         return self._sector_dist2(center, refl, bounds, rows)
 
     def _outward(self, refl, cols):
-        """(s, nx, ny), (8, m) arrays: the outward distance s from each
+        """(s, nx, ny), (width, m) arrays: the outward distance s from each
         reflected point to the supporting line of each of its window
         segments cols, and the line's outward unit normal."""
         nx = np.take(self._normals[0], cols, mode="wrap")
@@ -497,7 +537,7 @@ class _LoopGeometry:
     def _row_lower(self, center, refl, cols):
         """Each row's certified lower bound on the root of its value, on a
         loop that certifies: the largest outward distance from the
-        reflected point to the supporting lines of the (8, m) window
+        reflected point to the supporting lines of the (width, m) window
         segments cols, less _slack.
 
         The loop lies in the inner half-plane of each of its edges, so a
@@ -582,9 +622,9 @@ class _LoopGeometry:
         refl = 2.0 * center - (self._scored(center) if rows is None else self.pts[rows])
         return self._values(center, refl, np.arange(len(refl)), self._bound_dist2(refl))
 
-    def max_dist2(self, center, seed=None, cut=math.inf):
-        """(largest row value, refined rows, their values) about center, or
-        None once the score's root is proven to be at least cut.
+    def max_dist2(self, center, seed=None, cut=math.inf, ceiling=None, low=-math.inf):
+        """(largest row value, refined rows, their values, ceiling) about
+        center, or None once the score's root is proven to be at least cut.
 
         The seed rows (default: the _WORST_POINTS rows of largest bound)
         are refined first, then every other row whose bound exceeds their
@@ -596,11 +636,29 @@ class _LoopGeometry:
         given seed before its bound pass.  None is returned too as soon as
         a refined maximum's root reaches cut or is nan; with cut = inf,
         never, not even when a value overflows to inf.
+
+        On a loop that certifies, ceiling, if given, holds a certified upper
+        bound on the root of each scored row's value about center, and low
+        a certified lower bound on the root of the score: a row whose
+        ceiling is at most low cannot raise the maximum, so only the others
+        (a nan ceiling among them) take the bound pass and may be refined.
+        A ceiling of another length than the scored rows is ignored.  The
+        ceiling returned holds, for each scored row, the root of its
+        refined value, else of its bound, else its ceiling given; None on
+        a loop of the general class.
         """
         center = np.asarray(center, dtype=float)
         refl = 2.0 * center - self._scored(center)
         if seed is not None:
             seed = seed[seed < len(refl)]
+        live = None
+        if self._normals is not None and ceiling is not None and len(ceiling) == len(refl):
+            live = np.flatnonzero(~(ceiling <= low))
+            if seed is not None:
+                picked = np.zeros(len(refl), dtype=bool)
+                picked[seed] = True
+                seed = np.flatnonzero(picked[live])
+            refl = refl[live]
         bounds = None
         if seed is None or not len(seed) or self._normals is not None:
             bounds = self._bound_dist2(refl)
@@ -617,13 +675,22 @@ class _LoopGeometry:
         more = bounds[0] > top
         more[seed] = False
         rest = np.flatnonzero(more)
-        if not len(rest):
-            return top, seed, vals
-        extra = self._values(center, refl, rest, bounds)
-        top = max(top, extra.max())
-        if cut != math.inf and not _root(top) < cut:
-            return None
-        return top, np.concatenate([seed, rest]), np.concatenate([vals, extra])
+        rows = seed
+        if len(rest):
+            extra = self._values(center, refl, rest, bounds)
+            top = max(top, extra.max())
+            if cut != math.inf and not _root(top) < cut:
+                return None
+            rows, vals = np.concatenate([seed, rest]), np.concatenate([vals, extra])
+        if self._normals is None:
+            return top, rows, vals, None
+        if live is None:
+            ceiling, live = np.empty(len(refl)), slice(None)
+        else:
+            ceiling, rows = ceiling.copy(), live[rows]
+        ceiling[live] = np.sqrt(bounds[0])
+        ceiling[rows] = np.sqrt(vals)
+        return top, rows, vals, ceiling
 
     def max_reflect_distance(self, center):
         return _root(self.max_dist2(center)[0])
@@ -723,12 +790,14 @@ def _caliper_max_dist2(hull, phi):
     # wrap-padded columns: x[k + 1] is vertex k mod h, for k in [-1, h + 1]
     x = np.concatenate([hull[-1:, 0], hull[:, 0], hull[:2, 0]])
     y = np.concatenate([hull[-1:, 1], hull[:, 1], hull[:2, 1]])
+    # rows: vertices far - 1, far, far + 1, gathered once
+    opp = far + np.arange(3)[:, None]
+    ox, oy = x[opp], y[opp]
     best = 0.0
     for end in (1, 2):  # vertex i, then vertex i + 1
-        for opp in (0, 1, 2):  # vertex far - 1, far, far + 1
-            dx = x[end : end + h] - x[far + opp]
-            dy = y[end : end + h] - y[far + opp]
-            best = max(best, float((dx * dx + dy * dy).max()))
+        dx = x[end : end + h] - ox
+        dy = y[end : end + h] - oy
+        best = max(best, float((dx * dx + dy * dy).max()))
     return best
 
 
@@ -813,12 +882,14 @@ def _centroid_descent(geom, free_center):
     bits any evaluation gives its rows, and a bound never supplies a score,
     so a rejected trial's full score would have been rejected too.  On a
     loop that certifies, the best center's worst rows bound a trial from
-    below before its evaluation (floor).  The worst rows of an accepted
-    center are taken from the rows its evaluation refined.
+    below before its evaluation (floor), and the best center's ceilings,
+    moved by 2 step and a rounding slack, leave out of the evaluation the
+    rows that cannot reach that lower bound (max_dist2).  The worst rows
+    and the ceilings of an accepted center are taken from its evaluation.
     """
     cy, cz = centroid(geom.pts)
     center = np.array([cy, cz]) if free_center else np.array([0.0, cz])
-    top, rows, vals = geom.max_dist2(center)
+    top, rows, vals, ceiling = geom.max_dist2(center)
     best, worst = _root(top), rows[_worst_rows(vals)]
     dirs = [np.array([0.0, 1.0])]
     if free_center:
@@ -828,11 +899,16 @@ def _centroid_descent(geom, free_center):
     for _ in range(20):
         for d in dirs:
             for cand in (center + step * d, center - step * d):
-                if floor is not None and floor(cand) > best * _REJECT_MARGIN:
+                low = -math.inf if floor is None else floor(cand)
+                if low > best * _REJECT_MARGIN:
                     continue
-                got = geom.max_dist2(cand, worst, best)
+                moved = None
+                if ceiling is not None:
+                    # the trial moves every reflected point by 2 step
+                    moved = ceiling + (2.0 * step + _CEILING_SLACKS * geom._slack(cand))
+                got = geom.max_dist2(cand, worst, best, moved, low)
                 if got is not None:
-                    top, rows, vals = got
+                    top, rows, vals, ceiling = got
                     best, center, worst = _root(top), cand, rows[_worst_rows(vals)]
                     floor = geom.floor(center, worst)
                     break

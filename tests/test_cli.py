@@ -279,6 +279,26 @@ class TestReconstructCommand:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+class TestInputsTooLarge:
+    """A sample or plane count numpy cannot allocate is a usage error (exit
+    2), not a verdict: 2**45 floats are 256 TiB, past the user address
+    space, and 2**62 are past numpy's size limit, so both fail at once."""
+
+    @pytest.mark.parametrize("size", [2**45, 2**62])
+    @pytest.mark.parametrize("argv", [
+        ("detect", "--profile", "sphere", "--samples"),
+        ("detect", "--profile", "sphere", "--planes"),
+        ("center", "--profile", "sphere", "--slope", "0.5", "--intercept", "0", "--samples"),
+        ("center", "--profile", "sphere", "--slope", "0", "--intercept", "0", "--samples"),
+        ("reconstruct", "--profile", "sphere", "--planes"),
+    ])
+    def test_exits_2(self, capsys, argv, size):
+        code, out, err = run_cli(capsys, *argv, str(size))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "allocate" in err
+
+
 class TestMvtCommand:
     def test_quadratic(self, capsys):
         code, out, _ = run_cli(capsys, "mvt", "--poly", "1,2,3")

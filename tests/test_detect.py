@@ -208,6 +208,13 @@ class TestSweepIntercepts:
         with pytest.raises(InvalidDomain):
             rq.sweep_intercepts(1.0, delta, 17)
 
+    @pytest.mark.parametrize("n_planes", [2**45, 2**62])
+    def test_grid_numpy_cannot_allocate_rejected(self, n_planes):
+        # 256 TiB is past the user address space, 2**62 past numpy's size
+        # limit: both fail before any memory is touched
+        with pytest.raises(InvalidDomain, match="allocate"):
+            rq.sweep_intercepts(1.0, 0.1, n_planes)
+
 
 class TestDetectQuadric:
     def test_preconditions(self, sphere):

@@ -325,6 +325,14 @@ class TestTraceSection:
         with pytest.raises(InvalidDomain):
             rq.trace_section(sphere, Plane(0.5, 0.1), n)
 
+    @pytest.mark.parametrize("slope", [0.0, 0.5])
+    @pytest.mark.parametrize("n", [2**45, 2**62])
+    def test_sample_count_numpy_cannot_allocate(self, sphere, slope, n):
+        # 256 TiB is past the user address space, 2**62 past numpy's size
+        # limit: both fail before any memory is touched
+        with pytest.raises(InvalidDomain, match="allocate"):
+            rq.trace_section(sphere, Plane(slope, 0.0), n)
+
     def test_numpy_integer_sample_count(self, sphere):
         loop = rq.trace_section(sphere, Plane(0.5, 0.1), np.int64(100))
         assert np.array_equal(loop.points, rq.trace_section(sphere, Plane(0.5, 0.1), 100).points)

@@ -456,7 +456,7 @@ class TestBoundThenRefine:
             pts = geom.pts[: len(vals)]
             bound = geom._bound_dist2(2.0 * np.asarray(center) - pts)[0]
             assert (bound >= vals).all()
-            top, rows, got = geom.max_dist2(center)
+            top, rows, got, _ = geom.max_dist2(center)
             assert top == vals.max()
             assert np.array_equal(got, vals[rows])
             # any seed, rows out of range included, gives the same maximum
@@ -546,7 +546,8 @@ def nearby_centers(geom, rng):
 
 
 def without_rejection(monkeypatch):
-    """Turn the lower-bound rejection off: no descent floor, no rejects."""
+    """Turn the lower-bound rejection off: no descent floor, no rejects;
+    with no floor, no trial leaves out a row by its ceiling either."""
     monkeypatch.setattr(_LoopGeometry, "floor", lambda self, center, rows: None)
     monkeypatch.setattr(_LoopGeometry, "_rejects", lambda self, *args: False)
 
@@ -784,6 +785,28 @@ class TestWindowCertificate:
             # max_dist2 takes the same values
             assert geom.max_dist2(center)[0] == geom.reflect_dist2(center).max()
 
+    @given(pts=certificate_loops(), seed=st.integers(0, 2**32 - 1))
+    def test_five_column_window_is_the_ring_window(self, pts, seed):
+        # a certifying loop's 8 window segments are 5 distinct ones, and
+        # the bound pass over those 5 keeps the 8-column minimum's bits
+        geom = _LoopGeometry(synthetic_loop(pts))
+        if geom._normals is None:
+            return
+        rng = np.random.default_rng(seed)
+        far = tuple(geom.box_center + 3.0 * geom.diameter * rng.uniform(-1.0, 1.0, 2))
+        for center in nearby_centers(geom, rng) + [far]:
+            refl = 2.0 * np.asarray(center) - geom.pts
+            five = geom._window_of(refl).T
+            eight = reference_window(geom.pts, refl)
+            assert five.shape == (len(refl), 5)
+            assert (five[:, :, None] == eight[:, None, :]).any(axis=2).all()
+            assert (eight[:, :, None] == five[:, None, :]).any(axis=2).all()
+            if len(geom.pts) >= 5:
+                assert all(len(set(row)) == 5 for row in five.tolist())
+            ring = symmetry.max_min_dist_candidates(
+                refl, geom.seg_a, geom.seg_d, geom.seg_len2, eight)
+            assert np.array_equal(geom._bound_dist2(refl)[0], ring)
+
     @pytest.mark.parametrize("n", [128, 1024])
     def test_quadric_sections_certify_every_row(self, n, monkeypatch):
         scans = []
@@ -913,6 +936,134 @@ class TestSectorRefinement:
         got = geom._sector_dist2(center, refl, bounds, np.arange(len(refl)))
         assert blocks == [64] * 8
         assert np.array_equal(got, all_segments_dist2(geom, refl))
+
+
+def shifted_pairs(geom, rng):
+    """(c, cand): the trial centers c, each moved by up to a fiftieth of a
+    diameter, along the axis or in any direction; both score the same rows."""
+    span = 0.02 * geom.diameter
+    for c, along in zip(trial_centers(geom, rng), (True, False, False, True)):
+        c = np.asarray(c)
+        cand = c + (np.array([0.0, rng.uniform(-span, span)]) if along
+                    else rng.uniform(-span, span, 2))
+        if len(geom._scored(cand)) == len(geom._scored(c)):
+            yield c, cand
+
+
+def moved_ceiling(geom, ceiling, c, cand):
+    """The ceiling about c carried to cand, as the descent carries it."""
+    reach = 2.0 * math.hypot(*(cand - c))
+    return ceiling + (reach + symmetry._CEILING_SLACKS * geom._slack(cand))
+
+
+def count_bound_passes(mp):
+    """Record the row count of every bound pass."""
+    passes = []
+    bound_pass = _LoopGeometry._bound_dist2
+    mp.setattr(_LoopGeometry, "_bound_dist2",
+               lambda self, refl: passes.append(len(refl)) or bound_pass(self, refl))
+    return passes
+
+
+def without_ceilings(mp):
+    """Make every evaluation ignore the ceiling it is given."""
+    evaluate = _LoopGeometry.max_dist2
+    mp.setattr(_LoopGeometry, "max_dist2",
+               lambda self, center, seed=None, cut=math.inf, ceiling=None, low=-math.inf:
+               evaluate(self, center, seed, cut))
+
+
+class TestCeilings:
+    """On a loop that certifies, a row's value is its reflection's distance
+    to the polyline, which moves by at most 2 delta when the center moves
+    by delta; so a ceiling carried from the best center bounds a trial's
+    rows, and rows whose ceiling cannot reach the trial's lower bound skip
+    the bound pass without changing the score."""
+
+    @given(case=bounded_loops(), seed=st.integers(0, 2**32 - 1))
+    def test_moved_ceiling_covers_every_row(self, case, seed):
+        loop, _ = case
+        geom = _LoopGeometry(loop)
+        rng = np.random.default_rng(seed)
+        for c, cand in shifted_pairs(geom, rng):
+            ceiling = geom.max_dist2(c)[3]
+            if geom._normals is None:
+                assert ceiling is None
+                return
+            assert np.array_equal(ceiling >= np.sqrt(geom.reflect_dist2(c)), ~np.isnan(ceiling))
+            moved = moved_ceiling(geom, ceiling, c, cand)
+            assert (np.sqrt(geom.reflect_dist2(cand)) <= moved).all()
+
+    @given(case=bounded_loops(), seed=st.integers(0, 2**32 - 1))
+    def test_pruned_evaluation_keeps_the_score(self, case, seed):
+        loop, _ = case
+        assume(len(loop.points) <= 2046)
+        geom = _LoopGeometry(loop)
+        assume(geom._normals is not None)
+        rng = np.random.default_rng(seed)
+        for c, cand in shifted_pairs(geom, rng):
+            top, rows, vals, ceiling = geom.max_dist2(c)
+            worst = rows[symmetry._worst_rows(vals)]
+            low = geom.floor(c, worst)(cand)
+            moved = moved_ceiling(geom, ceiling, c, cand)
+            exact = geom.reflect_dist2(cand)
+            root = math.sqrt(exact.max())
+            for cut in (math.inf, root, np.nextafter(root, math.inf)):
+                plain = geom.max_dist2(cand, worst, cut)
+                pruned = geom.max_dist2(cand, worst, cut, moved, low)
+                assert (pruned is None) == (plain is None)
+                if pruned is None:
+                    continue
+                assert pruned[0] == plain[0] == exact.max()
+                # the refined rows take their exact values, and the ceiling
+                # handed back bounds every row about cand
+                assert np.array_equal(pruned[2], exact[pruned[1]])
+                assert (np.sqrt(exact) <= pruned[3]).all()
+
+    def test_nan_ceiling_keeps_its_row(self, cubic, monkeypatch):
+        loop = rq.trace_section(cubic, Plane(0.4, 0.0), 512)
+        geom = _LoopGeometry(loop)
+        center = np.array([0.0, 0.5 * (loop.z_lo + loop.z_hi)])
+        exact = geom.reflect_dist2(center)
+        ceiling = np.zeros(len(exact))
+        ceiling[7] = math.nan
+        passes = count_bound_passes(monkeypatch)
+        top, rows, vals, got = geom.max_dist2(center, ceiling=ceiling, low=1.0)
+        assert passes == [1]
+        assert list(rows) == [7] and top == exact[7] and vals[0] == exact[7]
+        assert got[7] == math.sqrt(exact[7])
+        assert np.array_equal(np.delete(got, 7), np.delete(ceiling, 7))
+        # a nan lower bound keeps every row
+        del passes[:]
+        assert geom.max_dist2(center, ceiling=ceiling, low=math.nan)[0] == exact.max()
+        assert passes == [len(exact)]
+
+    def test_ceiling_of_another_length_is_ignored(self, cubic):
+        loop = rq.trace_section(cubic, Plane(0.4, 0.0), 128)
+        geom = _LoopGeometry(loop)
+        z = 0.5 * (loop.z_lo + loop.z_hi)
+        # off the axis every row is scored; on it, only the first h
+        off = geom.max_dist2(np.array([1e-3 * geom.diameter, z]))
+        assert len(off[3]) == len(geom.pts)
+        on = geom.max_dist2(np.array([0.0, z]), ceiling=np.zeros(len(geom.pts)), low=1.0)
+        assert on[0] == geom.reflect_dist2((0.0, z)).max()
+        assert len(on[3]) == geom._half
+
+    @pytest.mark.parametrize("n", [128, 1024])
+    @pytest.mark.parametrize("free", [False, True])
+    def test_descent_bounds_fewer_rows(self, cubic, monkeypatch, n, free):
+        loop = rq.trace_section(cubic, Plane(0.4, 0.0), n)
+        geom = _LoopGeometry(loop)
+        assert geom._normals is not None
+        passes = count_bound_passes(monkeypatch)
+        center, asym = symmetry._centroid_descent(geom, free)
+        assert asym > 1e-4
+        scored = len(geom._scored(center))
+        assert sum(passes) < 0.5 * len(passes) * scored
+        del passes[:]
+        without_ceilings(monkeypatch)
+        assert repr(symmetry._centroid_descent(geom, free)) == repr((center, asym))
+        assert sum(passes) == len(passes) * scored
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
