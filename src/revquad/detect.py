@@ -298,8 +298,11 @@ def fit_quadratic(samples):
     b = b1 / spread - 2.0 * alpha * zbar / spread**2
     c = gamma - b1 * zbar / spread + alpha * (zbar / spread) ** 2
     pred = (a * z + b) * z + c
-    rms_err = float(np.sqrt(np.mean((v - pred) ** 2)))
-    rms_val = float(np.sqrt(np.mean(v**2)))
+    # squares of the values scaled by 2^-k, which is exact, cannot overflow
+    k = math.frexp(float(np.max(np.abs(v))))[1]
+    vs, ps = np.ldexp(v, -k), np.ldexp(pred, -k)
+    rms_err = math.ldexp(float(np.sqrt(np.mean((vs - ps) ** 2))), k)
+    rms_val = math.ldexp(float(np.sqrt(np.mean(vs**2))), k)
     return QuadricParams(float(a), float(b), float(c)), rms_err / max(1.0, rms_val)
 
 

@@ -188,16 +188,23 @@ def _critical_points(profile, lim):
         # the derivative's coefficients, as PPoly.derivative scales them
         crit = _pp_roots(profile.sample_z, profile._pchip[:-1] * _DERIVATIVE_SCALE)
     else:
-        crit = _poly_roots(P.polyder(profile.coeffs), lim)
+        with np.errstate(over="ignore"):  # _poly_roots rejects an overflow
+            der = P.polyder(profile.coeffs)
+        crit = _poly_roots(der, lim)
     return crit[np.abs(crit) < lim]
 
 
 def _poly_roots(coeffs, lim):
-    """Real parts of the roots of an ascending polynomial, for |z| <= lim."""
+    """Real parts of the roots of an ascending polynomial, for |z| <= lim.
+
+    Raises InvalidDomain when a coefficient has overflowed.
+    """
     # Leading terms below one rounding unit of the largest term on |z| <= lim
     # only add roots far outside the interval, and a tiny leading coefficient
     # would overflow the companion matrix: drop them.
     c = P.polytrim(coeffs)
+    if not np.isfinite(c).all():
+        raise InvalidDomain("polynomial coefficients overflow")
     with np.errstate(over="ignore", invalid="ignore"):
         size = np.abs(c) * lim ** np.arange(c.size)
     c = c[: np.flatnonzero(size >= 2.0 ** -52 * np.nanmax(size))[-1] + 1]
@@ -221,7 +228,8 @@ def _gap_roots(profile, m, beta):
         c[-1] -= qw * off * off
         roots = _pp_roots(x, c)
     else:
-        quad = qw * np.array([beta * beta, -2.0 * beta, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):  # _poly_roots rejects them
+            quad = qw * np.array([beta * beta, -2.0 * beta, 1.0])
         roots = _poly_roots(P.polysub(fw * profile.coeffs, quad), profile.q)
     return roots[np.abs(roots) < profile.q]
 

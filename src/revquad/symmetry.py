@@ -230,15 +230,13 @@ def max_min_dist_candidates(refl, seg_a, seg_d, seg_len2, cand, work=None):
     return _segment_dist2(apx, apy, dx, dy, len2, t, tmp).min(axis=0)
 
 
-def max_min_dist_all(refl, seg_a, seg_d, seg_len2, work=None):
+def max_min_dist_all(refl, seg_a, seg_d, seg_len2):
     """Per-point squared distance to the nearest segment of the whole polyline.
 
-    Scans all point-segment pairs at once, so the caller bounds
-    len(refl) * len(seg_a); returns an N-vector.  work, if given, is a flat
-    scratch array of at least 4 N len(seg_a) floats used in place of
-    temporaries.
+    Scans all point-segment pairs at once, in 4 N len(seg_a) floats, so
+    the caller bounds len(refl) * len(seg_a); returns an N-vector.
     """
-    apx, apy, t, tmp = _scratch(work, 4, (len(refl), len(seg_a)))
+    apx, apy, t, tmp = np.empty((4, len(refl), len(seg_a)))
     np.subtract(refl[:, 0:1], seg_a[:, 0], out=apx)
     np.subtract(refl[:, 1:2], seg_a[:, 1], out=apy)
     return _segment_dist2(apx, apy, seg_d[:, 0], seg_d[:, 1], seg_len2, t, tmp).min(axis=1)
@@ -275,25 +273,24 @@ class _LoopGeometry:
     and the two loop classes are in the module docstring).  For the bound,
     the vertices' polar angles about the bounding-box center, in
     box-normalised coordinates, are sorted here once; a bound pass
-    (_bound_dist2) is a value, which the refinement and the rejection read.
-    The loop's class is decided here once: a loop that certifies has edge
-    normals (_certify_normals), refines in sectors (_sector_dist2) and
-    bounds rows from below (_rejects, floor); on any other, a row's first
-    refinement allocates the all-pairs scan or builds the k-d tree
+    (_bound_dist2) is a value, its windows included, which the refinement
+    and the rejection read.  The loop's class is decided here once: a loop
+    that certifies has edge normals (_certify_normals), refines in sectors
+    (_sector_dist2) and bounds rows from below (_rejects, floor); on any
+    other, a row's refinement scans all pairs or queries the k-d tree
     (_row_dist2).  Every row's value is a function of the loop, the center
     and the row alone, so the score does not depend on which rows were
     refined, and reflect_dist2, which refines every row, is its reference.
 
-    The scratch arrays of the distance kernels are allocated here once and
-    reused by every evaluation, so the many evaluations of a centre search
-    do not allocate and release megabytes each; they hold the bound of
-    every row, and sector refinement runs in blocks that fit them.  The
-    general class allocates its own on first use (_near_buffers).  The
-    y-mirror layout of a traced loop is detected here once, exactly, from
-    the points alone (_mirror_half); evaluations about a center on the axis
-    then score only rows 0 .. h-1 (see the module docstring).  Other loops
-    (an m = 0 circle, a rotated or perturbed copy of a traced loop) and
-    centers off the axis are scored on every row.
+    The candidate kernel's scratch (_work) is allocated here once and reused
+    by every bound pass and sector block, so the many evaluations of a
+    centre search do not allocate and release megabytes each; the general
+    class allocates per refinement, at most 7 * 24 n floats or the all-pairs
+    scan's 4 n^2.  The y-mirror layout of a traced loop is detected here
+    once, exactly, from the points alone (_mirror_half); evaluations about a
+    center on the axis then score only rows 0 .. h-1 (see the module
+    docstring).  Other loops (an m = 0 circle, a rotated or perturbed copy
+    of a traced loop) and centers off the axis are scored on every row.
     """
 
     def __init__(self, points):
@@ -326,8 +323,6 @@ class _LoopGeometry:
         angles = self._angles(pts)
         order = np.argsort(angles, kind="stable")
         self._sorted_angles = angles[order]
-        # the windows of the last bound pass, kept for the lower bounds
-        self._win = np.empty(n * _BOUND_SEGS, dtype=np.intp)
         # only a loop that certifies has edge normals and _cert_angles[j + n],
         # the angle at sorted position j for j in [-n, 2n), unwrapped by 2 pi
         # past either end, and _sector_seg[j], the segment between sorted
@@ -337,7 +332,6 @@ class _LoopGeometry:
         if self._normals is None:
             # _ring[j + 2] is the vertex at sorted position j, wrapping
             self._ring = np.concatenate([order[-2:], order, order[:2]])
-            self._width = _BOUND_SEGS
         else:
             two_pi = 2.0 * np.pi
             s = self._sorted_angles
@@ -350,7 +344,6 @@ class _LoopGeometry:
             # _ring[j + 3] is _sector_seg[j], wrapping
             self._ring = np.concatenate([self._sector_seg[-3:], self._sector_seg,
                                          self._sector_seg[:2]])
-            self._width = _CERT_SEGS
         self._brute = n * n <= _BRUTE_PAIR_LIMIT
         # the bound pass, and each sector block of at most n chunks, fits this
         self._work = np.empty(7 * n * _BOUND_SEGS)
@@ -362,17 +355,6 @@ class _LoopGeometry:
         from scipy.spatial import cKDTree  # a slow import, needed here only
 
         return cKDTree(self.pts)
-
-    @cached_property
-    def _near_buffers(self):
-        """(candidate buffer, scratch) of _row_dist2: the 4 n^2 floats of
-        the all-pairs scan, or the k-d refinement's blocks, allocated by its
-        first call."""
-        n = len(self.pts)
-        if self._brute:
-            return None, np.empty(4 * n * n)
-        cand = np.empty(n * 2 * _KNN, dtype=np.intp)
-        return cand, np.empty(7 * len(cand))
 
     def _certify_normals(self, ccw, order):
         """The edges' outward unit normals (dy, -dx) / |d|, negated on a
@@ -402,54 +384,30 @@ class _LoopGeometry:
             return self.pts[: self._half]
         return self.pts
 
-    def _columns(self, k, m):
-        """A (k, m) index array, a view of the refinement buffer."""
-        return self._near_buffers[0][: k * m].reshape(k, m)
-
-    def _window_cols(self, m):
-        """The (width, m) window columns of the last bound pass over m rows."""
-        return self._win[: self._width * m].reshape(self._width, m)
-
-    def _window(self, refl, cols):
-        """Write each reflected point's angular window into cols: for an
-        angle that sorts into position j, the segments at the vertices at
-        sorted positions j - 2 .. j + 1.  Returns the angles and their
-        sorted positions j.
-
-        On a loop that certifies, those vertices are consecutive along the
-        loop, so their 8 segments are the 5 distinct segments between sorted
-        positions j - 3 and j + 2, _sector_seg[j - 3 .. j + 1], and cols is
-        (5, m).  Otherwise cols is (8, m): each vertex and the segment that
-        ends at it.
-        """
+    def _window(self, refl):
+        """(cols, theta, pos): each reflected point's angular window, a
+        (width, m) array of segments, with its angle and sorted position j.
+        The window holds the segments at the vertices at sorted positions
+        j - 2 .. j + 1.  On a loop that certifies, these are consecutive
+        along the loop, so their 8 segments are the 5 distinct ones
+        _sector_seg[j - 3 .. j + 1]; otherwise the 8 are each vertex, then
+        the segment that ends at it."""
         theta = self._angles(refl)
         pos = np.searchsorted(self._sorted_angles, theta)
         if self._normals is not None:
-            np.take(self._ring, pos + _CERT_OFFSETS, out=cols)
-            return theta, pos
-        half = _BOUND_SEGS // 2
-        np.add(pos, _WINDOW_OFFSETS, out=cols[half:])
-        np.take(self._ring, cols[half:], out=cols[:half])
+            return self._ring[pos + _CERT_OFFSETS], theta, pos
+        verts = self._ring[pos + _WINDOW_OFFSETS]
         # vertex v starts segment v; segment v - 1 (-1: the closing one) ends at v
-        np.subtract(cols[:half], 1, out=cols[half:])
-        return theta, pos
-
-    def _window_of(self, refl):
-        """The reflected points' windows, in a new (width, m) array."""
-        cols = np.empty((self._width, len(refl)), dtype=np.intp)
-        self._window(refl, cols)
-        return cols
+        return np.concatenate([verts, verts - 1]), theta, pos
 
     def _bound_dist2(self, refl):
-        """A bound pass over refl: (bound, theta, pos), each reflected
+        """A bound pass over refl: (bound, theta, pos, cols), each reflected
         point's squared distance to the nearest segment of its angular
-        window, with the angle and sorted position of _window.  The windows
-        stay in the _win scratch until the next pass."""
-        cols = self._window_cols(len(refl))
-        theta, pos = self._window(refl, cols)
+        window cols, with the angle and sorted position of _window."""
+        cols, theta, pos = self._window(refl)
         bound = max_min_dist_candidates(refl, self.seg_a, self.seg_d, self.seg_len2, cols.T,
                                         work=self._work)
-        return bound, theta, pos
+        return bound, theta, pos, cols
 
     def _sector(self, center, refl, bound):
         """(ratio, half) of each row: r / rho and the half-width
@@ -479,7 +437,7 @@ class _LoopGeometry:
         """
         n = len(self.pts)
         refl = refl[rows]
-        out, theta, pos = (part[rows] for part in bounds)
+        out, theta, pos = (part[rows] for part in bounds[:3])
         ratio, half = self._sector(center, refl, out)
         # extended positions e: segment e joins the angles e and e + 1
         first = np.searchsorted(self._cert_angles, theta - half) - 1
@@ -549,8 +507,7 @@ class _LoopGeometry:
     def _rejects(self, center, refl, bounds, cutoff):
         """Whether the rows' lower bounds, in the windows of the bound pass
         bounds over refl, prove the score's root above cutoff; never on a
-        loop of the general class.  That pass must be the last one made:
-        its windows are in _win.  Only rows whose upper bound exceeds
+        loop of the general class.  Only rows whose upper bound exceeds
         cutoff squared can, so only they are bounded; a nan bound proves
         nothing."""
         if self._normals is None or not cutoff < math.inf:
@@ -558,8 +515,7 @@ class _LoopGeometry:
         rows = np.flatnonzero(bounds[0] > cutoff * cutoff)
         if not len(rows):
             return False
-        cols = self._window_cols(len(refl))[:, rows]
-        return bool(self._row_lower(center, refl[rows], cols).max() > cutoff)
+        return bool(self._row_lower(center, refl[rows], bounds[3][:, rows]).max() > cutoff)
 
     def floor(self, center, rows):
         """A certified lower bound on the root of the score about centers
@@ -578,7 +534,7 @@ class _LoopGeometry:
             return None
         scored = len(self._scored(center))
         refl = 2.0 * center - self.pts[rows]
-        dist, nx, ny = self._outward(refl, self._window_of(refl))
+        dist, nx, ny = self._outward(refl, self._window(refl)[0])
 
         def bound(cand):
             if len(self._scored(cand)) < scored:
@@ -594,22 +550,13 @@ class _LoopGeometry:
         """Each row's value on a loop of the general class: the squared
         distance from each reflected point to the nearest segment of its
         near set and its window."""
-        cand, work = self._near_buffers
         if self._brute:
             # the near set is every segment, the window's among them
-            return max_min_dist_all(refl, self.seg_a, self.seg_d, self.seg_len2, work=work)
-        k = _KNN
-        rows = len(cand) // (2 * k + _BOUND_SEGS)
-        if len(refl) > rows:
-            return np.concatenate([self._row_dist2(refl[:rows]), self._row_dist2(refl[rows:])])
-        _, idx = self._tree.query(refl, k=k)
-        cols = self._columns(2 * k + _BOUND_SEGS, len(refl))
-        cols[:k] = idx.T
+            return max_min_dist_all(refl, self.seg_a, self.seg_d, self.seg_len2)
+        idx = self._tree.query(refl, k=_KNN)[1].T
         # idx - 1 is -1 for vertex 0, which indexes the closing segment
-        np.subtract(idx.T, 1, out=cols[k : 2 * k])
-        self._window(refl, cols[2 * k :])
-        return max_min_dist_candidates(refl, self.seg_a, self.seg_d, self.seg_len2, cols.T,
-                                       work=work)
+        cols = np.concatenate([idx, idx - 1, self._window(refl)[0]])
+        return max_min_dist_candidates(refl, self.seg_a, self.seg_d, self.seg_len2, cols.T)
 
     def reflect_dist2(self, center, rows=None):
         """Every scored row's value, all refined: the reference for max_dist2.

@@ -199,6 +199,30 @@ class TestDetectCommand:
         assert code == 2
         assert "delta" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("detect", "--profile", "cylinder:1,1e160"),
+        ("detect", "--profile", "cylinder:1,1e300"),
+        ("center", "--profile", "cylinder:1,1e200", "--slope", "0.5", "--intercept", "1e199"),
+    ])
+    def test_overflowing_section_polynomial_exits_2(self, capsys, argv):
+        # the section gap's coefficients overflow, which no root-finder takes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "overflow" in err
+
+    def test_huge_quadric_certifies(self, capsys):
+        # the squares of the fitted values overflow; the residual may not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "detect", "--profile", "quadric:0,0,1e200,1")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["is_quadric"] is True
+        assert obj["fit_residual"] < 1e-12
+
     def test_workers_below_one_is_usage_error(self, capsys):
         for value in ("0", "-2", "abc"):
             with pytest.raises(SystemExit) as exc:

@@ -185,6 +185,16 @@ class TestFitQuadratic:
         _, resid_big = rq.fit_quadratic(np.column_stack([z, big]))
         assert resid_big < 1e-5
 
+    def test_residual_of_huge_values_does_not_overflow(self):
+        # the squares of values near 2^600 overflow; the residual, relative
+        # to an RMS value above 1, is the unscaled samples' bit for bit
+        z = np.linspace(-1.0, 1.0, 68)
+        v = 2.0 + 0.3 * np.sin(3.0 * z)
+        _, resid = rq.fit_quadratic(np.column_stack([z, v]))
+        _, huge = rq.fit_quadratic(np.column_stack([z, np.ldexp(v, 600)]))
+        assert 0.0 < resid < 1.0
+        assert huge == resid
+
 
 class TestSweepIntercepts:
     def test_contract(self):

@@ -571,6 +571,12 @@ class TestParser:
         with pytest.raises(InvalidDomain):
             rq.parse_profile(spec)
 
+    def test_overflowing_derivative_rejected(self):
+        # F(-0.5) < 0, but the derivative's coefficients overflow, which
+        # would hide every critical point from the positivity check
+        with pytest.raises(InvalidDomain):
+            rq.parse_profile("poly:1,1e308,1e308;1")
+
     def test_parse_error_carries_position(self):
         with pytest.raises(ParseError) as info:
             rq.parse_profile("quadric:1,x,3,4")

@@ -571,7 +571,7 @@ class TestLowerBound:
             refl = 2.0 * center - geom._scored(center)
             picked = rng.choice(len(refl), min(64, len(refl)), replace=False)
             exact = oracle_distances(pts, refl[picked])
-            own = geom._row_lower(center, refl, geom._window_of(refl))
+            own = geom._row_lower(center, refl, geom._window(refl)[0])
             assert (own[picked] <= exact).all()
             # the bound pass's windows give every row the same guarantee:
             # no rejection at the oracle's all-rows score
@@ -585,6 +585,27 @@ class TestLowerBound:
                 if len(geom._scored(cand)) == len(refl):
                     assert floor(cand) <= moved.max()
 
+    def test_bound_pass_keeps_its_windows(self, cubic):
+        # a bound pass is a value: another pass, about another center and
+        # over another row count, changes neither its windows nor what
+        # _rejects reads from them
+        loop = rq.trace_section(cubic, Plane(0.4, 0.0), 512)
+        geom = _LoopGeometry(loop)
+        center = np.array([0.0, geom.box_center[1] + 0.05 * geom.diameter])
+        refl = 2.0 * center - geom._scored(center)
+        bounds = geom._bound_dist2(refl)
+        cols = bounds[3].copy()
+        top = geom._row_lower(center, refl, cols).max()
+        cutoffs = (0.5 * top, np.nextafter(top, 0.0), top)
+        before = [geom._rejects(center, refl, bounds, cut) for cut in cutoffs]
+        assert before == [True, True, False]
+        other = np.array([1e-3 * geom.diameter, geom.box_center[1]])
+        other_refl = 2.0 * other - geom._scored(other)
+        assert len(other_refl) != len(refl)
+        geom._bound_dist2(other_refl)
+        assert np.array_equal(bounds[3], cols)
+        assert [geom._rejects(center, refl, bounds, cut) for cut in cutoffs] == before
+
     def test_bound_is_tight_outside_a_square(self):
         square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         for pts in (square, square[::-1]):
@@ -593,7 +614,7 @@ class TestLowerBound:
             # the bottom edge, 0.5 and 1.5 away; about the center, on corners
             for center in ((0.5, -0.25), (0.5, 0.5)):
                 refl = 2.0 * np.array(center) - pts
-                low = geom._row_lower(center, refl, geom._window_of(refl))
+                low = geom._row_lower(center, refl, geom._window(refl)[0])
                 assert np.allclose(low, oracle_distances(pts, refl), rtol=0.0, atol=1e-11)
 
     @given(poly=polygons())
@@ -644,7 +665,7 @@ class TestLowerBound:
         refl = 2.0 * center - geom._scored(center)
         bounds = geom._bound_dist2(refl)
         refl[5] = math.nan  # one nan row among rows that would certify
-        assert math.isnan(geom._row_lower(center, refl, geom._window_of(refl))[5])
+        assert math.isnan(geom._row_lower(center, refl, geom._window(refl)[0])[5])
         inf_bounds = (np.full(len(refl), math.inf),) + bounds[1:]
         assert not geom._rejects(center, refl, inf_bounds, 0.0)
         assert not geom._rejects(center, refl, bounds, math.nan)
@@ -716,7 +737,7 @@ def certified(geom, center, refl, bounds):
     holds for, restated from the module docstring: the disc of radius r
     leaves out the box center, and the widened sector theta +- half lies
     strictly between the sorted angles at positions j - 3 and j + 2."""
-    bound, theta, pos = bounds
+    bound, theta, pos, _ = bounds
     ratio, half = geom._sector(center, refl, bound)
     n, ext = len(geom.pts), geom._cert_angles
     return (ratio < 1.0) & (ext[pos + n - 3] < theta - half) & (theta + half < ext[pos + n + 2])
@@ -725,8 +746,8 @@ def certified(geom, center, refl, bounds):
 def uncertified(bounds, n):
     """The bound pass bounds with its sorted positions moved past every
     angle of an n-point loop, so that no row keeps its bound."""
-    bound, theta, pos = bounds
-    return bound, theta, pos + 3 * n
+    bound, theta, pos, cols = bounds
+    return bound, theta, pos + 3 * n, cols
 
 
 def refine_every_row(mp):
@@ -796,7 +817,7 @@ class TestWindowCertificate:
         far = tuple(geom.box_center + 3.0 * geom.diameter * rng.uniform(-1.0, 1.0, 2))
         for center in nearby_centers(geom, rng) + [far]:
             refl = 2.0 * np.asarray(center) - geom.pts
-            five = geom._window_of(refl).T
+            five = geom._window(refl)[0].T
             eight = reference_window(geom.pts, refl)
             assert five.shape == (len(refl), 5)
             assert (five[:, :, None] == eight[:, None, :]).any(axis=2).all()
