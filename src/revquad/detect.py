@@ -275,8 +275,8 @@ def fit_quadratic(samples):
     Solves the 3x3 normal equations on the shifted and scaled abscissa
     u = (z - mean) / spread, then maps the coefficients back.  Returns
     (params, residual) with residual = RMS error / max(1, RMS value).
-    Raises InvalidDomain for a sample that is not finite, and RankDeficient
-    for fewer than 3 distinct abscissae.
+    Raises InvalidDomain for a sample that is not finite or a fit that is
+    not, and RankDeficient for fewer than 3 distinct abscissae.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < 3:
@@ -294,10 +294,15 @@ def fit_quadratic(samples):
     u = (z - zbar) / spread
     vand = np.column_stack([u * u, u, np.ones_like(u)])
     alpha, b1, gamma = np.linalg.solve(vand.T @ vand, vand.T @ v)
-    a = alpha / spread**2
-    b = b1 / spread - 2.0 * alpha * zbar / spread**2
-    c = gamma - b1 * zbar / spread + alpha * (zbar / spread) ** 2
-    pred = (a * z + b) * z + c
+    # spread**2 underflows on a tiny domain, where rounding noise in alpha
+    # over it is not finite: such samples cannot be fitted
+    with np.errstate(all="ignore"):
+        a = alpha / spread**2
+        b = b1 / spread - 2.0 * alpha * zbar / spread**2
+        c = gamma - b1 * zbar / spread + alpha * (zbar / spread) ** 2
+        pred = (a * z + b) * z + c
+    if not (np.isfinite([a, b, c]).all() and np.isfinite(pred).all()):
+        raise InvalidDomain("quadratic fit coefficients are not finite")
     # squares of the values scaled by 2^-k, which is exact, cannot overflow
     k = math.frexp(float(np.max(np.abs(v))))[1]
     vs, ps = np.ldexp(v, -k), np.ldexp(pred, -k)

@@ -197,7 +197,8 @@ def _critical_points(profile, lim):
 def _poly_roots(coeffs, lim):
     """Real parts of the roots of an ascending polynomial, for |z| <= lim.
 
-    Raises InvalidDomain when a coefficient has overflowed.
+    Raises InvalidDomain when a coefficient has overflowed, or the roots
+    would.
     """
     # Leading terms below one rounding unit of the largest term on |z| <= lim
     # only add roots far outside the interval, and a tiny leading coefficient
@@ -208,7 +209,12 @@ def _poly_roots(coeffs, lim):
     with np.errstate(over="ignore", invalid="ignore"):
         size = np.abs(c) * lim ** np.arange(c.size)
     c = c[: np.flatnonzero(size >= 2.0 ** -52 * np.nanmax(size))[-1] + 1]
-    return P.polyroots(c).real
+    # a kept leading coefficient can still be subnormal: the companion
+    # matrix's last column, c[:-1] / c[-1], must stay finite
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if c.size > 2 and not np.isfinite(c[:-1] / c[-1]).all():
+            raise InvalidDomain("polynomial roots overflow")
+        return P.polyroots(c).real
 
 
 def _gap_roots(profile, m, beta):

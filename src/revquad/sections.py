@@ -156,16 +156,16 @@ def _closing_brackets(profile, planes):
     cap = profile.q * (1.0 - 2.0 ** -52)
     sides, ends, at_beta, at_m = {}, [], [], []
     for i, k in enumerate(todo):
+        plane = planes[k]
         try:
             if read(i) <= 0.0:
                 raise InvalidDomain("gap is not positive at z = beta")
+            roots = sorted(_gap_roots(profile, plane.m, plane.beta).tolist())
+            wins = (_windows(plane.beta, roots, cap),
+                    _windows(-plane.beta, [-r for r in roots[::-1]], cap))
         except RevquadError as exc:
             out[k] = exc
             continue
-        plane = planes[k]
-        roots = sorted(_gap_roots(profile, plane.m, plane.beta).tolist())
-        wins = (_windows(plane.beta, roots, cap),
-                _windows(-plane.beta, [-r for r in roots[::-1]], cap))
         sides[k] = (len(ends), wins)
         ends += [s * z for s, side in zip(_SIGNS, wins) for win in side for z in win]
         at_beta += [plane.beta] * (len(ends) - len(at_beta))

@@ -149,8 +149,6 @@ _WINDOW_OFFSETS = np.arange(_BOUND_SEGS // 2)[:, None]
 # sorted positions 3 below and 2 above the point's (_LoopGeometry._window).
 _CERT_SEGS = 5
 _CERT_OFFSETS = np.arange(_CERT_SEGS)[:, None]
-# The columns of one chunk of a row's sector segments (_sector_dist2).
-_CHUNK_COLUMNS = np.arange(_BOUND_SEGS)[:, None]
 
 # Rows in an evaluation's seed, which it refines first: the rows of largest
 # bound, or the descent's worst rows at its best center (max_dist2).
@@ -345,7 +343,8 @@ class _LoopGeometry:
             self._ring = np.concatenate([self._sector_seg[-3:], self._sector_seg,
                                          self._sector_seg[:2]])
         self._brute = n * n <= _BRUTE_PAIR_LIMIT
-        # the bound pass, and each sector block of at most n chunks, fits this
+        # the bound pass, and each sector block of at most _BOUND_SEGS * n
+        # pairs, fits this
         self._work = np.empty(7 * n * _BOUND_SEGS)
 
     @cached_property
@@ -429,11 +428,10 @@ class _LoopGeometry:
         sorted angles at positions j - 3 and j + 2 keeps its bound; a nan
         bound keeps nothing.  Every other row takes its minimum over the
         segments between consecutive sorted angles that meet its sector,
-        every segment where r / rho is not below 1 (or nan).
-
-        Each such row's segments run through the candidate kernel in chunks
-        of _BOUND_SEGS columns, its last chunk padded with its own last
-        segment; a row's value is the smallest of its chunks'.
+        every segment where r / rho is not below 1 (or nan), in blocks of
+        rows sorted by that width: each row of a block scans the block's
+        widest, from its own first segment.  That span holds the row's
+        sector, whose minimum is the all-segments one, so it keeps the bits.
         """
         n = len(self.pts)
         refl = refl[rows]
@@ -447,26 +445,19 @@ class _LoopGeometry:
         every = ~near | (last - first >= n - 1)
         first[every] = 0
         last[every] = n - 1
-        refl, first, last = refl[todo], first[todo], last[todo]
-        chunks = (last - first) // _BOUND_SEGS + 1
-        ends = np.cumsum(chunks)
+        width = last - first + 1
+        # widest first; a width is at most n, so a block of at most
+        # _BOUND_SEGS * n pairs holds at least one row and fits _work
+        order = todo[np.argsort(-width[todo], kind="stable")]
         start = 0
-        while start < len(todo):
-            # blocks of at most n chunks, and at least one row, fit _work
-            base = ends[start - 1] if start else 0
-            stop = max(start + 1, int(np.searchsorted(ends, base + n, side="right")))
-            block = slice(start, stop)
-            counts = chunks[block]
-            owner = np.repeat(np.arange(stop - start), counts)
-            lead = np.cumsum(counts) - counts
-            col = np.arange(len(owner)) - lead[owner]
-            cols = first[block][owner] + _BOUND_SEGS * col + _CHUNK_COLUMNS
-            np.minimum(cols, last[block][owner], out=cols)
-            cand = self._sector_seg[cols % n]
-            vals = max_min_dist_candidates(refl[block][owner], self.seg_a, self.seg_d,
-                                           self.seg_len2, cand.T, work=self._work)
-            out[todo[block]] = np.minimum.reduceat(vals, lead)
-            start = stop
+        while start < len(order):
+            span = int(width[order[start]])
+            block = order[start : start + _BOUND_SEGS * n // span]
+            cols = first[block] + np.arange(span)[:, None]
+            out[block] = max_min_dist_candidates(refl[block], self.seg_a, self.seg_d,
+                                                 self.seg_len2, self._sector_seg[cols % n].T,
+                                                 work=self._work)
+            start += len(block)
         return out
 
     def _values(self, center, refl, rows, bounds):

@@ -203,9 +203,11 @@ class TestDetectCommand:
         ("detect", "--profile", "cylinder:1,1e160"),
         ("detect", "--profile", "cylinder:1,1e300"),
         ("center", "--profile", "cylinder:1,1e200", "--slope", "0.5", "--intercept", "1e199"),
+        ("center", "--profile", "cylinder:1,1e300", "--slope", "1e158", "--intercept", "0"),
     ])
     def test_overflowing_section_polynomial_exits_2(self, capsys, argv):
-        # the section gap's coefficients overflow, which no root-finder takes
+        # the section gap's coefficients overflow, or its roots would, which
+        # no root-finder takes
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv)
@@ -222,6 +224,16 @@ class TestDetectCommand:
         obj = json.loads(out)
         assert obj["is_quadric"] is True
         assert obj["fit_residual"] < 1e-12
+
+    def test_quadric_on_a_tiny_domain_exits_2(self, capsys):
+        # the fit's squared spread underflows, so its coefficients are not
+        # finite: bad input, not a refutation with a nan residual
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "detect", "--profile", "cylinder:1,1e-200")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "not finite" in err
 
     def test_workers_below_one_is_usage_error(self, capsys):
         for value in ("0", "-2", "abc"):

@@ -55,6 +55,12 @@ class TestCenterHeights:
             rq.center_heights(cylinder, 1.0, [0.0, 9.8], 64, 1e-4)
         assert "beta = 9.8" in str(info.value)
 
+    def test_root_errors_tagged_with_intercept(self):
+        prof = rq.parse_profile("cylinder:1,1e200")
+        with pytest.raises(InvalidDomain) as info:
+            rq.center_heights(prof, 0.5, [0.0, 1e199], 64, 1e-4)
+        assert str(info.value) == "beta = 1e+199: polynomial coefficients overflow"
+
     def test_slab_violation_flagged(self, sphere):
         # slope 0.5 is far above the bound for delta = 0.05: the loop spans
         # about 2 m sqrt(F) which cannot sit inside |z - beta| < 0.05
@@ -184,6 +190,14 @@ class TestFitQuadratic:
         big = 1e6 * (1.0 + z * z) + np.sin(10 * z)
         _, resid_big = rq.fit_quadratic(np.column_stack([z, big]))
         assert resid_big < 1e-5
+
+    @pytest.mark.parametrize("half", [1e-170, 1e-200])
+    def test_fit_on_a_tiny_domain_rejected(self, half):
+        # spread**2 underflows, and rounding noise in the curvature over it
+        # is not finite
+        z = np.linspace(-half, half, 33)
+        with pytest.raises(InvalidDomain, match="not finite"):
+            rq.fit_quadratic(np.column_stack([z, np.ones_like(z)]))
 
     def test_residual_of_huge_values_does_not_overflow(self):
         # the squares of values near 2^600 overflow; the residual, relative

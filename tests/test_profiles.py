@@ -577,6 +577,19 @@ class TestParser:
         with pytest.raises(InvalidDomain):
             rq.parse_profile("poly:1,1e308,1e308;1")
 
+    @pytest.mark.parametrize("spec, m", [
+        ("cylinder:1,1e300", 1e155), ("cylinder:1,1e300", 1e158), ("cylinder:1,1e300", 1e161),
+        ("cylinder:1,1e160", 8e159),
+    ])
+    def test_subnormal_leading_gap_coefficient_rejected(self, spec, m):
+        # the scaled gap's leading term (1 / m)^2 is subnormal but kept, and
+        # the companion matrix would divide by it
+        prof = rq.parse_profile(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDomain, match="roots overflow"):
+                profiles._gap_roots(prof, m, 0.0)
+
     def test_parse_error_carries_position(self):
         with pytest.raises(ParseError) as info:
             rq.parse_profile("quadric:1,x,3,4")

@@ -233,6 +233,14 @@ class TestBatchedExtents:
         kinds = [type(e) for e in sections._section_extents(cylinder, planes)]
         assert kinds == [tuple, LoopEscapesDomain, ZeroSlope, OutOfDomain, tuple, tuple]
 
+    def test_root_error_stays_with_its_plane(self):
+        # the second plane's gap coefficients overflow; the first closes
+        prof = rq.parse_profile("cylinder:1,1e200")
+        planes = [Plane(0.5, 0.0), Plane(0.5, 1e199)]
+        assert_batch_matches_one_plane_calls(prof, planes)
+        kinds = [type(e) for e in sections._section_extents(prof, planes)]
+        assert kinds == [tuple, InvalidDomain]
+
     def test_sphere_batch_reaching_q(self, sphere):
         # the steep planes' roots sit within a few ulp of z = +-q
         planes = [Plane(m, beta) for m in (1.0, 1e6, 1e9, 1e15) for beta in (-0.999, 0.0, 0.5)]

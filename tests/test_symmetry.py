@@ -759,11 +759,12 @@ def refine_every_row(mp):
 
 
 def count_kernel_runs(mp):
-    """Record the row count of every candidate-kernel run."""
+    """Record the (rows, columns) of every candidate-kernel run."""
     runs = []
     kernel = symmetry.max_min_dist_candidates
     mp.setattr(symmetry, "max_min_dist_candidates",
-               lambda refl, *args, **kw: runs.append(len(refl)) or kernel(refl, *args, **kw))
+               lambda refl, seg_a, seg_d, seg_len2, cand, **kw:
+               runs.append(cand.shape) or kernel(refl, seg_a, seg_d, seg_len2, cand, **kw))
     return runs
 
 
@@ -850,7 +851,7 @@ class TestWindowCertificate:
                 assert rq.centrality(loop, 1e-4).central
                 # one kernel run, the bound pass over the scored rows: no
                 # row was refined
-                assert runs == [len(refl)]
+                assert runs == [(len(refl), symmetry._CERT_SEGS)]
         # no all-pairs scan, no k-d tree
         assert scans == []
 
@@ -948,15 +949,30 @@ class TestSectorRefinement:
         pts = np.column_stack([np.cos(ang), 0.02 * np.sin(ang)])
         geom = _LoopGeometry(synthetic_loop(pts))
         assert geom._cert_angles is not None
+        n = len(geom.pts)
         center = np.array([3.0 * geom.diameter, 0.01])
         refl = 2.0 * center - geom.pts
         bounds = geom._bound_dist2(refl)
         assert (geom._sector(center, refl, bounds[0])[0] >= 1.0).all()
-        # 64 rows of 8 chunks each run in blocks of at most 64 chunks
-        blocks = count_kernel_runs(monkeypatch)
-        got = geom._sector_dist2(center, refl, bounds, np.arange(len(refl)))
-        assert blocks == [64] * 8
+        # 64 rows of 64 segments each run in blocks of 8 rows, 8 n pairs
+        runs = count_kernel_runs(monkeypatch)
+        got = geom._sector_dist2(center, refl, bounds, np.arange(n))
+        assert runs == [(8, 64)] * 8
         assert np.array_equal(got, all_segments_dist2(geom, refl))
+        # about a center near the loop, rows that take every segment and
+        # rows of narrow sectors share the blocks, widest first
+        center = np.array([0.5, 0.0])
+        refl = 2.0 * center - geom.pts
+        bounds = uncertified(geom._bound_dist2(refl), n)
+        ratio = geom._sector(center, refl, bounds[0])[0]
+        assert (ratio >= 1.0).any() and (ratio < 1.0).any()
+        del runs[:]
+        got = geom._sector_dist2(center, refl, bounds, np.arange(n))
+        assert np.array_equal(got, all_segments_dist2(geom, refl))
+        assert sum(rows for rows, _ in runs) == n
+        assert all(rows * cols <= symmetry._BOUND_SEGS * n for rows, cols in runs)
+        widths = [cols for _, cols in runs]
+        assert widths[0] == n and widths[-1] < n and widths == sorted(widths, reverse=True)
 
 
 def shifted_pairs(geom, rng):
