@@ -14,6 +14,22 @@ matter because a section's deviation from central symmetry scales like
 m^4 F'''(zeta): at slope mu/2 a visibly non-quadric profile still produces
 loops that are centrally symmetric to within ~1e-8, far below any usable
 tolerance, so shallow planes alone cannot witness non-quadrics.
+
+One non-central section refutes the surface (a quadric has only central
+sections), and a refutation reports one witness: the failing plane of
+largest asymmetry.  So the centre searches of failing planes run witness
+first.  Each plane is traced and scored where it is tested, in this
+process or a pool worker, but a probe whose midpoint fails makes only its
+search's first evaluation, at the centroid.  The detector then finishes
+those searches in this process, from the highest centroid score down, and
+stops each one as soon as its best score falls below the largest that a
+finished search found above the tolerance: such a plane cannot be the
+witness.  The witness keeps the plane, centre and asymmetry a full search
+of every plane gives, bit for bit; a stopped plane's record holds the
+best centre its search reached, whose asymmetry is at least the full
+search's and below the witness's.  Slab planes, whose centres are checked
+against the slab, and center_heights, which reports every centre, run
+every search to the end.
 """
 
 from __future__ import annotations
@@ -22,7 +38,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +63,7 @@ from .sections import (
     slope_bound,
     trace_section,
 )
-from .symmetry import CentralityReport, centrality
+from .symmetry import CentralityReport, PendingCentrality, centrality
 
 __all__ = [
     "CenterEntry",
@@ -85,14 +101,23 @@ class CenterCurve:
     entries: tuple[CenterEntry, ...]
 
     def __post_init__(self):
-        betas = [e.beta for e in self.entries]
-        if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-            raise InvalidDomain("center curve intercepts must be strictly increasing")
+        _check_increasing([e.beta for e in self.entries])
+
+
+def _check_increasing(betas):
+    if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
+        raise InvalidDomain("center curve intercepts must be strictly increasing")
 
 
 @dataclass(frozen=True)
 class SectionRecord:
-    """One tested plane: its loop extent and centrality outcome."""
+    """One tested plane: its loop extent and centrality outcome.
+
+    zeta, asymmetry and report come from the plane's centre search.  In a
+    refutation, a failing probe that cannot hold the witness stops its
+    search early: its record holds the best centre reached by then, whose
+    asymmetry is at least the full search's and below the witness's.
+    """
 
     m: float
     beta: float
@@ -105,7 +130,13 @@ class SectionRecord:
 
 @dataclass(frozen=True)
 class QuadricVerdict:
-    """Detector outcome plus the diagnostics that justify it."""
+    """Detector outcome plus the diagnostics that justify it.
+
+    witness is the failing plane of largest asymmetry, the first in plane
+    order on a tie, with the report of its full centre search.  The other
+    failing probes of a refutation may record stopped searches (see
+    SectionRecord); a certified verdict's records are all full searches.
+    """
 
     is_quadric: bool
     params: QuadricParams | None
@@ -123,22 +154,29 @@ class QuadricVerdict:
 def center_heights(profile, m, betas, n, tol, delta=None):
     """Trace a section per intercept and return the refined center curve.
 
-    Errors from tracing or scoring are re-raised tagged with the offending
-    intercept.  When delta is given, each loop must stay inside the slab
-    |z - beta| < delta and its center height within delta of beta;
-    violations raise SlabViolation instead of passing silently.
+    Intercepts that do not strictly increase raise InvalidDomain before any
+    plane is traced.  Errors from tracing or scoring are re-raised tagged
+    with the offending intercept.  Every failing section's centre search
+    runs to the end, so each zeta is the full search's.  When delta is
+    given, each loop must stay inside the slab |z - beta| < delta and its
+    center height within delta of beta; violations raise SlabViolation
+    instead of passing silently.
     """
     if not (m > 0.0):
         raise InvalidDomain(f"need slope m > 0, got {m!r}")
-    records = _records(_test_planes([(profile, float(m), float(b), n, tol, delta) for b in betas]))
+    betas = [float(b) for b in betas]
+    _check_increasing(betas)
+    args = [(profile, float(m), b, n, tol, delta) for b in betas]
+    records = _records(_test_planes(args, defer=False))
     entries = tuple(CenterEntry(r.beta, r.zeta, r.asymmetry) for r in records)
     return CenterCurve(m=float(m), entries=entries)
 
 
-def _test_plane(profile, m, beta, n, tol, delta=None, extent=None):
+def _test_plane(profile, m, beta, n, tol, delta=None, extent=None, defer=False):
     try:
         loop = trace_section(profile, Plane(m, beta), n, extent)
-        report = centrality(loop, tol)
+        # a slab plane's centre is checked below, so its search runs to the end
+        report = centrality(loop, tol, defer=defer and delta is None)
     except RevquadError as exc:
         raise exc.__class__(f"beta = {beta!r}: {exc}") from exc
     if delta is not None:
@@ -166,13 +204,15 @@ def _test_plane_star(args):
     return _test_plane(*args)
 
 
-def _test_planes(batch):
+def _test_planes(batch, defer=True):
     """Test a batch of planes of one profile, in order, up to the first that fails.
 
     batch holds _test_plane's arguments (profile, m, beta, n, tol, delta),
     with the same profile throughout.  The extents of all the planes are
     bisected together first; then each plane is traced and scored through
-    _test_plane_star, its extent passed in.  Returns the records and, after
+    _test_plane_star, its extent and defer passed in: with defer, a plane
+    outside any slab whose midpoint fails gets a PendingCentrality report,
+    which _finish_searches completes.  Returns the records and, after
     them, the tagged error of the first plane that fails, if one does.
     """
     planes = []
@@ -190,7 +230,7 @@ def _test_planes(batch):
         if isinstance(extent, RevquadError):
             extent = None
         try:
-            out.append(_test_plane_star((*args, extent)))
+            out.append(_test_plane_star((*args, extent, defer)))
         except RevquadError as exc:
             out.append(exc)
             break
@@ -203,6 +243,33 @@ def _records(entries):
         if isinstance(entry, RevquadError):
             raise entry
     return entries
+
+
+def _finish_searches(records, tol):
+    """The records with every pending centre search finished, witness first.
+
+    A pending record holds its search's start, the centroid, and its score
+    there.  The searches run from the highest start score down, ties in
+    plane order, and each stops once its best score is below the witness so
+    far: the largest score above tol of a search that ran to the end.  A
+    search's best score never rises, so the search that ends at the largest
+    score, and every other that ends at it, runs to the end, and the
+    witness keeps the plane, centre and score a full search of every plane
+    gives.  A stopped search's record holds the best centre it reached,
+    whose score is at least the full search's and below the witness's.
+    With no score above tol every search runs to the end.
+    """
+    records = list(records)
+    pending = {i for i, r in enumerate(records) if isinstance(r.report, PendingCentrality)}
+    witness = max((r.asymmetry for i, r in enumerate(records)
+                   if i not in pending and r.asymmetry > tol), default=-math.inf)
+    for i in sorted(pending, key=lambda i: (-records[i].asymmetry, i)):
+        report = records[i].report.finish(witness)
+        records[i] = replace(records[i], zeta=report.center[1], asymmetry=report.asymmetry,
+                             report=report)
+        if report.asymmetry > tol:
+            witness = max(witness, report.asymmetry)
+    return records
 
 
 def _map_pooled(size, args):
@@ -385,8 +452,10 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
     1), one task per worker: task i holds the planes i, i + k, i + 2k, ...
     Each batch (the serial run is one) bisects its planes' extents in
     lock-step, with the bits each extent has alone.  Records are put back
-    in plane order, and the first failing plane's error is raised, so the
-    outcome does not depend on the worker count.  Pooled calls share one
+    in plane order, and the first failing plane's error is raised; the
+    failing probes' centre searches then finish in this process, witness
+    first (see the module docstring), so the outcome does not depend on
+    the worker count.  Pooled calls share one
     warm pool for the life of the process: it is built by the first pooled
     call, rebuilt when a call needs another size, after a fork, or after a
     worker died, and shut down at interpreter exit.
@@ -416,6 +485,7 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
             for i, (m, beta) in enumerate(jobs)]
     procs = min(workers, len(args), os.cpu_count() or 1)
     records = _records(_map_pooled(procs, args) if procs > 1 else _test_planes(args))
+    records = _finish_searches(records, tol)
 
     curve = CenterCurve(
         m=m_sweep,

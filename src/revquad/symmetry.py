@@ -116,7 +116,7 @@ segments are stored the other way round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -125,6 +125,7 @@ from .errors import DegenerateLoop, InvalidDomain
 
 __all__ = [
     "CentralityReport",
+    "PendingCentrality",
     "centroid",
     "asymmetry_at",
     "centrality",
@@ -280,9 +281,10 @@ class _LoopGeometry:
     and the row alone, so the score does not depend on which rows were
     refined, and reflect_dist2, which refines every row, is its reference.
 
-    The candidate kernel's scratch (_work) is allocated here once and reused
-    by every bound pass and sector block, so the many evaluations of a
-    centre search do not allocate and release megabytes each; the general
+    The candidate kernel's scratch (_work) is allocated by the first
+    evaluation and reused by every bound pass and sector block, so the many
+    evaluations of a centre search do not allocate and release megabytes
+    each (a deferred search drops it until it resumes); the general
     class allocates per refinement, at most 7 * 24 n floats or the all-pairs
     scan's 4 n^2.  The y-mirror layout of a traced loop is detected here
     once, exactly, from the points alone (_mirror_half); evaluations about a
@@ -343,9 +345,19 @@ class _LoopGeometry:
             self._ring = np.concatenate([self._sector_seg[-3:], self._sector_seg,
                                          self._sector_seg[:2]])
         self._brute = n * n <= _BRUTE_PAIR_LIMIT
-        # the bound pass, and each sector block of at most _BOUND_SEGS * n
-        # pairs, fits this
-        self._work = np.empty(7 * n * _BOUND_SEGS)
+
+    @cached_property
+    def _work(self):
+        """The candidate kernel's scratch, which the bound pass and each
+        sector block of at most _BOUND_SEGS * n pairs fit.  A deferred
+        centre search drops it (release_scratch); its next evaluation
+        allocates it again."""
+        return np.empty(7 * len(self.pts) * _BOUND_SEGS)
+
+    def release_scratch(self):
+        """Drop _work, so a geometry kept for later holds only the loop's
+        own arrays, and pickles without it."""
+        self.__dict__.pop("_work", None)
 
     @cached_property
     def _tree(self):
@@ -773,7 +785,7 @@ def asymmetry_at(loop, center):
     return dist / geom.diameter
 
 
-def centrality(loop, tol, free_center=False):
+def centrality(loop, tol, free_center=False, defer=False):
     """Find the best center and decide centrality at the given tolerance.
 
     The midpoint of the loop's extent (its bounding box) is tried first: a
@@ -790,6 +802,10 @@ def centrality(loop, tol, free_center=False):
     on its turning points and upper branch only, which its mirror symmetry
     makes equal to the full score in exact arithmetic (see the module
     docstring); centers off the axis are scored on every vertex.
+
+    With defer=True a failing midpoint makes only the search's first
+    evaluation, at the centroid, and returns a PendingCentrality, whose
+    finish resumes the search from there.
     """
     if not (0.0 < tol < math.inf):
         raise InvalidDomain(f"tolerance must be positive and finite, got {tol!r}")
@@ -802,19 +818,63 @@ def centrality(loop, tol, free_center=False):
     got = geom.max_dist2(center, cut=cut)
     asym = math.inf if got is None else _root(got[0]) / geom.diameter
     if not asym <= tol:
+        if defer:
+            start = _centroid_start(geom, free_center)
+            geom.release_scratch()
+            return _report(start[0], start[1] / geom.diameter, tol, PendingCentrality,
+                           search=(geom, free_center, start))
         center, asym = _centroid_descent(geom, free_center)
-    return CentralityReport(
+    return _report(center, asym, tol)
+
+
+@dataclass(frozen=True)
+class PendingCentrality(CentralityReport):
+    """The report of a failing midpoint whose centre search is deferred.
+
+    centrality(..., defer=True) returns it after the search's first
+    evaluation: center and asymmetry are the centroid's, where the search
+    starts, and central tells whether that score is within the tolerance.
+    search holds the loop geometry, without its kernel scratch, and the
+    start, so the report crosses a process pool pickled.
+    """
+
+    search: tuple = field(compare=False, repr=False)
+
+    def finish(self, stop=-math.inf):
+        """The plain report once the search ends: after its last halving,
+        or as soon as its best score is below stop.  The best score never
+        rises, so a search stopped early reports a score at least the full
+        search's and below stop; with stop = -inf it is the report
+        centrality gives without defer, bit for bit."""
+        geom, free_center, start = self.search
+        center, asym = _centroid_descent(geom, free_center, start, stop)
+        return _report(center, asym, self.tolerance)
+
+
+def _report(center, asym, tol, kind=CentralityReport, **extra):
+    return kind(
         center=(float(center[0]), float(center[1])),
         asymmetry=asym,
         tolerance=float(tol),
         central=bool(asym <= tol),
+        **extra,
     )
 
 
-def _centroid_descent(geom, free_center):
+def _centroid_start(geom, free_center):
+    """The search's first evaluation, at the centroid: (center, best,
+    worst, ceiling), best the root of its score and worst its worst rows."""
+    cy, cz = centroid(geom.pts)
+    center = np.array([cy, cz]) if free_center else np.array([0.0, cz])
+    top, rows, vals, ceiling = geom.max_dist2(center)
+    return center, _root(top), rows[_worst_rows(vals)], ceiling
+
+
+def _centroid_descent(geom, free_center, start=None, stop=-math.inf):
     """Coordinate descent from the centroid; returns (center, asymmetry).
 
-    A trial center is an evaluation seeded with the worst rows of the best
+    start is _centroid_start's result, when it was made already.  A trial
+    center is an evaluation seeded with the worst rows of the best
     center and cut at the best score, so it returns a score only when that
     score is lower, and the trial is then accepted.  Its values are the
     bits any evaluation gives its rows, and a bound never supplies a score,
@@ -824,17 +884,17 @@ def _centroid_descent(geom, free_center):
     moved by 2 step and a rounding slack, leave out of the evaluation the
     rows that cannot reach that lower bound (max_dist2).  The worst rows
     and the ceilings of an accepted center are taken from its evaluation.
+    The descent stops early once its asymmetry is below stop.
     """
-    cy, cz = centroid(geom.pts)
-    center = np.array([cy, cz]) if free_center else np.array([0.0, cz])
-    top, rows, vals, ceiling = geom.max_dist2(center)
-    best, worst = _root(top), rows[_worst_rows(vals)]
+    center, best, worst, ceiling = _centroid_start(geom, free_center) if start is None else start
     dirs = [np.array([0.0, 1.0])]
     if free_center:
         dirs.append(np.array([1.0, 0.0]))
     step = geom.diameter / 8.0
     floor = geom.floor(center, worst)
     for _ in range(20):
+        if best / geom.diameter < stop:
+            break
         for d in dirs:
             for cand in (center + step * d, center - step * d):
                 low = -math.inf if floor is None else floor(cand)

@@ -3,6 +3,7 @@ quadric decision procedure."""
 
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -12,12 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import revquad as rq
 import revquad.detect as detect_module
 from revquad import (
     CenterCurve,
     CenterEntry,
+    CentralityReport,
     InvalidDomain,
     LoopEscapesDomain,
     Plane,
@@ -26,6 +29,7 @@ from revquad import (
     SingularConfiguration,
     SlabViolation,
 )
+from revquad.symmetry import PendingCentrality
 
 from conftest import oracle_quadratic_fit
 
@@ -75,6 +79,29 @@ class TestCenterHeights:
         )
         with pytest.raises(InvalidDomain):
             CenterCurve(m=0.5, entries=entries)
+
+    @pytest.mark.parametrize("betas", [[0.2, -0.2], [0.0, 0.1, 0.1]])
+    def test_intercept_order_checked_before_tracing(self, sphere, monkeypatch, betas):
+        traced = []
+        real = detect_module.trace_section
+        monkeypatch.setattr(detect_module, "trace_section",
+                            lambda *args: traced.append(args) or real(*args))
+        with pytest.raises(InvalidDomain) as info:
+            rq.center_heights(sphere, 0.3, betas, 256, 1e-4)
+        assert str(info.value) == "center curve intercepts must be strictly increasing"
+        assert traced == []
+
+    @pytest.mark.parametrize("spec, m", [("poly:2,0,0,1;1", 0.4), ("poly:1,0,-1,0,0.05;1", 0.6)])
+    def test_failing_sections_report_full_searches(self, spec, m):
+        # at these steep slopes the sections fail their midpoint test; each
+        # entry is still the full search's centre and asymmetry, bit for bit
+        prof = rq.parse_profile(spec)
+        betas = [-0.3, -0.1, 0.2]
+        curve = rq.center_heights(prof, m, betas, 512, 1e-4)
+        want = [rq.centrality(rq.trace_section(prof, Plane(m, b), 512), 1e-4) for b in betas]
+        assert all(not w.central for w in want)
+        assert curve.entries == tuple(CenterEntry(b, w.center[1], w.asymmetry)
+                                      for b, w in zip(betas, want))
 
 
 class TestPredictedCenterHeight:
@@ -493,6 +520,97 @@ class TestWarmPool:
             detect_module._records(detect_module._map_pooled(2, args))
         assert str(pooled.value) == str(serial.value)
         assert str(serial.value).startswith("beta = 9.8: gap stays positive")
+
+
+def full_searches(profile, verdict, n, tol):
+    """Each recorded plane's report from a full centre search, on the loop
+    traced over the recorded extent."""
+    return [rq.centrality(rq.trace_section(profile, Plane(r.m, r.beta), n, (r.z_lo, r.z_hi)), tol)
+            for r in verdict.sections]
+
+
+def check_witness_first(profile, n=1024, tol=1e-4):
+    """Detect at both worker counts: the witness is the full searches'
+    worst plane, bit for bit, and every other record is the full search's
+    or a stopped one between it and the witness."""
+    ref = None
+    for workers in (1, 2):
+        v = rq.detect_quadric(profile, 0.1 * profile.q, 17, n, tol, workers=workers)
+        if ref is None:
+            ref = full_searches(profile, v, n, tol)
+            worst = max(range(len(ref)), key=lambda i: ref[i].asymmetry)
+        assert not v.is_quadric
+        plane, report = v.witness
+        want = v.sections[worst]
+        assert plane == Plane(want.m, want.beta)
+        assert repr(report) == repr(ref[worst])
+        assert report == ref[worst]
+        for r, full in zip(v.sections, ref):
+            assert type(r.report) is CentralityReport
+            assert r.report.center[1] == r.zeta and r.report.asymmetry == r.asymmetry
+            if r.report != full:
+                assert full.asymmetry <= r.asymmetry < report.asymmetry
+    return v, ref
+
+
+class TestWitnessFirst:
+    @pytest.mark.parametrize("spec", ["poly:2,0,0,1;1", "poly:1,0,-1,0,0.05;1"])
+    def test_witness_keeps_its_bits(self, spec):
+        v, ref = check_witness_first(rq.parse_profile(spec))
+        # the failing probes that cannot hold the witness do stop early
+        assert any(r.report != full for r, full in zip(v.sections, ref))
+
+    def test_sampled_table_witness(self):
+        z = np.linspace(-1.0, 1.0, 200)
+        check_witness_first(rq.make_sampled_profile(z, ((0.3 * z + 0.2) * z - 0.1) * z + 1.7))
+
+    @settings(max_examples=8)
+    @given(c0=st.floats(1.8, 2.5), c1=st.floats(-0.3, 0.3), c2=st.floats(-0.5, 0.5),
+           c3=st.floats(0.3, 0.8), sign=st.sampled_from([-1.0, 1.0]))
+    def test_cubic_perturbations(self, c0, c1, c2, c3, sign):
+        prof = rq.parse_profile(f"poly:{c0!r},{c1!r},{c2!r},{sign * c3!r};1")
+        check_witness_first(prof, n=256)
+
+    def test_later_search_overtakes_the_first(self):
+        # the mirror probes at beta = -0.2 and 0.2 agree to 13 digits; the
+        # first scores higher at its centroid and is searched first, the
+        # second ends higher and must not stop: it is the witness
+        prof = rq.parse_profile("poly:1,0,1,0,1;1")
+        v, ref = check_witness_first(prof)
+        (lo, lo_ref), (hi, hi_ref) = [(r, f) for r, f in zip(v.sections, ref)
+                                      if r.m != v.slope and abs(abs(r.beta) - 0.2) < 1e-12]
+        assert v.witness[0] == Plane(hi.m, hi.beta)
+        assert lo.report == lo_ref and hi.report == hi_ref
+        assert lo_ref.asymmetry < hi_ref.asymmetry == pytest.approx(lo_ref.asymmetry, rel=1e-12)
+        tol = 1e-4
+        starts = [rq.centrality(rq.trace_section(prof, Plane(r.m, r.beta), 1024), tol, defer=True)
+                  for r in (lo, hi)]
+        assert starts[0].asymmetry > starts[1].asymmetry
+
+    def test_tied_planes_both_run_to_the_end(self, cubic, monkeypatch):
+        # two probes on one plane tie at every step: the second search is
+        # never below the first's finished score, so it runs to the end too,
+        # and the witness is the first of them
+        real = detect_module._probe_planes
+        monkeypatch.setattr(detect_module, "_probe_planes",
+                            lambda *args: [real(*args)[2]] * 2 + real(*args)[:2])
+        v = rq.detect_quadric(cubic, 0.1, 17, 512, 1e-4)
+        ref = full_searches(cubic, v, 512, 1e-4)
+        assert v.sections[17] == v.sections[18]
+        assert v.sections[17].report == ref[17]
+        assert v.witness == (Plane(v.sections[17].m, v.sections[17].beta), ref[17])
+        assert ref[17].asymmetry == max(r.asymmetry for r in ref)
+
+    def test_pending_report_resumes_to_the_full_search(self, cubic):
+        loop = rq.trace_section(cubic, Plane(0.5, 0.0), 512)
+        full = rq.centrality(loop, 1e-4)
+        pending = rq.centrality(loop, 1e-4, defer=True)
+        assert isinstance(pending, PendingCentrality)
+        assert "_work" not in vars(pending.search[0])
+        resumed = pickle.loads(pickle.dumps(pending))
+        assert repr(resumed.finish()) == repr(full)
+        stopped = resumed.finish(full.asymmetry * 1.5)
+        assert full.asymmetry <= stopped.asymmetry < full.asymmetry * 1.5
 
 
 MA_PROBE = """
