@@ -30,6 +30,16 @@ best centre its search reached, whose asymmetry is at least the full
 search's and below the witness's.  Slab planes, whose centres are checked
 against the slab, and center_heights, which reports every centre, run
 every search to the end.
+
+A central plane needs no exact score either: a quadric has only central
+sections, so the plane is settled by any proof that its loop is within
+tol of central symmetry about the midpoint.  Every plane is tested with
+centrality's midpoint bound (bound=True), an upper bound on the
+midpoint's score that builds no loop geometry; a plane whose bound is
+within tol passes on it, and only the others take the exact test.  A
+central plane's record thus keeps the full search's centre, bit for bit,
+and holds as its asymmetry a certified upper bound in [midpoint score,
+tol].  The witness and every failing record are the exact test's.
 """
 
 from __future__ import annotations
@@ -88,6 +98,12 @@ _pool = None
 
 
 class CenterEntry(NamedTuple):
+    """One plane of a center curve: intercept, center height and asymmetry.
+
+    A central plane's asymmetry is the certified upper bound it passed on,
+    in [midpoint score, tol] (see the module docstring).
+    """
+
     beta: float
     zeta: float
     asymmetry: float
@@ -113,7 +129,9 @@ def _check_increasing(betas):
 class SectionRecord:
     """One tested plane: its loop extent and centrality outcome.
 
-    zeta, asymmetry and report come from the plane's centre search.  In a
+    zeta, asymmetry and report come from the plane's centrality test.  A
+    central plane's centre is the midpoint, and its asymmetry a certified
+    upper bound on the midpoint's score, in [midpoint score, tol].  In a
     refutation, a failing probe that cannot hold the witness stops its
     search early: its record holds the best centre reached by then, whose
     asymmetry is at least the full search's and below the witness's.
@@ -134,8 +152,10 @@ class QuadricVerdict:
 
     witness is the failing plane of largest asymmetry, the first in plane
     order on a tie, with the report of its full centre search.  The other
-    failing probes of a refutation may record stopped searches (see
-    SectionRecord); a certified verdict's records are all full searches.
+    failing probes of a refutation may record stopped searches, and every
+    central plane's record holds the full search's centre with a certified
+    upper bound in [midpoint score, tol] as its asymmetry (see
+    SectionRecord).
     """
 
     is_quadric: bool
@@ -157,7 +177,9 @@ def center_heights(profile, m, betas, n, tol, delta=None):
     Intercepts that do not strictly increase raise InvalidDomain before any
     plane is traced.  Errors from tracing or scoring are re-raised tagged
     with the offending intercept.  Every failing section's centre search
-    runs to the end, so each zeta is the full search's.  When delta is
+    runs to the end, so each zeta is the full search's; a central
+    section's asymmetry is a certified upper bound in [midpoint score,
+    tol], its zeta the midpoint's, as the full search's.  When delta is
     given, each loop must stay inside the slab |z - beta| < delta and its
     center height within delta of beta; violations raise SlabViolation
     instead of passing silently.
@@ -176,7 +198,7 @@ def _test_plane(profile, m, beta, n, tol, delta=None, extent=None, defer=False):
     try:
         loop = trace_section(profile, Plane(m, beta), n, extent)
         # a slab plane's centre is checked below, so its search runs to the end
-        report = centrality(loop, tol, defer=defer and delta is None)
+        report = centrality(loop, tol, defer=defer and delta is None, bound=True)
     except RevquadError as exc:
         raise exc.__class__(f"beta = {beta!r}: {exc}") from exc
     if delta is not None:

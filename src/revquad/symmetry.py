@@ -111,6 +111,14 @@ points and the upper branch, about half the rows.  Every scored row keeps
 the bits a full evaluation gives it, so the score is the full one or
 lower, and lower only by the rounding of the skipped rows, whose mirrored
 segments are stored the other way round.
+
+A y-mirror loop's midpoint test can also pass on a bound, with no loop
+geometry built (centrality's bound=True, _midpoint_bound): each scored row
+takes only the two segments at the vertex where a central loop's
+reflection of it lands, a minimum over fewer segments than its value's,
+and the diameter is bounded from below.  Where their ratio is within tol
+it is a certified upper bound on the midpoint's score, and the loop is
+central; anywhere else the exact test runs.
 """
 
 from __future__ import annotations
@@ -785,7 +793,7 @@ def asymmetry_at(loop, center):
     return dist / geom.diameter
 
 
-def centrality(loop, tol, free_center=False, defer=False):
+def centrality(loop, tol, free_center=False, defer=False, bound=False):
     """Find the best center and decide centrality at the given tolerance.
 
     The midpoint of the loop's extent (its bounding box) is tried first: a
@@ -803,12 +811,25 @@ def centrality(loop, tol, free_center=False, defer=False):
     makes equal to the full score in exact arithmetic (see the module
     docstring); centers off the axis are scored on every vertex.
 
+    With bound=True and the center pinned, a y-mirror loop first takes a
+    certified upper bound on the midpoint's score (_midpoint_bound), which
+    builds no loop geometry.  When that bound is within tol, the midpoint
+    is returned with the bound as its asymmetry: at most tol and, on a loop
+    that certifies, at least the midpoint's score, so the report is central
+    as the exact one is, with the same center.  Otherwise, and on any
+    other loop, the exact test runs as without bound.
+
     With defer=True a failing midpoint makes only the search's first
     evaluation, at the centroid, and returns a PendingCentrality, whose
     finish resumes the search from there.
     """
     if not (0.0 < tol < math.inf):
         raise InvalidDomain(f"tolerance must be positive and finite, got {tol!r}")
+    if bound and not free_center:
+        loop = _as_points(loop)
+        passed = _midpoint_bound(loop, tol)
+        if passed is not None:
+            return passed
     geom = _LoopGeometry(loop)
     center = geom.box_center.copy()
     if not free_center:
@@ -825,6 +846,65 @@ def centrality(loop, tol, free_center=False, defer=False):
                            search=(geom, free_center, start))
         center, asym = _centroid_descent(geom, free_center)
     return _report(center, asym, tol)
+
+
+def _midpoint_bound(pts, tol):
+    """The central report of a y-mirror loop at its midpoint, with a
+    certified upper bound on the midpoint's score as its asymmetry, when
+    that bound is within tol; else None, and on any other loop.
+
+    The midpoint (0, (min z + max z) / 2) is the exact test's, bit for
+    bit, and so are the scored rows 0 .. h-1 and their reflections.  Each
+    row i is scored against only the two segments at vertex (h + i - 1)
+    mod n, which sits at the row's Chebyshev level on the other branch,
+    where a central loop's reflection lands.  Each point-segment pair has
+    the bits it has in the exact test, so the row's value, a minimum over
+    fewer segments, is at least the row's distance to the whole polyline.
+    That is the row's exact value on every loop that certifies (quadric
+    sections among them) and on every small one; on a large loop of the
+    general class the exact value is a minimum over a near set, which
+    holds that vertex wherever the reflection lands close to it.  The
+    diameter is bounded from below (_mirror_diameter_floor).  None, too,
+    wherever a value is not finite or the diameter could overflow, so
+    every error of the exact test is raised there as before.
+    """
+    h = _mirror_half(pts)
+    if h is None:
+        return None
+    diameter = _mirror_diameter_floor(pts, h)
+    # every edge joins two vertices, so its squared length is finite too
+    if not diameter > 0.0:
+        return None
+    with np.errstate(all="ignore"):
+        seg_d = np.roll(pts, -1, axis=0) - pts
+        len2 = seg_d[:, 0] ** 2 + seg_d[:, 1] ** 2
+        z = pts[:, 1]
+        center = np.array([0.0, 0.5 * (z.min() + z.max())])
+        # segments h + i - 2 and h + i - 1, at vertex h + i - 1; the kernel
+        # reads index n as 0
+        cand = np.arange(h - 2, 2 * h - 2) + np.arange(2)[:, None]
+        d2 = max_min_dist_candidates(2.0 * center - pts[:h], pts, seg_d,
+                                     np.where(len2 > 0.0, len2, 1.0), cand.T)
+        asym = _root(d2.max()) / diameter
+    return _report(center, asym, tol) if asym <= tol else None
+
+
+def _mirror_diameter_floor(pts, h):
+    """A lower bound on the chart diameter of a y-mirror loop of half h:
+    the larger of the widest mirror pair (y, z), (-y, z), squared as
+    dx*dx + dy*dy with dy = 0, and the squared z-range, which the pair of
+    lowest and highest vertices spans at least.  nan where the exact
+    diameter could overflow: no pair of vertices is wider than the widest
+    or taller than the z-range, so every pair's squared distance is finite
+    when the sum of those two squares is."""
+    z = pts[:, 1]
+    with np.errstate(over="ignore"):
+        tall = z.max() - z.min()
+        wide = 2.0 * pts[1 : h - 1, 0]
+        tall2, wide2 = float(tall * tall), float((wide * wide).max())
+    if not math.isfinite(tall2 + wide2):
+        return math.nan
+    return _root(max(tall2, wide2))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import revquad as rq
 import revquad.detect as detect_module
@@ -23,12 +23,14 @@ from revquad import (
     CentralityReport,
     InvalidDomain,
     LoopEscapesDomain,
+    NonPositiveProfile,
     Plane,
     QuadricParams,
     RankDeficient,
     SingularConfiguration,
     SlabViolation,
 )
+from revquad import symmetry
 from revquad.symmetry import PendingCentrality
 
 from conftest import oracle_quadratic_fit
@@ -611,6 +613,61 @@ class TestWitnessFirst:
         assert repr(resumed.finish()) == repr(full)
         stopped = resumed.finish(full.asymmetry * 1.5)
         assert full.asymmetry <= stopped.asymmetry < full.asymmetry * 1.5
+
+
+class _CountingGeometry(symmetry._LoopGeometry):
+    built = 0
+
+    def __init__(self, points):
+        type(self).built += 1
+        super().__init__(points)
+
+
+def check_bound_records(profile, n=1024, tol=1e-4):
+    """Certify at both worker counts: every record keeps the full search's
+    centre and zeta, bit for bit, with an asymmetry between the full
+    search's and tol, and the serial run builds no loop geometry."""
+    serial = None
+    for workers in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(symmetry, "_LoopGeometry", _CountingGeometry)
+            _CountingGeometry.built = 0
+            v = rq.detect_quadric(profile, 0.1 * profile.q, 17, n, tol, workers=workers)
+            if workers == 1:
+                assert _CountingGeometry.built == 0
+        assert v.is_quadric
+        if serial is None:
+            serial = v
+            ref = full_searches(profile, v, n, tol)
+        assert v.sections == serial.sections
+        for r, full in zip(v.sections, ref):
+            assert r.report.center == full.center and r.zeta == full.center[1]
+            assert full.asymmetry <= r.asymmetry == r.report.asymmetry <= tol
+
+
+class TestMidpointBound:
+    @pytest.mark.parametrize("spec", ["sphere", "cylinder:1,10", "hyperboloid:1,2",
+                                      "paraboloid:2,1"])
+    def test_presets(self, spec):
+        check_bound_records(rq.parse_profile(spec))
+
+    @settings(max_examples=3)
+    @given(a=st.floats(-0.5, 1.0), b=st.floats(-0.5, 0.5), c=st.floats(1.0, 2.0),
+           q=st.floats(0.8, 1.5))
+    def test_drawn_quadric(self, a, b, c, q):
+        try:
+            prof = rq.parse_profile(f"quadric:{a!r},{b!r},{c!r},{q!r}")
+        except NonPositiveProfile:
+            assume(False)
+        check_bound_records(prof)
+
+    def test_center_heights_keep_the_full_search_zeta(self, sphere):
+        betas = [-0.4, -0.1, 0.0, 0.2, 0.5]
+        curve = rq.center_heights(sphere, 0.5, betas, 1024, 1e-4)
+        for e in curve.entries:
+            full = rq.centrality(rq.trace_section(sphere, Plane(0.5, e.beta), 1024), 1e-4)
+            assert e.zeta == full.center[1]
+            assert full.asymmetry <= e.asymmetry <= 1e-4
 
 
 MA_PROBE = """

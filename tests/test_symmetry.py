@@ -1332,6 +1332,76 @@ class TestCentrality:
         assert rep.central == (rq.asymmetry_at(loop, rep.center) <= tol)
 
 
+@st.composite
+def mirror_loops(draw):
+    """A traced section of a quadric or of a cubic perturbation of one, at
+    a drawn slope, intercept and n in [256, 2048]."""
+    c0, c1, c2 = draw(st.floats(1.8, 2.5)), draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.5, 0.5))
+    c3 = draw(st.sampled_from((0.0, 1.0))) * draw(st.floats(-0.8, 0.8))
+    prof = rq.parse_profile(f"poly:{c0!r},{c1!r},{c2!r},{c3!r};1")
+    plane = Plane(draw(st.floats(0.05, 0.5)), draw(st.floats(-0.5, 0.5)))
+    try:
+        return rq.trace_section(prof, plane, draw(st.integers(256, 2048)))
+    except rq.RevquadError:
+        assume(False)
+
+
+class TestMidpointBound:
+    @given(loop=mirror_loops(), tol=st.sampled_from((1e-6, 1e-4, 1e-2)))
+    def test_bound_report_brackets_the_exact_one(self, loop, tol):
+        exact = rq.centrality(loop, tol)
+        got = rq.centrality(loop, tol, bound=True)
+        if got != exact:
+            assert got.central and exact.central
+            assert got.center == exact.center
+            assert exact.asymmetry <= got.asymmetry <= tol
+        pts = loop.points
+        floor = symmetry._mirror_diameter_floor(pts, symmetry._mirror_half(pts))
+        assert 0.0 < floor <= _LoopGeometry(loop).diameter
+
+    def test_quadric_sections_take_the_bound(self, sphere, hyperboloid, paraboloid):
+        for prof in (sphere, hyperboloid, paraboloid):
+            loop = rq.trace_section(prof, Plane(0.3, 0.1 * prof.q), 1024)
+            passed = symmetry._midpoint_bound(loop.points, 1e-4)
+            assert passed is not None
+            assert passed == rq.centrality(loop, 1e-4, bound=True)
+            assert passed.center == (0.0, 0.5 * (loop.z_lo + loop.z_hi))
+
+    def test_other_loops_get_the_exact_report(self, sphere):
+        circle = rq.trace_section(sphere, Plane(0.0, 0.2), 512)
+        loop = rq.trace_section(sphere, Plane(0.3, 0.2), 512)
+        nudged = loop.points.copy()
+        nudged[5, 0] *= 1.0 + 1e-9
+        # not y-mirrors, and a y-mirror whose bound would pass, scored free
+        for pts, free, mirror in ((circle.points, False, False), (nudged, False, False),
+                                  (loop.points, True, True)):
+            assert (symmetry._midpoint_bound(pts, 1e-3) is not None) == mirror
+            exact = rq.centrality(pts, 1e-3, free_center=free)
+            assert exact.central
+            assert repr(rq.centrality(pts, 1e-3, free_center=free, bound=True)) == repr(exact)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_declines_the_bound(self, sphere):
+        pts = rq.trace_section(sphere, Plane(1.0, 0.0), 256).points
+        # squared edge lengths overflow: both paths raise the exact one's error
+        big = pts * 1e160
+        assert symmetry._midpoint_bound(big, 1e-4) is None
+        with pytest.raises(InvalidDomain, match="overflow") as exact:
+            rq.centrality(big, 1e-4)
+        with pytest.raises(InvalidDomain, match="overflow") as got:
+            rq.centrality(big, 1e-4, bound=True)
+        assert str(got.value) == str(exact.value)
+        # the widest pair's square and the turning pair's (about half of
+        # it) are finite, their sum is not: the exact path scores the loop,
+        # the bound declines
+        h = symmetry._mirror_half(pts)
+        wide = 2.0 * np.abs(pts[1 : h - 1, 0]).max()
+        tall = pts * (0.9 * 2.0**512 / wide)
+        assert math.isnan(symmetry._mirror_diameter_floor(tall, h))
+        assert symmetry._midpoint_bound(tall, 1e-4) is None
+        assert repr(rq.centrality(tall, 1e-4, bound=True)) == repr(rq.centrality(tall, 1e-4))
+
+
 class TestMidpointMachinery:
     def test_quotient_quadratic_exact(self):
         assert rq.symmetric_quotient(lambda z: z * z, 3.0, 0.5) == 6.0
