@@ -44,10 +44,9 @@ tol].  The witness and every failing record are the exact test's.
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -97,6 +96,15 @@ _PROBE_TRIES = 40
 _pool = None
 
 
+@atexit.register
+def _forget_pool():
+    """Drop the warm pool at exit, after concurrent.futures has joined its
+    workers: imported after this module, concurrent.futures is torn down
+    before it, and a pool collected after that reports an ignored error."""
+    global _pool
+    _pool = None
+
+
 class CenterEntry(NamedTuple):
     """One plane of a center curve: intercept, center height and asymmetry.
 
@@ -121,6 +129,8 @@ class CenterCurve:
 
 
 def _check_increasing(betas):
+    if not all(map(math.isfinite, betas)):
+        raise InvalidDomain("center curve intercepts must be finite")
     if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
         raise InvalidDomain("center curve intercepts must be strictly increasing")
 
@@ -174,15 +184,15 @@ class QuadricVerdict:
 def center_heights(profile, m, betas, n, tol, delta=None):
     """Trace a section per intercept and return the refined center curve.
 
-    Intercepts that do not strictly increase raise InvalidDomain before any
-    plane is traced.  Errors from tracing or scoring are re-raised tagged
-    with the offending intercept.  Every failing section's centre search
-    runs to the end, so each zeta is the full search's; a central
-    section's asymmetry is a certified upper bound in [midpoint score,
-    tol], its zeta the midpoint's, as the full search's.  When delta is
-    given, each loop must stay inside the slab |z - beta| < delta and its
-    center height within delta of beta; violations raise SlabViolation
-    instead of passing silently.
+    Intercepts that are not finite or do not strictly increase raise
+    InvalidDomain before any plane is traced.  Errors from tracing or
+    scoring are re-raised tagged with the offending intercept.  Every
+    failing section's centre search runs to the end, so each zeta is the
+    full search's; a central section's asymmetry is a certified upper
+    bound in [midpoint score, tol], its zeta the midpoint's, as the full
+    search's.  When delta is given, each loop must stay inside the slab
+    |z - beta| < delta and its center height within delta of beta;
+    violations raise SlabViolation instead of passing silently.
     """
     if not (m > 0.0):
         raise InvalidDomain(f"need slope m > 0, got {m!r}")
@@ -303,8 +313,13 @@ def _map_pooled(size, args):
     is shut down and replaced; one built by another process (this one is a
     fork of it) belongs to that process, so it is dropped, not shut down.
     A pool that breaks is dropped too: the call raises, the next one builds
-    afresh.  concurrent.futures shuts the pool down at interpreter exit.
+    afresh.  concurrent.futures shuts the pool down at interpreter exit; it
+    is imported here, on the first pooled call, so that a serial run does
+    not pay for its import.
     """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     global _pool
     pid = os.getpid()
     if _pool is not None and _pool[1:] != (size, pid):

@@ -16,6 +16,13 @@ its two ends, so a profile that dips to or below zero anywhere inside the
 domain is rejected, while the sphere, whose F reaches 0 at z = +-q, is
 accepted.
 
+The roots of a polynomial (a derivative, or a section gap) are the
+eigenvalues of its companion matrix, laid out as P.polycompanion lays it
+out and sorted as P.polyroots sorts them (Edelman & Murakami 1995, Math.
+Comp. 64).  The gaps of many planes are solved as one stack: the
+polynomials of each degree take one eigvals call, and each keeps the bits
+P.polyroots gives it alone (_poly_roots).
+
 The sampled kind interpolates its table by the monotone piecewise-cubic
 Hermite rule of Fritsch & Carlson (1980, SIAM J. Numer. Anal. 17(2)) in the
 form scipy's PchipInterpolator gives it: node slopes are the weighted
@@ -190,54 +197,127 @@ def _critical_points(profile, lim):
     else:
         with np.errstate(over="ignore"):  # _poly_roots rejects an overflow
             der = P.polyder(profile.coeffs)
-        crit = _poly_roots(der, lim)
+        (crit,) = _poly_roots([der.tolist()], lim)
+        if isinstance(crit, InvalidDomain):
+            raise crit
     return crit[np.abs(crit) < lim]
 
 
-def _poly_roots(coeffs, lim):
-    """Real parts of the roots of an ascending polynomial, for |z| <= lim.
+def _poly_roots(rows, lim):
+    """Real parts of the roots of each row, a list of ascending polynomial
+    coefficients, for |z| <= lim; for a row with a coefficient that has
+    overflowed, or roots that would, its InvalidDomain error as a value.
 
-    Raises InvalidDomain when a coefficient has overflowed, or the roots
-    would.
+    Each row takes in turn P.polytrim's trim, the finite check, the size
+    trim and the subnormal-lead check below, in Python floats, whose
+    arithmetic is numpy's.  The rows left with degree 2 or more are
+    grouped by degree; each group's companion matrices are built as
+    P.polycompanion builds them and solved by one eigvals call, and each
+    row's eigenvalues are sorted and their real parts taken, as
+    P.polyroots(c).real does.  So a row's roots have the bits
+    P.polyroots(c).real gives it alone, in a stack of any size.
     """
-    # Leading terms below one rounding unit of the largest term on |z| <= lim
-    # only add roots far outside the interval, and a tiny leading coefficient
-    # would overflow the companion matrix: drop them.
-    c = P.polytrim(coeffs)
-    if not np.isfinite(c).all():
-        raise InvalidDomain("polynomial coefficients overflow")
-    with np.errstate(over="ignore", invalid="ignore"):
-        size = np.abs(c) * lim ** np.arange(c.size)
-    c = c[: np.flatnonzero(size >= 2.0 ** -52 * np.nanmax(size))[-1] + 1]
-    # a kept leading coefficient can still be subnormal: the companion
-    # matrix's last column, c[:-1] / c[-1], must stay finite
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if c.size > 2 and not np.isfinite(c[:-1] / c[-1]).all():
-            raise InvalidDomain("polynomial roots overflow")
-        return P.polyroots(c).real
+    out = [None] * len(rows)
+    groups = {}
+    with np.errstate(over="ignore"):
+        powers = (lim ** np.arange(max(map(len, rows), default=0))).tolist()
+    for k, row in enumerate(rows):
+        # P.polytrim drops trailing terms that are not > 0 in size (nan
+        # too), and of an all-trimmed row keeps its first term times 0
+        c = list(row)
+        while c and not abs(c[-1]) > 0.0:
+            c.pop()
+        c = c or [row[0] * 0.0]
+        if not all(map(math.isfinite, c)):
+            out[k] = InvalidDomain("polynomial coefficients overflow")
+            continue
+        # Leading terms below one rounding unit of the largest term on
+        # |z| <= lim only add roots far outside the interval, and a tiny
+        # leading coefficient would overflow the companion matrix: drop
+        # them.  The sizes that overflow are inf, or nan for a zero term.
+        size = [abs(x) * p for x, p in zip(c, powers)]
+        cut = 2.0 ** -52 * max(s for s in size if s == s)
+        while not size[-1] >= cut:
+            size.pop()
+        c = c[: len(size)]
+        # a kept leading coefficient can still be subnormal: the companion
+        # matrix's last column, c[:-1] / c[-1], must stay finite
+        if len(c) > 2 and not all(math.isfinite(x / c[-1]) for x in c[:-1]):
+            out[k] = InvalidDomain("polynomial roots overflow")
+        elif len(c) > 2:
+            groups.setdefault(len(c), []).append((k, c))
+        else:
+            out[k] = np.array([-c[0] / c[1]] if len(c) == 2 else [])
+    for n, members in groups.items():
+        deg = n - 1
+        c = np.array([c for _, c in members])
+        comp = np.zeros((len(members), deg, deg))
+        comp.reshape(len(members), -1)[:, deg :: deg + 1] = 1.0
+        comp[:, :, -1] -= c[:, :-1] / c[:, -1:]
+        for (k, _), r in zip(members, np.linalg.eigvals(comp)):
+            # alone, a matrix with only real eigenvalues gets them as reals
+            out[k] = np.sort(r.real) if (r.imag == 0.0).all() else np.sort(r).real
+    return out
 
 
 def _gap_roots(profile, m, beta):
-    """Candidate roots in |z| < q of the section gap F(z) - ((z - beta)/m)^2.
+    """Candidate roots in |z| < q of the section gap F(z) - ((z - beta)/m)^2:
+    the one-plane case of _gap_roots_many, whose error it raises."""
+    (roots,) = _gap_roots_many(profile, [m], [beta])
+    if isinstance(roots, InvalidDomain):
+        raise roots
+    return roots
+
+
+def _gap_roots_many(profile, ms, betas):
+    """Per plane (m, beta), the candidate roots in |z| < q of its section
+    gap F(z) - ((z - beta)/m)^2, or, as a value, its InvalidDomain error.
 
     The gap times min(m^2, 1), where no term overflows, is a polynomial or,
-    for the sampled kind, a piecewise cubic.  Complex roots add their real
+    for the sampled kind, a piecewise cubic.  The polynomials, each formed
+    with P.polysub's arithmetic, are solved together by _poly_roots, the
+    piecewise cubics one by one by _pp_roots.  Complex roots add their real
     parts: the caller keeps the candidates where the gap changes sign.
     """
-    fw, qw = (m * m, 1.0) if m <= 1.0 else (1.0, (1.0 / m) ** 2)
+    q = profile.q
+    scales = [(m * m, 1.0) if m <= 1.0 else (1.0, (1.0 / m) ** 2) for m in ms]
     if profile.kind == "sampled":
         x = profile.sample_z
-        off = x[:-1] - beta
-        c = fw * profile._pchip
-        c[-3] -= qw
-        c[-2] -= 2.0 * qw * off
-        c[-1] -= qw * off * off
-        roots = _pp_roots(x, c)
+        out = []
+        for (fw, qw), beta in zip(scales, betas):
+            off = x[:-1] - beta
+            c = fw * profile._pchip
+            c[-3] -= qw
+            c[-2] -= 2.0 * qw * off
+            c[-1] -= qw * off * off
+            out.append(_pp_roots(x, c))
     else:
-        with np.errstate(over="ignore", invalid="ignore"):  # _poly_roots rejects them
-            quad = qw * np.array([beta * beta, -2.0 * beta, 1.0])
-        roots = _poly_roots(P.polysub(fw * profile.coeffs, quad), profile.q)
-    return roots[np.abs(roots) < profile.q]
+        coeffs = profile.coeffs.tolist()
+        rows = []
+        for (fw, qw), beta in zip(scales, betas):
+            # P.polysub's arithmetic, in Python floats; a nan or an
+            # overflow is _poly_roots's to reject
+            fw, qw, beta = float(fw), float(qw), float(beta)
+            rows.append(_polysub(_trimseq([fw * x for x in coeffs]),
+                                 _trimseq([qw * (beta * beta), qw * (-2.0 * beta), qw])))
+        out = _poly_roots(rows, q)
+    return [r if isinstance(r, InvalidDomain) else r[np.abs(r) < q] for r in out]
+
+
+def _trimseq(c):
+    """c without its trailing zeros, but at least its first term (pu.trimseq)."""
+    n = len(c)
+    while n > 1 and c[n - 1] == 0.0:
+        n -= 1
+    return c[:n]
+
+
+def _polysub(a, b):
+    """a - b, term by term, for trimmed a and b (P.polysub, before its own
+    trim of trailing zeros, which P.polytrim repeats)."""
+    if len(a) > len(b):
+        return [x - y for x, y in zip(a, b)] + a[len(b):]
+    return [x - y for x, y in zip(a, b)] + [-y for y in b[len(a):]]
 
 
 def _check_positive(profile):

@@ -12,6 +12,7 @@ orthonormal coordinates instead and carry z_lo = z_hi = beta.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from .errors import (
     RevquadError,
     ZeroSlope,
 )
-from .profiles import _gap_roots, _value_range
+from .profiles import _gap_roots_many, _value_range
 
 __all__ = [
     "Plane",
@@ -138,8 +139,9 @@ def _closing_brackets(profile, planes):
     plane's two brackets (lo, hi), gap(lo) > 0 >= gap(hi): the upper
     side's in z, then the lower side's in the mirrored frame -z, where that
     side looks for the first crossing above its own start.  The gaps at the
-    intercepts are one gap call, and the windows of every side of every
-    plane another.
+    intercepts are one gap call, the gap polynomials of the planes whose
+    gap is positive there one stacked root solve (_gap_roots_many), and
+    the windows of every side of every plane another gap call.
     """
     out = [None] * len(planes)
     todo = []
@@ -153,19 +155,27 @@ def _closing_brackets(profile, planes):
     beta = np.array([planes[k].beta for k in todo])
     m = np.array([planes[k].m for k in todo])
     read = _reader(profile, beta, beta, m)
-    cap = profile.q * (1.0 - 2.0 ** -52)
-    sides, ends, at_beta, at_m = {}, [], [], []
+    inside = []
     for i, k in enumerate(todo):
-        plane = planes[k]
         try:
             if read(i) <= 0.0:
                 raise InvalidDomain("gap is not positive at z = beta")
-            roots = sorted(_gap_roots(profile, plane.m, plane.beta).tolist())
-            wins = (_windows(plane.beta, roots, cap),
-                    _windows(-plane.beta, [-r for r in roots[::-1]], cap))
         except RevquadError as exc:
             out[k] = exc
+        else:
+            inside.append(k)
+    solved = _gap_roots_many(profile, [planes[k].m for k in inside],
+                             [planes[k].beta for k in inside])
+    cap = profile.q * (1.0 - 2.0 ** -52)
+    sides, ends, at_beta, at_m = {}, [], [], []
+    for k, roots in zip(inside, solved):
+        if isinstance(roots, RevquadError):
+            out[k] = roots
             continue
+        plane = planes[k]
+        roots = sorted(roots.tolist())
+        wins = (_windows(plane.beta, roots, cap),
+                _windows(-plane.beta, [-r for r in roots[::-1]], cap))
         sides[k] = (len(ends), wins)
         ends += [s * z for s, side in zip(_SIGNS, wins) for win in side for z in win]
         at_beta += [plane.beta] * (len(ends) - len(at_beta))
@@ -297,7 +307,10 @@ def trace_section(profile, plane, n, extent=None):
     if abs(plane.beta) >= profile.q:
         raise OutOfDomain(f"plane intercept |beta| >= q = {profile.q!r}")
     try:
-        levels = np.arange(n)
+        if plane.m == 0.0:
+            levels = np.arange(n)
+        else:
+            cosines = _chebyshev_cosines(n)
     except (MemoryError, ValueError):  # numpy: too much memory, or past its size limit
         raise InvalidDomain(f"cannot allocate {n!r} sample levels") from None
 
@@ -310,7 +323,7 @@ def trace_section(profile, plane, n, extent=None):
     z_lo, z_hi = section_extent(profile, plane) if extent is None else extent
     mid = 0.5 * (z_lo + z_hi)
     rad = 0.5 * (z_hi - z_lo)
-    zs = mid + rad * np.cos(np.pi * levels / (n - 1))
+    zs = mid + rad * cosines
     zs[0] = z_hi
     zs[-1] = z_lo
     gap = section_gap(profile, plane, zs)
@@ -323,9 +336,21 @@ def trace_section(profile, plane, n, extent=None):
     # the extent endpoints are the section's turning points: y = 0 exactly
     ys[0] = 0.0
     ys[-1] = 0.0
-    upper = np.column_stack([ys, zs])[::-1]            # (0, z_lo) ... (0, z_hi)
-    lower = np.column_stack([-ys[1:-1], zs[1:-1]])     # back down, endpoints excluded
-    return SectionLoop(plane=plane, points=np.vstack([upper, lower]), z_lo=z_lo, z_hi=z_hi)
+    pts = np.empty((2 * n - 2, 2))
+    pts[:n, 0] = ys[::-1]                   # upper: (0, z_lo) ... (0, z_hi)
+    pts[:n, 1] = zs[::-1]
+    np.negative(ys[1:-1], out=pts[n:, 0])   # back down, endpoints excluded
+    pts[n:, 1] = zs[1:-1]
+    return SectionLoop(plane=plane, points=pts, z_lo=z_lo, z_hi=z_hi)
+
+
+@functools.lru_cache(maxsize=1)
+def _chebyshev_cosines(n):
+    """cos(k pi / (n - 1)) for k = 0 .. n - 1, read-only: the traced levels
+    of the last n asked for, shared by the planes of a sweep."""
+    cosines = np.cos(np.pi * np.arange(n) / (n - 1))
+    cosines.setflags(write=False)
+    return cosines
 
 
 def _count(value, what):

@@ -125,7 +125,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -876,17 +876,26 @@ def _midpoint_bound(pts, tol):
     if not diameter > 0.0:
         return None
     with np.errstate(all="ignore"):
-        seg_d = np.roll(pts, -1, axis=0) - pts
+        # the h + 1 segments the rows read: h - 2 .. n - 1, then 0
+        ends = np.concatenate((pts[h - 2 :], pts[:2]))
+        seg_d = ends[1:] - ends[:-1]
         len2 = seg_d[:, 0] ** 2 + seg_d[:, 1] ** 2
         z = pts[:, 1]
         center = np.array([0.0, 0.5 * (z.min() + z.max())])
-        # segments h + i - 2 and h + i - 1, at vertex h + i - 1; the kernel
-        # reads index n as 0
-        cand = np.arange(h - 2, 2 * h - 2) + np.arange(2)[:, None]
-        d2 = max_min_dist_candidates(2.0 * center - pts[:h], pts, seg_d,
-                                     np.where(len2 > 0.0, len2, 1.0), cand.T)
+        d2 = max_min_dist_candidates(2.0 * center - pts[:h], ends[:-1], seg_d,
+                                     np.where(len2 > 0.0, len2, 1.0), _bound_candidates(h))
         asym = _root(d2.max()) / diameter
     return _report(center, asym, tol) if asym <= tol else None
+
+
+@lru_cache(maxsize=1)
+def _bound_candidates(h):
+    """(h, 2) read-only, the transpose of a C-contiguous array: row i holds
+    segments h + i - 2 and h + i - 1, at vertex h + i - 1, as positions
+    i and i + 1 among the segments _midpoint_bound reads."""
+    cand = (np.arange(h) + np.arange(2)[:, None]).T
+    cand.setflags(write=False)
+    return cand
 
 
 def _mirror_diameter_floor(pts, h):

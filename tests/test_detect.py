@@ -1,6 +1,7 @@
 """Center curves, the center-height relation, quadratic fitting, and the
 quadric decision procedure."""
 
+import concurrent.futures
 import math
 import os
 import pickle
@@ -92,6 +93,22 @@ class TestCenterHeights:
             rq.center_heights(sphere, 0.3, betas, 256, 1e-4)
         assert str(info.value) == "center curve intercepts must be strictly increasing"
         assert traced == []
+
+    @pytest.mark.parametrize("betas", [[0.1, math.nan], [0.1, math.inf], [-math.inf, 0.1]])
+    def test_non_finite_intercepts_rejected_before_tracing(self, sphere, monkeypatch, betas):
+        traced = []
+        real = detect_module.trace_section
+        monkeypatch.setattr(detect_module, "trace_section",
+                            lambda *args: traced.append(args) or real(*args))
+        with pytest.raises(InvalidDomain) as info:
+            rq.center_heights(sphere, 0.5, betas, 256, 1e-4)
+        assert str(info.value) == "center curve intercepts must be finite"
+        assert traced == []
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_curve_requires_finite_intercepts(self, beta):
+        with pytest.raises(InvalidDomain, match="must be finite"):
+            CenterCurve(m=0.5, entries=(CenterEntry(beta, 0.0, 0.0),))
 
     @pytest.mark.parametrize("spec, m", [("poly:2,0,0,1;1", 0.4), ("poly:1,0,-1,0,0.05;1", 0.6)])
     def test_failing_sections_report_full_searches(self, spec, m):
@@ -415,7 +432,8 @@ class TestDetectQuadric:
             def shutdown(self, wait=True):
                 pass
 
-        monkeypatch.setattr(detect_module, "ProcessPoolExecutor", RecordingPool)
+        # the pool class is looked up on the first pooled call
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(detect_module, "_pool", None)
         serial = rq.verdict_json(rq.detect_quadric(sphere, 0.1, 5, 256, 1e-4))
         for cpus, workers, want in ((2, 3, 2), (64, 100, 10), (1, 3, None), (None, 3, None)):
@@ -685,6 +703,27 @@ def test_quadric_verdict_leaves_numpy_ma_out():
     # np.unique, whose first call imports numpy.ma
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", MA_PROBE], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"
+
+
+POOL_PROBE = """
+import sys
+import revquad as rq
+assert "concurrent.futures" not in sys.modules, "import revquad loaded concurrent.futures"
+prof = rq.parse_profile("sphere")
+assert rq.detect_quadric(prof, 0.1, 5, 256, 1e-4).is_quadric
+assert "concurrent.futures" not in sys.modules, "a serial verdict loaded concurrent.futures"
+print("ok")
+"""
+
+
+def test_import_leaves_the_pool_out():
+    # a fresh interpreter: concurrent.futures is imported on the first
+    # pooled call only
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", POOL_PROBE], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "ok\n"

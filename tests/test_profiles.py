@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
+from numpy.polynomial import polynomial as P
 from scipy.interpolate import PchipInterpolator, PPoly
 
 import revquad as rq
@@ -383,9 +384,13 @@ class TestPchipMatchesScipy:
             # the extent bisects from either set of roots to the same bits
             plane = rq.Plane(m, beta)
             got = _extent_or_error(prof, plane)
+            injected = []
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(sections, "_gap_roots", lambda p, m, b: want[np.abs(want) < p.q])
+                mp.setattr(sections, "_gap_roots_many",
+                           lambda p, ms, bs: injected.append(ms) or [want[np.abs(want) < p.q]])
                 assert _extent_or_error(prof, plane) == got
+            # the extent asked the injected roots for its one plane
+            assert injected == [[m]]
 
     def test_flat_pieces_report_their_breakpoint_and_nan(self):
         # a flat piece of the derivative is a zero piece: PPoly.roots gives
@@ -407,6 +412,92 @@ class TestPchipMatchesScipy:
             for m in (0.1, 1.0, 1e-3, 1e3):
                 profiles._gap_roots(prof, m, 0.25)
             profiles._critical_points(prof, prof.q)
+
+
+def _reference_poly_roots(c, lim):
+    """The checks and the one-polynomial root solve, numpy.polynomial's
+    own calls: P.polytrim, the finite check, the size trim, the
+    subnormal-lead check, then P.polyroots(c).real; an error as a value."""
+    c = P.polytrim(c)
+    if not np.isfinite(c).all():
+        return InvalidDomain("polynomial coefficients overflow")
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = np.abs(c) * lim ** np.arange(c.size)
+    c = c[: np.flatnonzero(size >= 2.0 ** -52 * np.nanmax(size))[-1] + 1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if c.size > 2 and not np.isfinite(c[:-1] / c[-1]).all():
+            return InvalidDomain("polynomial roots overflow")
+        return P.polyroots(c).real
+
+
+def _reference_gap_roots(profile, m, beta):
+    """A plane's gap roots through P.polysub and _reference_poly_roots."""
+    fw, qw = (m * m, 1.0) if m <= 1.0 else (1.0, (1.0 / m) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = qw * np.array([beta * beta, -2.0 * beta, 1.0])
+        roots = _reference_poly_roots(P.polysub(fw * profile.coeffs, quad), profile.q)
+    if isinstance(roots, InvalidDomain):
+        return roots
+    return roots[np.abs(roots) < profile.q]
+
+
+def _same_bits(got, want):
+    if isinstance(want, InvalidDomain):
+        return isinstance(got, InvalidDomain) and str(got) == str(want)
+    return (isinstance(got, np.ndarray) and got.dtype == want.dtype
+            and got.shape == want.shape and got.tobytes() == want.tobytes())
+
+
+class TestStackedRoots:
+    """The stacked solve gives every row the bits numpy.polynomial gives it
+    alone: a numpy whose companion layout or sort changed fails here."""
+
+    @given(degrees=st.lists(st.integers(1, 8), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_equal_polyroots_alone(self, degrees, seed):
+        rng = np.random.default_rng(seed)
+        rows = []
+        for d in degrees:
+            c = rng.uniform(-1.0, 1.0, d + 1) * 10.0 ** rng.integers(-2, 3, d + 1)
+            c[-1] = math.copysign(rng.uniform(0.5, 2.0), c[-1])
+            rows.append(c)
+        # padded with zeros to one width, as the rows of a batch may be
+        width = max(degrees) + 1
+        padded = [np.concatenate([c, np.zeros(width - c.size)]).tolist() for c in rows]
+        got = profiles._poly_roots(padded, 1.0)
+        for g, c in zip(got, rows):
+            assert _same_bits(g, P.polyroots(c).real)
+            assert _same_bits(g, _reference_poly_roots(c, 1.0))
+
+    @pytest.mark.parametrize("spec, planes, errors", [
+        # at m = 1 the leading gap term cancels exactly: 1 root, or none at
+        # beta = 0, between quadratic gaps with 2
+        ("hyperboloid:1,2", [(0.5, 0.3), (1.0, 0.4), (1.0, 0.0), (2.0, -0.7), (0.3, 1.2)], []),
+        # a gap whose coefficients overflow mid-batch
+        ("cylinder:1,1e200", [(0.5, 0.0), (0.5, 1e199), (0.5, 3.0), (1e-3, 2.0)], [1]),
+        # subnormal leading coefficients, kept by the size trim, mid-batch
+        ("cylinder:1,1e300", [(0.5, 0.0), (1e155, 0.0), (2.0, 1.0), (1e161, 0.0), (1e3, 5.0)],
+         [1, 3]),
+        ("poly:2,0,0,1;1", [(0.4, 0.1), (1.0, 0.0), (3.0, -0.5), (0.05, 0.9)], []),
+        ("poly:1,0.3,-0.2,0.1,0.05,-0.01,0.002,0.001,-0.0005;1",
+         [(0.3, 0.0), (0.9, -0.4), (1.5, 0.2), (40.0, 0.6)], []),
+    ])
+    def test_gap_batches_equal_one_plane_solves(self, spec, planes, errors):
+        prof = rq.parse_profile(spec)
+        ms, betas = zip(*planes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = profiles._gap_roots_many(prof, ms, betas)
+        want = [_reference_gap_roots(prof, m, beta) for m, beta in planes]
+        assert [k for k, w in enumerate(want) if isinstance(w, InvalidDomain)] == errors
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+        if spec.startswith("hyperboloid"):
+            assert [len(w) for w in want[:3]] == [2, 1, 0]
+
+    def test_critical_points_are_the_one_row_case(self, quartic):
+        want = _reference_poly_roots(P.polyder(quartic.coeffs), 0.5)
+        got = profiles._critical_points(quartic, 0.5)
+        assert _same_bits(got, want[np.abs(want) < 0.5])
 
 
 def _extent_or_error(prof, plane):
