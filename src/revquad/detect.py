@@ -54,7 +54,6 @@ import numpy as np
 
 from .errors import (
     InvalidDomain,
-    LoopEscapesDomain,
     RankDeficient,
     RevquadError,
     SingularConfiguration,
@@ -67,7 +66,8 @@ from .sections import (
     Plane,
     _closing_brackets,
     _count,
-    _section_extents,
+    _extents,
+    _per_plane,
     section_extent,  # noqa: F401
     slope_bound,
     trace_section,
@@ -184,9 +184,11 @@ class QuadricVerdict:
 def center_heights(profile, m, betas, n, tol, delta=None):
     """Trace a section per intercept and return the refined center curve.
 
-    Intercepts that are not finite or do not strictly increase raise
-    InvalidDomain before any plane is traced.  Errors from tracing or
-    scoring are re-raised tagged with the offending intercept.  Every
+    Intercepts that are not finite or do not strictly increase, a tol that
+    is not positive and finite, and a delta that is neither None nor
+    positive and finite raise InvalidDomain before any plane is traced.
+    Errors from tracing or scoring are re-raised tagged with the offending
+    intercept, the first in order that fails.  Every
     failing section's centre search runs to the end, so each zeta is the
     full search's; a central section's asymmetry is a certified upper
     bound in [midpoint score, tol], its zeta the midpoint's, as the full
@@ -198,10 +200,18 @@ def center_heights(profile, m, betas, n, tol, delta=None):
         raise InvalidDomain(f"need slope m > 0, got {m!r}")
     betas = [float(b) for b in betas]
     _check_increasing(betas)
+    _check_tol(tol)
+    if not (delta is None or 0.0 < delta < math.inf):
+        raise InvalidDomain(f"need 0 < delta < inf, got delta = {delta!r}")
     args = [(profile, float(m), b, n, tol, delta) for b in betas]
-    records = _records(_test_planes(args, defer=False))
+    records = _test_planes(args, defer=False)
     entries = tuple(CenterEntry(r.beta, r.zeta, r.asymmetry) for r in records)
     return CenterCurve(m=float(m), entries=entries)
+
+
+def _check_tol(tol):
+    if not (0.0 < tol < math.inf):
+        raise InvalidDomain(f"tolerance must be positive and finite, got {tol!r}")
 
 
 def _test_plane(profile, m, beta, n, tol, delta=None, extent=None, defer=False):
@@ -237,44 +247,25 @@ def _test_plane_star(args):
 
 
 def _test_planes(batch, defer=True):
-    """Test a batch of planes of one profile, in order, up to the first that fails.
+    """Test a batch of planes of one profile, in order: their records, or
+    the tagged error of the first plane that fails, raised.
 
     batch holds _test_plane's arguments (profile, m, beta, n, tol, delta),
     with the same profile throughout.  The extents of all the planes are
-    bisected together first; then each plane is traced and scored through
+    bisected together first; should that raise, each plane finds its own
+    extent in trace_section, which raises its error after the plane's own
+    checks, as it does alone.  Each plane is then traced and scored through
     _test_plane_star, its extent and defer passed in: with defer, a plane
     outside any slab whose midpoint fails gets a PendingCentrality report,
-    which _finish_searches completes.  Returns the records and, after
-    them, the tagged error of the first plane that fails, if one does.
+    which _finish_searches completes.
     """
-    planes = []
-    for _, m, beta, *_ in batch:
-        try:
-            planes.append(Plane(m, beta))
-        except InvalidDomain:
-            break  # _test_plane raises it, tagged, and the batch ends there
-    extents = _section_extents(batch[0][0], planes) if planes else []
-    out = []
-    for i, args in enumerate(batch):
-        # an extent that failed is found again in trace_section, which
-        # raises its error after its own checks, as it does alone
-        extent = extents[i] if i < len(extents) else None
-        if isinstance(extent, RevquadError):
-            extent = None
-        try:
-            out.append(_test_plane_star((*args, extent, defer)))
-        except RevquadError as exc:
-            out.append(exc)
-            break
-    return out
-
-
-def _records(entries):
-    """The records of _test_planes's entries; its error, if any, is raised."""
-    for entry in entries:
-        if isinstance(entry, RevquadError):
-            raise entry
-    return entries
+    if not batch:
+        return []
+    try:
+        extents = _extents(batch[0][0], [Plane(m, beta) for _, m, beta, *_ in batch])
+    except RevquadError:
+        extents = [None] * len(batch)
+    return [_test_plane_star((*args, extent, defer)) for args, extent in zip(batch, extents)]
 
 
 def _finish_searches(records, tol):
@@ -308,14 +299,16 @@ def _map_pooled(size, args):
     """Test the planes of args on the process's warm pool, one task per worker.
 
     Task i holds the planes args[i::size], tested by _test_planes; the
-    entries come back in plane order, up to the first error.  The pool of
-    size workers is built on first use.  A pool of another size
-    is shut down and replaced; one built by another process (this one is a
-    fork of it) belongs to that process, so it is dropped, not shut down.
-    A pool that breaks is dropped too: the call raises, the next one builds
-    afresh.  concurrent.futures shuts the pool down at interpreter exit; it
-    is imported here, on the first pooled call, so that a serial run does
-    not pay for its import.
+    records come back in plane order.  Should a task raise, the planes are
+    tested again in this process by _test_planes, in plane order, so the
+    first failing plane raises its error, as in a serial run, and the warm
+    pool is kept.  The pool of size workers is built on first use.  A pool
+    of another size is shut down and replaced; one built by another
+    process (this one is a fork of it) belongs to that process, so it is
+    dropped, not shut down.  A pool that breaks is dropped too: the call
+    raises, the next one builds afresh.  concurrent.futures shuts the pool
+    down at interpreter exit; it is imported here, on the first pooled
+    call, so that a serial run does not pay for its import.
     """
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -335,14 +328,10 @@ def _map_pooled(size, args):
         _pool = None
         pool.shutdown(wait=False)
         raise
-    # plane j is entry j // size of task j % size; a task stops after its
-    # first error, which this walk meets before any plane the task skipped
-    entries = []
-    for j in range(len(args)):
-        entries.append(batches[j % size][j // size])
-        if isinstance(entries[-1], RevquadError):
-            break
-    return entries
+    except RevquadError:
+        return _test_planes(args)
+    # plane j is record j // size of task j % size
+    return [batches[j % size][j // size] for j in range(len(args))]
 
 
 def predicted_center_height(params, plane):
@@ -397,10 +386,11 @@ def fit_quadratic(samples):
     spread = float(np.max(np.abs(z - zbar)))
     u = (z - zbar) / spread
     vand = np.column_stack([u * u, u, np.ones_like(u)])
-    alpha, b1, gamma = np.linalg.solve(vand.T @ vand, vand.T @ v)
+    # values near the largest double overflow the normal equations, and
     # spread**2 underflows on a tiny domain, where rounding noise in alpha
     # over it is not finite: such samples cannot be fitted
     with np.errstate(all="ignore"):
+        alpha, b1, gamma = np.linalg.solve(vand.T @ vand, vand.T @ v)
         a = alpha / spread**2
         b = b1 / spread - 2.0 * alpha * zbar / spread**2
         c = gamma - b1 * zbar / spread + alpha * (zbar / spread) ** 2
@@ -440,9 +430,11 @@ def _probe_planes(profile, delta, mu):
     For each probe intercept, start from a slope sized to the room left
     between beta and the domain edge and shrink it geometrically until the
     section closes, as section_extent decides it before it bisects.  The
-    probes still open in a shrink round are decided together.  Falls back
-    to the slab slope when nothing closes; raises the first probe's error
-    other than LoopEscapesDomain.
+    probes still open in a shrink round are decided together by
+    _closing_brackets, or one at a time when that raises, so each probe
+    keeps its own outcome.  Falls back to the slab slope when nothing
+    closes; after the rounds, raises the first probe's error other than a
+    section that does not close.
     """
     q = profile.q
     half = 0.5 * (q - 2.0 * delta)
@@ -456,10 +448,11 @@ def _probe_planes(profile, delta, mu):
         todo = [k for k in todo if not slopes[k] <= floor]
         if not todo:
             break
-        found = _closing_brackets(profile, [Plane(slopes[k], betas[k]) for k in todo])
+        found = _per_plane(_closing_brackets, profile,
+                           [Plane(slopes[k], betas[k]) for k in todo])
         escaped = []
         for k, f in zip(todo, found):
-            if isinstance(f, LoopEscapesDomain):
+            if f is None:
                 slopes[k] *= _PROBE_SHRINK
                 escaped.append(k)
             elif isinstance(f, RevquadError):
@@ -506,8 +499,7 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
         raise InvalidDomain(f"need at least 5 planes, got {n_planes!r}")
     if n_samples < 256:
         raise InvalidDomain(f"need at least 256 samples per loop, got {n_samples!r}")
-    if not (0.0 < tol < math.inf):
-        raise InvalidDomain(f"tolerance must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     workers = _count(workers, "worker count")
     if workers < 1:
         raise InvalidDomain(f"need at least 1 worker, got {workers!r}")
@@ -521,7 +513,7 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
     args = [(profile, m, beta, n_samples, tol, delta if i < n_sweep else None)
             for i, (m, beta) in enumerate(jobs)]
     procs = min(workers, len(args), os.cpu_count() or 1)
-    records = _records(_map_pooled(procs, args) if procs > 1 else _test_planes(args))
+    records = _map_pooled(procs, args) if procs > 1 else _test_planes(args)
     records = _finish_searches(records, tol)
 
     curve = CenterCurve(

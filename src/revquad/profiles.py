@@ -198,15 +198,13 @@ def _critical_points(profile, lim):
         with np.errstate(over="ignore"):  # _poly_roots rejects an overflow
             der = P.polyder(profile.coeffs)
         (crit,) = _poly_roots([der.tolist()], lim)
-        if isinstance(crit, InvalidDomain):
-            raise crit
     return crit[np.abs(crit) < lim]
 
 
 def _poly_roots(rows, lim):
     """Real parts of the roots of each row, a list of ascending polynomial
-    coefficients, for |z| <= lim; for a row with a coefficient that has
-    overflowed, or roots that would, its InvalidDomain error as a value.
+    coefficients, for |z| <= lim.  Raises InvalidDomain for a row with a
+    coefficient that has overflowed, or roots that would.
 
     Each row takes in turn P.polytrim's trim, the finite check, the size
     trim and the subnormal-lead check below, in Python floats, whose
@@ -229,8 +227,7 @@ def _poly_roots(rows, lim):
             c.pop()
         c = c or [row[0] * 0.0]
         if not all(map(math.isfinite, c)):
-            out[k] = InvalidDomain("polynomial coefficients overflow")
-            continue
+            raise InvalidDomain("polynomial coefficients overflow")
         # Leading terms below one rounding unit of the largest term on
         # |z| <= lim only add roots far outside the interval, and a tiny
         # leading coefficient would overflow the companion matrix: drop
@@ -243,8 +240,8 @@ def _poly_roots(rows, lim):
         # a kept leading coefficient can still be subnormal: the companion
         # matrix's last column, c[:-1] / c[-1], must stay finite
         if len(c) > 2 and not all(math.isfinite(x / c[-1]) for x in c[:-1]):
-            out[k] = InvalidDomain("polynomial roots overflow")
-        elif len(c) > 2:
+            raise InvalidDomain("polynomial roots overflow")
+        if len(c) > 2:
             groups.setdefault(len(c), []).append((k, c))
         else:
             out[k] = np.array([-c[0] / c[1]] if len(c) == 2 else [])
@@ -262,16 +259,15 @@ def _poly_roots(rows, lim):
 
 def _gap_roots(profile, m, beta):
     """Candidate roots in |z| < q of the section gap F(z) - ((z - beta)/m)^2:
-    the one-plane case of _gap_roots_many, whose error it raises."""
+    the one-plane case of _gap_roots_many."""
     (roots,) = _gap_roots_many(profile, [m], [beta])
-    if isinstance(roots, InvalidDomain):
-        raise roots
     return roots
 
 
 def _gap_roots_many(profile, ms, betas):
     """Per plane (m, beta), the candidate roots in |z| < q of its section
-    gap F(z) - ((z - beta)/m)^2, or, as a value, its InvalidDomain error.
+    gap F(z) - ((z - beta)/m)^2.  Raises InvalidDomain, through _poly_roots,
+    when a plane's gap polynomial overflows.
 
     The gap times min(m^2, 1), where no term overflows, is a polynomial or,
     for the sampled kind, a piecewise cubic.  The polynomials, each formed
@@ -301,7 +297,7 @@ def _gap_roots_many(profile, ms, betas):
             rows.append(_polysub(_trimseq([fw * x for x in coeffs]),
                                  _trimseq([qw * (beta * beta), qw * (-2.0 * beta), qw])))
         out = _poly_roots(rows, q)
-    return [r if isinstance(r, InvalidDomain) else r[np.abs(r) < q] for r in out]
+    return [r[np.abs(r) < q] for r in out]
 
 
 def _trimseq(c):

@@ -113,93 +113,87 @@ def section_extent(profile, plane):
     does not change sign is skipped.  Raises LoopEscapesDomain when no root
     exists before |z| = q.
     """
-    (extent,) = _section_extents(profile, [plane])
-    if isinstance(extent, RevquadError):
-        raise extent
-    return extent
+    return _extents(profile, [plane])[0]
 
 
-def _section_extents(profile, planes):
-    """Per plane, what section_extent returns or raises (the error itself).
+def _extents(profile, planes):
+    """section_extent for each plane, the brackets of all of them bisected
+    together; raises the first error it meets, as section_extent does."""
+    brackets = _closing_brackets(profile, planes)
+    if None in brackets:
+        raise LoopEscapesDomain(
+            f"gap stays positive out to |z| = {_cap(profile)!r}; "
+            "section does not close inside |z| < q"
+        )
+    return [(-lo, hi) for hi, lo in _bisect_roots(profile, planes, brackets)]
 
-    The brackets of all the planes are bisected together.
-    """
-    found = _closing_brackets(profile, planes)
-    live = [k for k, f in enumerate(found) if not isinstance(f, RevquadError)]
-    ends = _bisect_roots(profile, [planes[k] for k in live], [found[k] for k in live])
-    for k, end in zip(live, ends):
-        found[k] = end if isinstance(end, RevquadError) else (-end[1], end[0])
-    return found
+
+def _per_plane(batched, profile, planes):
+    """batched(profile, planes); if it raises, each plane's entry alone, or its error."""
+    try:
+        return batched(profile, planes)
+    except RevquadError:
+        pass
+    out = []
+    for plane in planes:
+        try:
+            out.append(batched(profile, [plane])[0])
+        except RevquadError as exc:
+            out.append(exc)
+    return out
+
+
+def _cap(profile):
+    """The largest |z| a root window reaches: the last double below q."""
+    return profile.q * (1.0 - 2.0 ** -52)
 
 
 def _closing_brackets(profile, planes):
     """section_extent's decision, short of the bisection, for each plane.
 
-    An entry is the error section_extent raises before it bisects, or the
-    plane's two brackets (lo, hi), gap(lo) > 0 >= gap(hi): the upper
-    side's in z, then the lower side's in the mirrored frame -z, where that
-    side looks for the first crossing above its own start.  The gaps at the
-    intercepts are one gap call, the gap polynomials of the planes whose
-    gap is positive there one stacked root solve (_gap_roots_many), and
-    the windows of every side of every plane another gap call.
+    An entry is None when the plane's section does not close inside
+    |z| < q, or else the plane's two brackets (lo, hi), gap(lo) > 0 >=
+    gap(hi): the upper side's in z, then the lower side's in the mirrored
+    frame -z, where that side looks for the first crossing above its own
+    start.  A plane whose upper side does not close reads no lower
+    window.  Any other error section_extent raises before it bisects is
+    raised, the first that one of the planes meets.  The gaps at the
+    intercepts are one gap call, the gap polynomials one stacked root
+    solve (_gap_roots_many), and the windows of every side of every plane
+    another gap call.
     """
-    out = [None] * len(planes)
-    todo = []
-    for k, plane in enumerate(planes):
+    for plane in planes:
         if plane.m == 0.0:
-            out[k] = ZeroSlope("section extent needs a tilted plane (m > 0)")
-        elif abs(plane.beta) >= profile.q:
-            out[k] = OutOfDomain(f"plane intercept |beta| >= q = {profile.q!r}")
-        else:
-            todo.append(k)
-    beta = np.array([planes[k].beta for k in todo])
-    m = np.array([planes[k].m for k in todo])
-    read = _reader(profile, beta, beta, m)
-    inside = []
-    for i, k in enumerate(todo):
-        try:
-            if read(i) <= 0.0:
-                raise InvalidDomain("gap is not positive at z = beta")
-        except RevquadError as exc:
-            out[k] = exc
-        else:
-            inside.append(k)
-    solved = _gap_roots_many(profile, [planes[k].m for k in inside],
-                             [planes[k].beta for k in inside])
-    cap = profile.q * (1.0 - 2.0 ** -52)
-    sides, ends, at_beta, at_m = {}, [], [], []
-    for k, roots in zip(inside, solved):
-        if isinstance(roots, RevquadError):
-            out[k] = roots
-            continue
-        plane = planes[k]
+            raise ZeroSlope("section extent needs a tilted plane (m > 0)")
+        if abs(plane.beta) >= profile.q:
+            raise OutOfDomain(f"plane intercept |beta| >= q = {profile.q!r}")
+    ms, betas = [p.m for p in planes], [p.beta for p in planes]
+    if np.any(_gap(profile, np.array(betas), np.array(betas), np.array(ms)) <= 0.0):
+        raise InvalidDomain("gap is not positive at z = beta")
+    cap = _cap(profile)
+    sides, ends, at_beta, at_m = [], [], [], []
+    for plane, roots in zip(planes, _gap_roots_many(profile, ms, betas)):
         roots = sorted(roots.tolist())
         wins = (_windows(plane.beta, roots, cap),
                 _windows(-plane.beta, [-r for r in roots[::-1]], cap))
-        sides[k] = (len(ends), wins)
+        sides.append((len(ends), wins))
         ends += [s * z for s, side in zip(_SIGNS, wins) for win in side for z in win]
         at_beta += [plane.beta] * (len(ends) - len(at_beta))
         at_m += [plane.m] * (len(ends) - len(at_m))
     read = _reader(profile, np.array(ends), np.array(at_beta), np.array(at_m))
-    for k, (at, wins) in sides.items():
+    out = []
+    for at, wins in sides:
         brackets = []
-        try:
-            for side in wins:
-                found = None
-                for win in side:
-                    if found is None and read(at) > 0.0 >= read(at + 1):
-                        found = win
-                    at += 2
-                if found is None:
-                    raise LoopEscapesDomain(
-                        f"gap stays positive out to |z| = {cap!r}; "
-                        "section does not close inside |z| < q"
-                    )
-                brackets.append(found)
-        except RevquadError as exc:
-            out[k] = exc
-        else:
-            out[k] = brackets
+        for side in wins:
+            found = None
+            for win in side:
+                if found is None and read(at) > 0.0 >= read(at + 1):
+                    found = win
+                at += 2
+            if found is None:
+                break
+            brackets.append(found)
+        out.append(None if found is None else brackets)
     return out
 
 
@@ -238,7 +232,7 @@ def _bisect_roots(profile, planes, brackets):
     scalar bisection would: stop when mid == lo or mid == hi, else keep
     lo = mid where gap(mid) > 0 and hi = mid elsewhere.  So every bracket
     ends where it would alone.  Returns per plane its two gap > 0 ends, as
-    the brackets give them, or the error that one of its points raised.
+    the brackets give them.  A point's error is raised.
     """
     bounds = [[list(b) for b in pair] for pair in brackets]
     result = [[None, None] for _ in brackets]
@@ -247,8 +241,7 @@ def _bisect_roots(profile, planes, brackets):
     width = 2**_DEPTH - 1
     live = None
     while True:
-        now = [(k, s) for k, res in enumerate(result)
-               if not isinstance(res, RevquadError) for s in (0, 1) if res[s] is None]
+        now = [(k, s) for k, res in enumerate(result) for s in (0, 1) if res[s] is None]
         if not now:
             return result
         if now != live:
@@ -271,22 +264,17 @@ def _bisect_roots(profile, planes, brackets):
         read = _reader(profile, (sign * tree).ravel(), at_beta, at_m)
         tree = tree.tolist()
         for row, (k, s) in enumerate(live):
-            if isinstance(result[k], RevquadError):
-                continue
             lo, hi = bounds[k][s]
             node = 0
-            try:
-                for _ in range(_DEPTH):
-                    mid = tree[row][node]
-                    if mid == lo or mid == hi:
-                        result[k][s] = lo
-                        break
-                    if read(row * width + node) > 0.0:
-                        lo, node = mid, 2 * node + 2
-                    else:
-                        hi, node = mid, 2 * node + 1
-            except RevquadError as exc:
-                result[k] = exc
+            for _ in range(_DEPTH):
+                mid = tree[row][node]
+                if mid == lo or mid == hi:
+                    result[k][s] = lo
+                    break
+                if read(row * width + node) > 0.0:
+                    lo, node = mid, 2 * node + 2
+                else:
+                    hi, node = mid, 2 * node + 1
             bounds[k][s] = [lo, hi]
 
 

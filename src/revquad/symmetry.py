@@ -201,16 +201,23 @@ def _as_points(obj):
 
 
 def centroid(loop):
-    """Arclength-weighted centroid of the closed polyline, in chart coordinates."""
+    """Arclength-weighted centroid of the closed polyline, in chart coordinates.
+
+    Raises InvalidDomain when the loop's length or the weighted sums
+    overflow, so that the centroid is not finite.
+    """
     pts = _as_points(loop)
     nxt = np.roll(pts, -1, axis=0)
-    seg = nxt - pts
-    lengths = np.hypot(seg[:, 0], seg[:, 1])
-    total = lengths.sum()
-    if total == 0.0:
-        raise DegenerateLoop("loop has zero total length")
-    mids = 0.5 * (pts + nxt)
-    c = (mids * lengths[:, None]).sum(axis=0) / total
+    with np.errstate(over="ignore", invalid="ignore"):
+        seg = nxt - pts
+        lengths = np.hypot(seg[:, 0], seg[:, 1])
+        total = lengths.sum()
+        if total == 0.0:
+            raise DegenerateLoop("loop has zero total length")
+        mids = 0.5 * (pts + nxt)
+        c = (mids * lengths[:, None]).sum(axis=0) / total
+    if not (math.isfinite(total) and np.isfinite(c).all()):
+        raise InvalidDomain("loop centroid is not finite")
     return float(c[0]), float(c[1])
 
 

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, settings
 
 import revquad as rq
 from revquad.profiles import _gap_roots
-from revquad.sections import _section_extents
+from revquad.sections import _extents, _per_plane
 
 settings.register_profile(
     "suite",
@@ -257,8 +257,9 @@ def _extent_outcome(prof, plane):
 
 
 def assert_batch_matches_one_plane_calls(prof, planes):
-    """The batched extents equal section_extent entry by entry: values by
-    repr, errors by class and message."""
+    """The batched extents, redone one plane at a time when the batch
+    raises, equal section_extent entry by entry: values by repr, errors by
+    class and message."""
     got = [(type(e), str(e)) if isinstance(e, rq.RevquadError) else repr(e)
-           for e in _section_extents(prof, planes)]
+           for e in _per_plane(_extents, prof, planes)]
     assert got == [_extent_outcome(prof, plane) for plane in planes]

@@ -105,6 +105,27 @@ class TestCenterHeights:
         assert str(info.value) == "center curve intercepts must be finite"
         assert traced == []
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"delta": -0.1}, "need 0 < delta < inf, got delta = -0.1"),
+        ({"delta": 0.0}, "need 0 < delta < inf, got delta = 0.0"),
+        ({"delta": math.nan}, "need 0 < delta < inf, got delta = nan"),
+        ({"tol": math.nan}, "tolerance must be positive and finite, got nan"),
+        ({"tol": 0.0}, "tolerance must be positive and finite, got 0.0"),
+    ])
+    def test_delta_and_tol_checked_before_tracing(self, sphere, monkeypatch, kwargs, message):
+        traced = []
+        real = detect_module.trace_section
+        monkeypatch.setattr(detect_module, "trace_section",
+                            lambda *args: traced.append(args) or real(*args))
+        args = {"tol": 1e-4, **kwargs}
+        with pytest.raises(InvalidDomain) as info:
+            rq.center_heights(sphere, 0.2, [0.0, 0.1], 256, args.pop("tol"), **args)
+        assert str(info.value) == message
+        assert traced == []
+
+    def test_no_intercepts_give_an_empty_curve(self, sphere):
+        assert rq.center_heights(sphere, 0.3, [], 256, 1e-4) == CenterCurve(m=0.3, entries=())
+
     @pytest.mark.parametrize("beta", [math.nan, math.inf])
     def test_curve_requires_finite_intercepts(self, beta):
         with pytest.raises(InvalidDomain, match="must be finite"):
@@ -244,6 +265,12 @@ class TestFitQuadratic:
         z = np.linspace(-half, half, 33)
         with pytest.raises(InvalidDomain, match="not finite"):
             rq.fit_quadratic(np.column_stack([z, np.ones_like(z)]))
+
+    def test_overflowing_normal_equations_rejected(self):
+        # values near 1e307 overflow vand.T @ v: bad input, with no warning
+        z = np.linspace(-1.0, 1.0, 20)
+        with pytest.raises(InvalidDomain, match="not finite"):
+            rq.fit_quadratic(np.column_stack([z, 1e307 * (1.0 + z * z)]))
 
     def test_residual_of_huge_values_does_not_overflow(self):
         # the squares of values near 2^600 overflow; the residual, relative
@@ -531,15 +558,27 @@ class TestWarmPool:
     def test_first_failing_plane_raises_as_in_serial(self, cylinder):
         # With two workers, task 0 holds planes 0, 2, 4 and fails at plane 4
         # (outside the domain); task 1 holds planes 1, 3, 5 and fails at
-        # plane 3 (escapes), the first failing plane in plane order.
+        # plane 3 (escapes).  A failed task makes the calling process test
+        # the planes in order, so plane 3, the first failing plane in plane
+        # order, raises.
         planes = [(0.5, 0.0), (0.5, 1.0), (0.5, 2.0), (1.0, 9.8), (0.5, 12.0), (0.5, 3.0)]
         args = [(cylinder, m, beta, 256, 1e-4, None) for m, beta in planes]
         with pytest.raises(LoopEscapesDomain) as serial:
-            detect_module._records(detect_module._test_planes(args))
+            detect_module._test_planes(args)
         with pytest.raises(LoopEscapesDomain) as pooled:
-            detect_module._records(detect_module._map_pooled(2, args))
+            detect_module._map_pooled(2, args)
         assert str(pooled.value) == str(serial.value)
         assert str(serial.value).startswith("beta = 9.8: gap stays positive")
+
+    def test_failing_call_keeps_the_pool(self, sphere, cylinder):
+        want = self.detect(sphere)
+        pool, pids = detect_module._pool[0], _worker_pids()
+        args = [(cylinder, 0.5, 0.0, 256, 1e-4, None), (cylinder, 1.0, 9.8, 256, 1e-4, None)]
+        with pytest.raises(LoopEscapesDomain):
+            detect_module._map_pooled(2, args)
+        assert detect_module._pool[0] is pool and _worker_pids() == pids
+        assert self.detect(sphere) == want
+        assert detect_module._pool[0] is pool and _worker_pids() == pids
 
 
 def full_searches(profile, verdict, n, tol):

@@ -483,14 +483,22 @@ class TestStackedRoots:
          [(0.3, 0.0), (0.9, -0.4), (1.5, 0.2), (40.0, 0.6)], []),
     ])
     def test_gap_batches_equal_one_plane_solves(self, spec, planes, errors):
+        # a batch holding an overflowing plane raises that plane's error, as
+        # the plane alone does; the other planes, solved as one stack, keep
+        # their bits
         prof = rq.parse_profile(spec)
-        ms, betas = zip(*planes)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = profiles._gap_roots_many(prof, ms, betas)
         want = [_reference_gap_roots(prof, m, beta) for m, beta in planes]
         assert [k for k, w in enumerate(want) if isinstance(w, InvalidDomain)] == errors
-        assert all(_same_bits(g, w) for g, w in zip(got, want))
+        ok = [k for k in range(len(planes)) if k not in errors]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in errors:
+                for batch in ([planes[i] for i in ok] + [planes[k]], [planes[k]]):
+                    with pytest.raises(InvalidDomain) as exc:
+                        profiles._gap_roots_many(prof, *zip(*batch))
+                    assert str(exc.value) == str(want[k])
+            got = profiles._gap_roots_many(prof, *zip(*[planes[k] for k in ok]))
+        assert all(_same_bits(g, want[k]) for g, k in zip(got, ok))
         if spec.startswith("hyperboloid"):
             assert [len(w) for w in want[:3]] == [2, 1, 0]
 

@@ -223,6 +223,24 @@ class TestBatchedExtents:
         prof = _SAMPLED_BUMP if spec == "sampled-bump" else rq.parse_profile(spec)
         assert_batch_matches_one_plane_calls(prof, [Plane(m, f * prof.q) for m, f in planes])
 
+    @given(
+        spec=st.sampled_from(("sphere", "cylinder:1,10", "cylinder:1,1e200", "cylinder:1,1e300")),
+        planes=st.lists(st.tuples(st.sampled_from((0.0, 0.5, 1e155, 1e161, 1e200))
+                                  | st.floats(0.05, 5.0),
+                                  st.sampled_from((-1.0, 0.0, 1e-3, 0.1, 1.5))
+                                  | st.floats(-0.99, 0.99)),
+                        min_size=2, max_size=8),
+    )
+    def test_redone_batches_match_one_plane_calls(self, spec, planes):
+        # closing planes beside horizontal ones, |beta| >= q, steep escaping
+        # slopes and gap polynomials that overflow: a batch that raises is
+        # redone one plane at a time, and every entry is the plane's own
+        prof = rq.parse_profile(spec)
+        planes = [Plane(m, f * prof.q) for m, f in planes]
+        assert_batch_matches_one_plane_calls(prof, planes)
+        got = sections._per_plane(sections._closing_brackets, prof, planes)
+        assert [_outcome(e) for e in got] == [_closing_alone(prof, p) for p in planes]
+
     def test_mixed_outcomes_in_one_batch(self, cylinder, hyperboloid):
         # closing, escaping (near the domain edge and above the asymptotic
         # cone), horizontal and out-of-domain planes side by side
@@ -230,7 +248,7 @@ class TestBatchedExtents:
                   Plane(0.7, 0.2), Plane(1.5, 0.0)]
         assert_batch_matches_one_plane_calls(cylinder, planes)
         assert_batch_matches_one_plane_calls(hyperboloid, planes)
-        kinds = [type(e) for e in sections._section_extents(cylinder, planes)]
+        kinds = [type(e) for e in sections._per_plane(sections._extents, cylinder, planes)]
         assert kinds == [tuple, LoopEscapesDomain, ZeroSlope, OutOfDomain, tuple, tuple]
 
     def test_root_error_stays_with_its_plane(self):
@@ -238,7 +256,7 @@ class TestBatchedExtents:
         prof = rq.parse_profile("cylinder:1,1e200")
         planes = [Plane(0.5, 0.0), Plane(0.5, 1e199)]
         assert_batch_matches_one_plane_calls(prof, planes)
-        kinds = [type(e) for e in sections._section_extents(prof, planes)]
+        kinds = [type(e) for e in sections._per_plane(sections._extents, prof, planes)]
         assert kinds == [tuple, InvalidDomain]
 
     def test_sphere_batch_reaching_q(self, sphere):
@@ -266,9 +284,24 @@ class TestBatchedExtents:
         # closing decision at 1/sqrt(5) +- 4.5e-10
         planes = [Plane(1.0, 0.3), Plane(1.0, -0.5), Plane(0.5, 0.0)]
         assert_batch_matches_one_plane_calls(sphere, planes)
-        kinds = [type(e) for e in sections._section_extents(sphere, planes)]
+        kinds = [type(e) for e in sections._per_plane(sections._extents, sphere, planes)]
         assert [k for k, kind in enumerate(kinds) if kind is not tuple] == [failing]
         assert kinds[failing] is rq.NonPositiveProfile
+
+
+def _outcome(entry):
+    """A batch entry by repr, or an error by class and message."""
+    if isinstance(entry, rq.RevquadError):
+        return type(entry), str(entry)
+    return repr(entry)
+
+
+def _closing_alone(prof, plane):
+    """The plane's closing decision in a batch of its own, as an _outcome."""
+    try:
+        return _outcome(sections._closing_brackets(prof, [plane])[0])
+    except rq.RevquadError as exc:
+        return _outcome(exc)
 
 
 class TestTraceSection:

@@ -99,6 +99,19 @@ class TestCentroid:
         with pytest.raises(DegenerateLoop):
             rq.centroid(synthetic_loop(pts))
 
+    def test_overflowing_weighted_sums_rejected(self):
+        # a finite 3-lobed loop of radius 1e150 about (1e160, 1e160): its
+        # length-weighted sums overflow, so neither centroid nor the free
+        # search that starts from it has a finite centre
+        t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        r = 1e150 * (1.0 + 0.3 * np.cos(3.0 * t))
+        pts = 1e160 + r[:, None] * np.column_stack([np.cos(t), np.sin(t)])
+        with pytest.raises(InvalidDomain, match="centroid is not finite"):
+            rq.centroid(pts)
+        with pytest.raises(InvalidDomain, match="centroid is not finite"):
+            rq.centrality(pts, 1e-4, free_center=True)
+        assert 0.0 < rq.asymmetry_at(pts, (1e160, 1e160)) < 1.0
+
     @given(
         vy=st.floats(-5.0, 5.0),
         vz=st.floats(-5.0, 5.0),
