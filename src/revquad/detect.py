@@ -20,16 +20,16 @@ sections), and a refutation reports one witness: the failing plane of
 largest asymmetry.  So the centre searches of failing planes run witness
 first.  Each plane is traced and scored where it is tested, in this
 process or a pool worker, but a probe whose midpoint fails makes only its
-search's first evaluation, at the centroid.  The detector then finishes
-those searches in this process, from the highest centroid score down, and
-stops each one as soon as its best score falls below the largest that a
-finished search found above the tolerance: such a plane cannot be the
-witness.  The witness keeps the plane, centre and asymmetry a full search
-of every plane gives, bit for bit; a stopped plane's record holds the
-best centre its search reached, whose asymmetry is at least the full
-search's and below the witness's.  Slab planes, whose centres are checked
-against the slab, and center_heights, which reports every centre, run
-every search to the end.
+search's first evaluation, at the centroid.  The detector then takes
+those probes in this process, from the highest centroid score down.  A
+probe whose centroid scores below the largest score above the tolerance
+that a finished search found cannot be the witness, since a search's
+best score only falls: it keeps its centroid and that score.  Every other
+probe's search runs to the end.  So the witness keeps the plane, centre
+and asymmetry a full search of every plane gives, bit for bit, and every
+failing record is either its full search's or its start's.  Slab planes,
+whose centres are checked against the slab, and center_heights, which
+reports every centre, run every search to the end.
 
 A central plane needs no exact score either: a quadric has only central
 sections, so the plane is settled by any proof that its loop is within
@@ -72,7 +72,7 @@ from .sections import (
     slope_bound,
     trace_section,
 )
-from .symmetry import CentralityReport, PendingCentrality, centrality
+from .symmetry import CentralityReport, PendingCentrality, _check_tol, centrality
 
 __all__ = [
     "CenterEntry",
@@ -142,9 +142,9 @@ class SectionRecord:
     zeta, asymmetry and report come from the plane's centrality test.  A
     central plane's centre is the midpoint, and its asymmetry a certified
     upper bound on the midpoint's score, in [midpoint score, tol].  In a
-    refutation, a failing probe that cannot hold the witness stops its
-    search early: its record holds the best centre reached by then, whose
-    asymmetry is at least the full search's and below the witness's.
+    refutation, a failing probe whose search starts below the witness
+    keeps its start: its record holds the centroid and the score there,
+    which is at least the full search's and below the witness's.
     """
 
     m: float
@@ -162,7 +162,7 @@ class QuadricVerdict:
 
     witness is the failing plane of largest asymmetry, the first in plane
     order on a tie, with the report of its full centre search.  The other
-    failing probes of a refutation may record stopped searches, and every
+    failing probes of a refutation may record their searches' starts, and every
     central plane's record holds the full search's centre with a certified
     upper bound in [midpoint score, tol] as its asymmetry (see
     SectionRecord).
@@ -204,21 +204,16 @@ def center_heights(profile, m, betas, n, tol, delta=None):
     if not (delta is None or 0.0 < delta < math.inf):
         raise InvalidDomain(f"need 0 < delta < inf, got delta = {delta!r}")
     args = [(profile, float(m), b, n, tol, delta) for b in betas]
-    records = _test_planes(args, defer=False)
+    records = _finish_searches(_test_planes(args), math.inf)
     entries = tuple(CenterEntry(r.beta, r.zeta, r.asymmetry) for r in records)
     return CenterCurve(m=float(m), entries=entries)
 
 
-def _check_tol(tol):
-    if not (0.0 < tol < math.inf):
-        raise InvalidDomain(f"tolerance must be positive and finite, got {tol!r}")
-
-
-def _test_plane(profile, m, beta, n, tol, delta=None, extent=None, defer=False):
+def _test_plane(profile, m, beta, n, tol, delta=None, extent=None):
     try:
         loop = trace_section(profile, Plane(m, beta), n, extent)
         # a slab plane's centre is checked below, so its search runs to the end
-        report = centrality(loop, tol, defer=defer and delta is None, bound=True)
+        report = centrality(loop, tol, defer=delta is None, bound=True)
     except RevquadError as exc:
         raise exc.__class__(f"beta = {beta!r}: {exc}") from exc
     if delta is not None:
@@ -246,7 +241,7 @@ def _test_plane_star(args):
     return _test_plane(*args)
 
 
-def _test_planes(batch, defer=True):
+def _test_planes(batch):
     """Test a batch of planes of one profile, in order: their records, or
     the tagged error of the first plane that fails, raised.
 
@@ -255,9 +250,9 @@ def _test_planes(batch, defer=True):
     bisected together first; should that raise, each plane finds its own
     extent in trace_section, which raises its error after the plane's own
     checks, as it does alone.  Each plane is then traced and scored through
-    _test_plane_star, its extent and defer passed in: with defer, a plane
-    outside any slab whose midpoint fails gets a PendingCentrality report,
-    which _finish_searches completes.
+    _test_plane_star, its extent passed in.  A plane outside any slab whose
+    midpoint fails gets a PendingCentrality report, which _finish_searches
+    completes.
     """
     if not batch:
         return []
@@ -265,29 +260,32 @@ def _test_planes(batch, defer=True):
         extents = _extents(batch[0][0], [Plane(m, beta) for _, m, beta, *_ in batch])
     except RevquadError:
         extents = [None] * len(batch)
-    return [_test_plane_star((*args, extent, defer)) for args, extent in zip(batch, extents)]
+    return [_test_plane_star((*args, extent)) for args, extent in zip(batch, extents)]
 
 
 def _finish_searches(records, tol):
-    """The records with every pending centre search finished, witness first.
+    """The records with every pending centre search finished or skipped,
+    witness first.
 
     A pending record holds its search's start, the centroid, and its score
-    there.  The searches run from the highest start score down, ties in
-    plane order, and each stops once its best score is below the witness so
-    far: the largest score above tol of a search that ran to the end.  A
-    search's best score never rises, so the search that ends at the largest
-    score, and every other that ends at it, runs to the end, and the
-    witness keeps the plane, centre and score a full search of every plane
-    gives.  A stopped search's record holds the best centre it reached,
-    whose score is at least the full search's and below the witness's.
-    With no score above tol every search runs to the end.
+    there.  The records are taken from the highest start score down, ties
+    in plane order.  A search runs to the end unless its start scores below
+    the witness so far, the largest score above tol of a search that ran to
+    the end; such a record keeps its start, as a plain CentralityReport.  A
+    search's best score never rises, so every search that ends at the
+    largest score runs to the end, and the witness keeps the plane, centre
+    and score a full search of every plane gives.  With tol = inf no score
+    is above tol, and every search runs to the end.
     """
     records = list(records)
     pending = {i for i, r in enumerate(records) if isinstance(r.report, PendingCentrality)}
     witness = max((r.asymmetry for i, r in enumerate(records)
                    if i not in pending and r.asymmetry > tol), default=-math.inf)
     for i in sorted(pending, key=lambda i: (-records[i].asymmetry, i)):
-        report = records[i].report.finish(witness)
+        start = records[i].report
+        # a search that starts below the witness cannot end above it
+        report = (CentralityReport(start.center, start.asymmetry, start.tolerance, start.central)
+                  if start.asymmetry < witness else start.finish())
         records[i] = replace(records[i], zeta=report.center[1], asymmetry=report.asymmetry,
                              report=report)
         if report.asymmetry > tol:

@@ -257,13 +257,6 @@ def _poly_roots(rows, lim):
     return out
 
 
-def _gap_roots(profile, m, beta):
-    """Candidate roots in |z| < q of the section gap F(z) - ((z - beta)/m)^2:
-    the one-plane case of _gap_roots_many."""
-    (roots,) = _gap_roots_many(profile, [m], [beta])
-    return roots
-
-
 def _gap_roots_many(profile, ms, betas):
     """Per plane (m, beta), the candidate roots in |z| < q of its section
     gap F(z) - ((z - beta)/m)^2.  Raises InvalidDomain, through _poly_roots,

@@ -157,8 +157,8 @@ def _closing_brackets(profile, planes):
     frame -z, where that side looks for the first crossing above its own
     start.  A plane whose upper side does not close reads no lower
     window.  Any other error section_extent raises before it bisects is
-    raised, the first that one of the planes meets.  The gaps at the
-    intercepts are one gap call, the gap polynomials one stacked root
+    raised, the first that one of the planes meets.  The profile at the
+    intercepts is one eval call, the gap polynomials one stacked root
     solve (_gap_roots_many), and the windows of every side of every plane
     another gap call.
     """
@@ -168,8 +168,8 @@ def _closing_brackets(profile, planes):
         if abs(plane.beta) >= profile.q:
             raise OutOfDomain(f"plane intercept |beta| >= q = {profile.q!r}")
     ms, betas = [p.m for p in planes], [p.beta for p in planes]
-    if np.any(_gap(profile, np.array(betas), np.array(betas), np.array(ms)) <= 0.0):
-        raise InvalidDomain("gap is not positive at z = beta")
+    # the gap at an intercept is F there: eval raises unless it is positive
+    profile.eval(np.array(betas))
     cap = _cap(profile)
     sides, ends, at_beta, at_m = [], [], [], []
     for plane, roots in zip(planes, _gap_roots_many(profile, ms, betas)):

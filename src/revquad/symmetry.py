@@ -691,7 +691,9 @@ def _chart_diameter(pts, convex=None):
 
     A loop that is a strictly convex polygon winding once, as every
     quadric section is, is its own hull; any other loop takes its hull from
-    Qhull.
+    Qhull.  Qhull finds a loop of tiny coordinates flat, so it is handed
+    the points scaled by an exact power of two, to a largest |coordinate|
+    in [0.5, 1); the calipers run on the points themselves.
     Points that Qhull finds flat (collinear or repeated) lie on one line,
     whose diameter is the distance between its two ends.  convex, if
     given, is _convex_ccw(pts).
@@ -700,8 +702,9 @@ def _chart_diameter(pts, convex=None):
     if hull is None:
         from scipy.spatial import ConvexHull, QhullError  # a slow import, needed here only
 
+        k = math.frexp(float(np.abs(pts).max()))[1]
         try:
-            hull = pts[ConvexHull(pts).vertices]
+            hull = pts[ConvexHull(np.ldexp(pts, -k)).vertices]
         except QhullError:
             return _line_diameter(pts)
         _, phi = _edges_and_angles(hull)
@@ -828,10 +831,10 @@ def centrality(loop, tol, free_center=False, defer=False, bound=False):
 
     With defer=True a failing midpoint makes only the search's first
     evaluation, at the centroid, and returns a PendingCentrality, whose
-    finish resumes the search from there.
+    finish runs the search from there to the end.  Squared distances that
+    overflow score inf, with no warning.
     """
-    if not (0.0 < tol < math.inf):
-        raise InvalidDomain(f"tolerance must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     if bound and not free_center:
         loop = _as_points(loop)
         passed = _midpoint_bound(loop, tol)
@@ -843,16 +846,22 @@ def centrality(loop, tol, free_center=False, defer=False, bound=False):
         center[0] = 0.0
     # a refined maximum or a lower bound past the cut proves asym > tol
     cut = tol * geom.diameter * _REJECT_MARGIN
-    got = geom.max_dist2(center, cut=cut)
-    asym = math.inf if got is None else _root(got[0]) / geom.diameter
-    if not asym <= tol:
-        if defer:
-            start = _centroid_start(geom, free_center)
-            geom.release_scratch()
-            return _report(start[0], start[1] / geom.diameter, tol, PendingCentrality,
-                           search=(geom, free_center, start))
-        center, asym = _centroid_descent(geom, free_center)
-    return _report(center, asym, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = geom.max_dist2(center, cut=cut)
+        asym = math.inf if got is None else _root(got[0]) / geom.diameter
+        if asym <= tol:
+            return _report(center, asym, tol)
+        start = _centroid_start(geom, free_center)
+    if not defer:
+        return _report(*_centroid_descent(geom, free_center, start), tol)
+    geom.release_scratch()
+    return _report(start[0], start[1] / geom.diameter, tol, PendingCentrality,
+                   search=(geom, free_center, start))
+
+
+def _check_tol(tol):
+    if not (0.0 < tol < math.inf):
+        raise InvalidDomain(f"tolerance must be positive and finite, got {tol!r}")
 
 
 def _midpoint_bound(pts, tol):
@@ -931,20 +940,18 @@ class PendingCentrality(CentralityReport):
     evaluation: center and asymmetry are the centroid's, where the search
     starts, and central tells whether that score is within the tolerance.
     search holds the loop geometry, without its kernel scratch, and the
-    start, so the report crosses a process pool pickled.
+    start, so the report crosses a process pool pickled.  The detector
+    either finishes the search or keeps the start, as a plain
+    CentralityReport, when the start scores below its witness.
     """
 
     search: tuple = field(compare=False, repr=False)
 
-    def finish(self, stop=-math.inf):
-        """The plain report once the search ends: after its last halving,
-        or as soon as its best score is below stop.  The best score never
-        rises, so a search stopped early reports a score at least the full
-        search's and below stop; with stop = -inf it is the report
+    def finish(self):
+        """The plain report of the search run to the end: the report
         centrality gives without defer, bit for bit."""
         geom, free_center, start = self.search
-        center, asym = _centroid_descent(geom, free_center, start, stop)
-        return _report(center, asym, self.tolerance)
+        return _report(*_centroid_descent(geom, free_center, start), self.tolerance)
 
 
 def _report(center, asym, tol, kind=CentralityReport, **extra):
@@ -966,11 +973,12 @@ def _centroid_start(geom, free_center):
     return center, _root(top), rows[_worst_rows(vals)], ceiling
 
 
-def _centroid_descent(geom, free_center, start=None, stop=-math.inf):
+@np.errstate(over="ignore", invalid="ignore")
+def _centroid_descent(geom, free_center, start):
     """Coordinate descent from the centroid; returns (center, asymmetry).
 
-    start is _centroid_start's result, when it was made already.  A trial
-    center is an evaluation seeded with the worst rows of the best
+    start is _centroid_start's result, the search's first evaluation.  A
+    trial center is an evaluation seeded with the worst rows of the best
     center and cut at the best score, so it returns a score only when that
     score is lower, and the trial is then accepted.  Its values are the
     bits any evaluation gives its rows, and a bound never supplies a score,
@@ -980,17 +988,15 @@ def _centroid_descent(geom, free_center, start=None, stop=-math.inf):
     moved by 2 step and a rounding slack, leave out of the evaluation the
     rows that cannot reach that lower bound (max_dist2).  The worst rows
     and the ceilings of an accepted center are taken from its evaluation.
-    The descent stops early once its asymmetry is below stop.
+    Squared distances that overflow are inf, with no warning.
     """
-    center, best, worst, ceiling = _centroid_start(geom, free_center) if start is None else start
+    center, best, worst, ceiling = start
     dirs = [np.array([0.0, 1.0])]
     if free_center:
         dirs.append(np.array([1.0, 0.0]))
     step = geom.diameter / 8.0
     floor = geom.floor(center, worst)
     for _ in range(20):
-        if best / geom.diameter < stop:
-            break
         for d in dirs:
             for cand in (center + step * d, center - step * d):
                 low = -math.inf if floor is None else floor(cand)

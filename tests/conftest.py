@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import revquad as rq
-from revquad.profiles import _gap_roots
+from revquad.profiles import _gap_roots_many
 from revquad.sections import _extents, _per_plane
 
 settings.register_profile(
@@ -170,7 +170,7 @@ def oracle_root_extent(profile, plane):
     def gap(z):
         return rq.section_gap(profile, plane, z)
 
-    roots = sorted(_gap_roots(profile, plane.m, beta).tolist())
+    roots = sorted(_gap_roots_many(profile, [plane.m], [beta])[0].tolist())
     cap = profile.q * (1.0 - 2.0 ** -52)
     z_hi = oracle_first_crossing(gap, beta, roots, cap)
     z_lo = -oracle_first_crossing(lambda z: gap(-z), -beta, [-r for r in roots[::-1]], cap)

@@ -333,7 +333,7 @@ def tables(draw):
 
 def _scipy_gap_roots(ref, m, beta):
     """The section gap's roots as PPoly.roots gives them (the scaling of
-    profiles._gap_roots)."""
+    profiles._gap_roots_many)."""
     fw, qw = (m * m, 1.0) if m <= 1.0 else (1.0, (1.0 / m) ** 2)
     off = ref.x[:-1] - beta
     c = fw * ref.c
@@ -380,7 +380,8 @@ class TestPchipMatchesScipy:
         for m in (0.05, 0.3, 0.9, 2.5):
             beta = float(rng.uniform(-0.6, 0.6)) * prof.q
             want = _scipy_gap_roots(ref, m, beta)
-            _assert_same_roots(profiles._gap_roots(prof, m, beta), want[np.abs(want) < prof.q])
+            (got,) = profiles._gap_roots_many(prof, [m], [beta])
+            _assert_same_roots(got, want[np.abs(want) < prof.q])
             # the extent bisects from either set of roots to the same bits
             plane = rq.Plane(m, beta)
             got = _extent_or_error(prof, plane)
@@ -410,7 +411,7 @@ class TestPchipMatchesScipy:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for m in (0.1, 1.0, 1e-3, 1e3):
-                profiles._gap_roots(prof, m, 0.25)
+                profiles._gap_roots_many(prof, [m], [0.25])
             profiles._critical_points(prof, prof.q)
 
 
@@ -687,7 +688,7 @@ class TestParser:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidDomain, match="roots overflow"):
-                profiles._gap_roots(prof, m, 0.0)
+                profiles._gap_roots_many(prof, [m], [0.0])
 
     def test_parse_error_carries_position(self):
         with pytest.raises(ParseError) as info:

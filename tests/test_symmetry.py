@@ -111,6 +111,20 @@ class TestCentroid:
         with pytest.raises(InvalidDomain, match="centroid is not finite"):
             rq.centrality(pts, 1e-4, free_center=True)
         assert 0.0 < rq.asymmetry_at(pts, (1e160, 1e160)) < 1.0
+        # pinned, the midpoint (0, 1e160) is scored first: its reflections
+        # lie 2e160 away, and their squared distances overflow with no
+        # warning before the centroid raises
+        with pytest.raises(InvalidDomain, match="centroid is not finite"):
+            rq.centrality(pts, 1e-4)
+
+    def test_pinned_search_far_from_the_axis_warns_of_nothing(self):
+        # about (1e155, 1e155) the centroid is finite, but every pinned
+        # centre's squared distances overflow: the search scores inf
+        t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        r = 1e150 * (1.0 + 0.3 * np.cos(3.0 * t))
+        pts = 1e155 + r[:, None] * np.column_stack([np.cos(t), np.sin(t)])
+        for report in (rq.centrality(pts, 1e-4), rq.centrality(pts, 1e-4, defer=True).finish()):
+            assert report.asymmetry == math.inf and not report.central
 
     @given(
         vy=st.floats(-5.0, 5.0),
@@ -1106,13 +1120,14 @@ class TestCeilings:
         geom = _LoopGeometry(loop)
         assert geom._normals is not None
         passes = count_bound_passes(monkeypatch)
-        center, asym = symmetry._centroid_descent(geom, free)
+        center, asym = symmetry._centroid_descent(geom, free, symmetry._centroid_start(geom, free))
         assert asym > 1e-4
         scored = len(geom._scored(center))
         assert sum(passes) < 0.5 * len(passes) * scored
         del passes[:]
         without_ceilings(monkeypatch)
-        assert repr(symmetry._centroid_descent(geom, free)) == repr((center, asym))
+        start = symmetry._centroid_start(geom, free)
+        assert repr(symmetry._centroid_descent(geom, free, start)) == repr((center, asym))
         assert sum(passes) == len(passes) * scored
 
 
@@ -1182,6 +1197,17 @@ class TestChartDiameter:
             pts = circle_points(0.0, 0.0, 1.0, n) + rng.normal(0.0, noise, (n, 2))
             exact = oracle_diameter(pts)
             assert abs(symmetry._chart_diameter(pts) - exact) <= 2.0**-51 * exact
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-158, 1e-160, 1e-162, 1e-170, 1e150, 1e153])
+    def test_hull_of_tiny_and_huge_coordinates(self, scale):
+        # Qhull finds a noisy circle at 1e-160 flat; handed the points
+        # scaled by a power of two it finds the hull, and the calipers on
+        # the points themselves give the all-pairs diameter
+        rng = np.random.default_rng(0)
+        pts = scale * (circle_points(0.0, 0.0, 1.0, 300) + rng.normal(0.0, 0.05, (300, 2)))
+        assert symmetry._convex_ccw(pts)[0] is None
+        exact = oracle_diameter(pts)
+        assert abs(symmetry._chart_diameter(pts) - exact) <= 2.0**-51 * exact
 
     @pytest.mark.parametrize("n", [16, 1024])
     def test_orientation_start_and_winding(self, cubic, n):
