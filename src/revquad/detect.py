@@ -60,17 +60,20 @@ from .errors import (
     SlabViolation,
 )
 from .profiles import QuadricParams, infimum_radius
-# section_extent is not called here; it stays a name of this module, as
-# trace_section and centrality are, for perfbench/spans.py to wrap.
+# section_extent and trace_section are not called here: the detector
+# finds extents and traces loops a batch at a time.  They stay names of
+# this module only for perfbench/spans.py to wrap, as centrality does.
 from .sections import (
     Plane,
     _closing_brackets,
     _count,
     _extents,
     _per_plane,
+    _sample_levels,
+    _trace_many,
     section_extent,  # noqa: F401
     slope_bound,
-    trace_section,
+    trace_section,  # noqa: F401
 )
 from .symmetry import CentralityReport, PendingCentrality, _check_tol, centrality
 
@@ -209,9 +212,12 @@ def center_heights(profile, m, betas, n, tol, delta=None):
     return CenterCurve(m=float(m), entries=entries)
 
 
-def _test_plane(profile, m, beta, n, tol, delta=None, extent=None):
+def _test_plane(m, beta, tol, delta, loop):
+    """The record of the plane (m, beta), traced as loop; loop may instead
+    be the error tracing it raised, which is raised here."""
     try:
-        loop = trace_section(profile, Plane(m, beta), n, extent)
+        if isinstance(loop, RevquadError):
+            raise loop
         # a slab plane's centre is checked below, so its search runs to the end
         report = centrality(loop, tol, defer=delta is None, bound=True)
     except RevquadError as exc:
@@ -242,25 +248,40 @@ def _test_plane_star(args):
 
 
 def _test_planes(batch):
-    """Test a batch of planes of one profile, in order: their records, or
-    the tagged error of the first plane that fails, raised.
+    """Test a batch of tilted planes of one profile, in order: their
+    records, or the tagged error of the first plane that fails, raised.
 
-    batch holds _test_plane's arguments (profile, m, beta, n, tol, delta),
-    with the same profile throughout.  The extents of all the planes are
-    bisected together first; should that raise, each plane finds its own
-    extent in trace_section, which raises its error after the plane's own
-    checks, as it does alone.  Each plane is then traced and scored through
-    _test_plane_star, its extent passed in.  A plane outside any slab whose
-    midpoint fails gets a PendingCentrality report, which _finish_searches
-    completes.
+    batch holds (profile, m, beta, n, tol, delta) per plane, with the same
+    profile and n throughout.  The planes are traced as trace_section
+    traces each alone, in three steps: the extents of all of them are
+    bisected together (_extents); the planes up to the first without an
+    extent are traced together, as one array program (_trace_many); each
+    plane's loop, or its error, goes to _test_plane_star, in plane order,
+    which scores the loop or raises the error.  A batch step that raises is
+    redone one plane at a time (_per_plane), so each plane keeps its own
+    outcome, and its errors their precedence in trace_section: the sample
+    count, the intercept, the extent, then the gap.  A plane outside any
+    slab whose midpoint fails gets a PendingCentrality report, which
+    _finish_searches completes.
     """
     if not batch:
         return []
+    profile, n = batch[0][0], batch[0][3]
     try:
-        extents = _extents(batch[0][0], [Plane(m, beta) for _, m, beta, *_ in batch])
-    except RevquadError:
-        extents = [None] * len(batch)
-    return [_test_plane_star((*args, extent)) for args, extent in zip(batch, extents)]
+        cosines = _sample_levels(n)
+    except RevquadError as exc:
+        # trace_section checks n first, so the first plane raises this
+        loops = [exc]
+    else:
+        planes = [Plane(m, beta) for _, m, beta, *_ in batch]
+        extents = _per_plane(_extents, profile, planes)
+        # the first plane without an extent raises: no later plane is tested
+        k = next((k for k, e in enumerate(extents) if isinstance(e, RevquadError)),
+                 len(planes))
+        loops = _per_plane(_trace_many, profile, planes[:k], cosines,
+                           extents=extents[:k]) + extents[k:k + 1]
+    return [_test_plane_star((m, beta, tol, delta, loop))
+            for (_, m, beta, _, tol, delta), loop in zip(batch, loops)]
 
 
 def _finish_searches(records, tol):
@@ -479,14 +500,16 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
     pool of k = min(workers, planes, CPUs) processes (serially when that is
     1), one task per worker: task i holds the planes i, i + k, i + 2k, ...
     Each batch (the serial run is one) bisects its planes' extents in
-    lock-step, with the bits each extent has alone.  Records are put back
-    in plane order, and the first failing plane's error is raised; the
-    failing probes' centre searches then finish in this process, witness
-    first (see the module docstring), so the outcome does not depend on
-    the worker count.  Pooled calls share one
-    warm pool for the life of the process: it is built by the first pooled
-    call, rebuilt when a call needs another size, after a fork, or after a
-    worker died, and shut down at interpreter exit.
+    lock-step and traces its planes as one array program, with the bits
+    each extent and loop has alone; a batch that raises is traced again
+    one plane at a time, so each plane keeps its own error.  Records are
+    put back in plane order, and the first failing plane's error is
+    raised; the failing probes' centre searches then finish in this
+    process, witness first (see the module docstring), so the outcome does
+    not depend on the worker count.  Pooled calls share one warm pool for
+    the life of the process: it is built by the first pooled call, rebuilt
+    when a call needs another size, after a fork, or after a worker died,
+    and shut down at interpreter exit.
     """
     q = profile.q
     if not (0.0 < delta < q / 3.0):

@@ -128,16 +128,18 @@ def _extents(profile, planes):
     return [(-lo, hi) for hi, lo in _bisect_roots(profile, planes, brackets)]
 
 
-def _per_plane(batched, profile, planes):
-    """batched(profile, planes); if it raises, each plane's entry alone, or its error."""
+def _per_plane(batched, profile, planes, *shared, **columns):
+    """batched(profile, planes, *shared, **columns), each column a list with
+    an entry per plane; if it raises, each plane's entry alone, or its error."""
     try:
-        return batched(profile, planes)
+        return batched(profile, planes, *shared, **columns)
     except RevquadError:
         pass
     out = []
-    for plane in planes:
+    for k, plane in enumerate(planes):
+        own = {name: [column[k]] for name, column in columns.items()}
         try:
-            out.append(batched(profile, [plane])[0])
+            out.append(batched(profile, [plane], *shared, **own)[0])
         except RevquadError as exc:
             out.append(exc)
     return out
@@ -287,49 +289,75 @@ def trace_section(profile, plane, n, extent=None):
     z_lo and z_hi.  The returned loop has 2n - 2 distinct points.  For
     m = 0 it has n points uniformly spaced in angle.  extent, when given,
     is section_extent(profile, plane), found beforehand; otherwise it is
-    found here.
+    found here.  The checks come in this order: the sample count (an
+    integer >= 16 that numpy can allocate), the intercept, the extent,
+    then the gap between the extent's ends.  A tilted plane is traced by
+    _trace_many, as a batch of one: the detector traces each batch of
+    planes as one such program.
     """
-    n = _count(n, "sample level count")
-    if n < 16:
-        raise InvalidDomain(f"need n >= 16 sample levels, got {n!r}")
+    levels = _sample_levels(n, plane.m > 0.0)
     if abs(plane.beta) >= profile.q:
         raise OutOfDomain(f"plane intercept |beta| >= q = {profile.q!r}")
-    try:
-        if plane.m == 0.0:
-            levels = np.arange(n)
-        else:
-            cosines = _chebyshev_cosines(n)
-    except (MemoryError, ValueError):  # numpy: too much memory, or past its size limit
-        raise InvalidDomain(f"cannot allocate {n!r} sample levels") from None
-
     if plane.m == 0.0:
         r = math.sqrt(profile.eval(plane.beta))
-        ang = 2.0 * np.pi * levels / n
+        ang = 2.0 * np.pi * levels / len(levels)
         pts = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
         return SectionLoop(plane=plane, points=pts, z_lo=plane.beta, z_hi=plane.beta)
+    if extent is None:
+        extent = section_extent(profile, plane)
+    return _trace_many(profile, [plane], levels, extents=[extent])[0]
 
-    z_lo, z_hi = section_extent(profile, plane) if extent is None else extent
-    mid = 0.5 * (z_lo + z_hi)
-    rad = 0.5 * (z_hi - z_lo)
+
+def _trace_many(profile, planes, cosines, extents):
+    """trace_section of every tilted plane over its extent, sampled at the
+    Chebyshev levels cosines (_sample_levels), all of them as one
+    (planes, n) program: the nodes, one gap call, one profile call at the
+    intercepts for the floors below which a gap is not rounding, and one
+    (planes, 2n - 2, 2) point array, each loop's points a view of it.
+    Every element has the bits trace_section gives it alone.  Raises the
+    first error it meets, as trace_section does.
+    """
+    n = len(cosines)
+    # per plane, as columns: the extent's midpoint and radius, its ends,
+    # the intercept and the slope
+    cols = np.array([(0.5 * (lo + hi), 0.5 * (hi - lo), lo, hi, p.beta, p.m)
+                     for p, (lo, hi) in zip(planes, extents)], dtype=float)
+    mid, rad, lo, hi, beta, m = cols.reshape(-1, 6).T[..., None]
     zs = mid + rad * cosines
-    zs[0] = z_hi
-    zs[-1] = z_lo
-    gap = section_gap(profile, plane, zs)
-    floor = -1e-9 * max(1.0, profile.eval(plane.beta))
-    if np.any(gap < floor):
+    zs[:, :1] = hi
+    zs[:, -1:] = lo
+    gap = _gap(profile, zs, beta, m)
+    # fmax, as max(1.0, F) would, reads a nan value as 1.0
+    floor = -1e-9 * np.fmax(1.0, profile.eval(beta))
+    if (gap < floor).any():
         raise NonSimpleSection(
             "gap dips negative between the extent roots; the cut is not a single loop"
         )
     ys = np.sqrt(np.where(gap < 0.0, 0.0, gap))
     # the extent endpoints are the section's turning points: y = 0 exactly
-    ys[0] = 0.0
-    ys[-1] = 0.0
-    pts = np.empty((2 * n - 2, 2))
-    pts[:n, 0] = ys[::-1]                   # upper: (0, z_lo) ... (0, z_hi)
-    pts[:n, 1] = zs[::-1]
-    np.negative(ys[1:-1], out=pts[n:, 0])   # back down, endpoints excluded
-    pts[n:, 1] = zs[1:-1]
-    return SectionLoop(plane=plane, points=pts, z_lo=z_lo, z_hi=z_hi)
+    ys[:, 0] = 0.0
+    ys[:, -1] = 0.0
+    pts = np.empty((len(planes), 2 * n - 2, 2))
+    pts[:, :n, 0] = ys[:, ::-1]                 # upper: (0, z_lo) ... (0, z_hi)
+    pts[:, :n, 1] = zs[:, ::-1]
+    np.negative(ys[:, 1:-1], out=pts[:, n:, 0])  # back down, endpoints excluded
+    pts[:, n:, 1] = zs[:, 1:-1]
+    return [SectionLoop(plane=plane, points=p, z_lo=z_lo, z_hi=z_hi)
+            for plane, p, (z_lo, z_hi) in zip(planes, pts, extents)]
+
+
+def _sample_levels(n, tilted=True):
+    """The n levels trace_section samples a plane at: the Chebyshev cosines
+    of a tilted plane, the indices 0 .. n - 1 of a horizontal one.  An n
+    that is not an integer >= 16, or that numpy cannot allocate, raises
+    InvalidDomain."""
+    n = _count(n, "sample level count")
+    if n < 16:
+        raise InvalidDomain(f"need n >= 16 sample levels, got {n!r}")
+    try:
+        return _chebyshev_cosines(n) if tilted else np.arange(n)
+    except (MemoryError, ValueError):  # numpy: too much memory, or past its size limit
+        raise InvalidDomain(f"cannot allocate {n!r} sample levels") from None
 
 
 @functools.lru_cache(maxsize=1)

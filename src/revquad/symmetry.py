@@ -832,7 +832,9 @@ def centrality(loop, tol, free_center=False, defer=False, bound=False):
     With defer=True a failing midpoint makes only the search's first
     evaluation, at the centroid, and returns a PendingCentrality, whose
     finish runs the search from there to the end.  Squared distances that
-    overflow score inf, with no warning.
+    overflow score inf, with no warning; when the centroid's score
+    overflows, so that the search could only report inf, centrality raises
+    InvalidDomain, as asymmetry_at does there, with and without defer.
     """
     _check_tol(tol)
     if bound and not free_center:
@@ -852,6 +854,9 @@ def centrality(loop, tol, free_center=False, defer=False, bound=False):
         if asym <= tol:
             return _report(center, asym, tol)
         start = _centroid_start(geom, free_center)
+    # a search's best score only falls, so a finite start ends finite
+    if not math.isfinite(start[1]):
+        raise InvalidDomain(f"distances of the reflections about {start[0].tolist()!r} overflow")
     if not defer:
         return _report(*_centroid_descent(geom, free_center, start), tol)
     geom.release_scratch()

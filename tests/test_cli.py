@@ -306,6 +306,14 @@ class TestReconstructCommand:
         assert code == 2
         assert "beta" in err
 
+    def test_too_few_samples_tag_the_first_plane(self, capsys):
+        # the sweep's planes are traced as one batch; the sample count is
+        # checked first, and the first plane raises it
+        code, out, err = run_cli(capsys, "reconstruct", "--profile", "sphere", "--samples", "15")
+        assert (code, out) == (2, "")
+        assert err == "error: beta = -0.7952941176470588: need n >= 16 sample levels, got 15\n"
+        assert run_cli(capsys, "reconstruct", "--profile", "sphere", "--samples", "16")[0] == 0
+
     @pytest.mark.parametrize("option, value", [
         ("--planes", "0"), ("--planes", "-1"), ("--delta", "0.5")])
     def test_bad_sweep_exits_2(self, capsys, option, value):

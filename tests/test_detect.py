@@ -570,6 +570,51 @@ class TestWarmPool:
         assert str(pooled.value) == str(serial.value)
         assert str(serial.value).startswith("beta = 9.8: gap stays positive")
 
+    # the chart diameter of this profile's loops overflows at slope 1e-155
+    # for |beta| < ~0.6, which centrality raises; at slope 1e-153 every
+    # section escapes the domain, which tracing raises
+    @pytest.mark.parametrize("planes, failing", [
+        ([(1e-155, -0.9), (1e-155, 0.8), (1e-153, 0.5), (1e-155, 0.0)], 2),
+        ([(1e-155, -0.9), (1e-155, 0.0), (1e-153, 0.5), (1e-155, 0.9)], 1),
+        ([(1e-153, -0.9), (1e-155, 0.0)], 0),
+    ], ids=["trace-first", "centrality-first", "first-plane"])
+    def test_batch_raises_its_first_failing_plane(self, planes, failing):
+        # planes are traced as one batch, but each raises in plane order: a
+        # plane that fails at trace raises only once the planes before it
+        # are scored, serially and pooled
+        prof = rq.parse_profile("quadric:-6e307,0,7e307,1")
+        args = [(prof, m, beta, 64, 1e-4, None) for m, beta in planes]
+        with pytest.raises(rq.RevquadError) as alone:
+            detect_module._test_planes(args[failing:failing + 1])
+        assert str(alone.value).startswith(f"beta = {planes[failing][1]!r}: ")
+        for run in (detect_module._test_planes, lambda a: detect_module._map_pooled(2, a)):
+            with pytest.raises(rq.RevquadError) as batch:
+                run(args)
+            assert type(batch.value) is type(alone.value)
+            assert str(batch.value) == str(alone.value)
+
+    def test_sample_count_raises_on_the_first_plane(self, sphere):
+        args = [(sphere, 0.5, beta, 15, 1e-4, None) for beta in (-0.5, 0.0, 0.5)]
+        for run in (detect_module._test_planes, lambda a: detect_module._map_pooled(2, a)):
+            with pytest.raises(InvalidDomain, match=r"^beta = -0\.5: need n >= 16 sample levels"):
+                run(args)
+
+    @pytest.mark.parametrize("spec", ["sphere", "poly:2,0,0,1;1", "poly:1,0,-1,0,0.05;1"])
+    def test_batch_records_are_each_planes_own(self, spec):
+        # a detection's slab planes and probes, whose failing midpoints come
+        # back pending
+        prof = rq.parse_profile(spec)
+        verdict = rq.detect_quadric(prof, 0.1 * prof.q, 5, 256, 1e-4)
+        planes = [(r.m, r.beta, 0.1 * prof.q if i < 5 else None)
+                  for i, r in enumerate(verdict.sections)]
+        args = [(prof, m, beta, 256, 1e-4, delta) for m, beta, delta in planes]
+        alone = [detect_module._test_plane(m, beta, 1e-4, delta,
+                                           rq.trace_section(prof, Plane(m, beta), 256))
+                 for m, beta, delta in planes]
+        for batch in (detect_module._test_planes(args), detect_module._map_pooled(2, args)):
+            assert batch == alone
+            assert repr(batch) == repr(alone)
+
     def test_failing_call_keeps_the_pool(self, sphere, cylinder):
         want = self.detect(sphere)
         pool, pids = detect_module._pool[0], _worker_pids()

@@ -3,6 +3,7 @@
 import math
 import signal
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -302,6 +303,78 @@ def _closing_alone(prof, plane):
         return _outcome(sections._closing_brackets(prof, [plane])[0])
     except rq.RevquadError as exc:
         return _outcome(exc)
+
+
+def _widened(extent, q):
+    """extent stretched by a fifth of its width on each side, inside |z| < q:
+    gap values below zero between its ends make the cut not a single loop."""
+    lo, hi = extent
+    w = 0.2 * (hi - lo)
+    return max(lo - w, -0.99 * q), min(hi + w, 0.99 * q)
+
+
+def _traced_alone(prof, plane, n, wide):
+    """trace_section of the plane alone, section_extent giving the wide
+    extent for the plane of wide, a (plane, extent) pair or None: a
+    (class, message) pair on error, the loop's extent and point bytes
+    otherwise."""
+    extent = sections.section_extent
+
+    def patched(profile, pl):
+        return wide[1] if wide is not None and pl is wide[0] else extent(profile, pl)
+
+    with mock.patch.object(sections, "section_extent", patched):
+        try:
+            loop = rq.trace_section(prof, plane, n)
+        except rq.RevquadError as exc:
+            return type(exc), str(exc)
+    return loop.plane, loop.z_lo, loop.z_hi, loop.points.tobytes()
+
+
+class TestBatchedTraces:
+    @given(
+        spec=st.sampled_from(("sphere", "poly:1,0,-1,0,0.05;1", "sampled-bump")),
+        n=st.sampled_from((16, 128, 1024)),
+        planes=st.lists(st.tuples(st.sampled_from((1e200,)) | st.floats(0.05, 3.0),
+                                  st.floats(-1.2, 1.2)),
+                        min_size=1, max_size=6),
+        wide_at=st.integers(0, 5),
+    )
+    @settings(deadline=None)
+    def test_matches_one_plane_calls(self, spec, n, planes, wide_at):
+        # closing planes, planes whose extent raises (steep escaping slopes,
+        # |beta| >= q) and one plane traced over a wide extent, in one batch:
+        # _trace_many, redone one plane at a time when it raises, gives each
+        # plane what trace_section gives it alone
+        prof = _SAMPLED_BUMP if spec == "sampled-bump" else rq.parse_profile(spec)
+        planes = [Plane(m, f * prof.q) for m, f in planes]
+        extents = sections._per_plane(sections._extents, prof, planes)
+        k, wide = wide_at % len(planes), None
+        if not isinstance(extents[k], rq.RevquadError):
+            extents[k] = _widened(extents[k], prof.q)
+            wide = planes[k], extents[k]
+        closed = [k for k, e in enumerate(extents) if not isinstance(e, rq.RevquadError)]
+        traced = sections._per_plane(sections._trace_many, prof, [planes[k] for k in closed],
+                                     sections._sample_levels(n),
+                                     extents=[extents[k] for k in closed])
+        for k, loop in zip(closed, traced):
+            extents[k] = loop
+        got = [(type(e), str(e)) if isinstance(e, rq.RevquadError)
+               else (e.plane, e.z_lo, e.z_hi, e.points.tobytes()) for e in extents]
+        assert got == [_traced_alone(prof, plane, n, wide) for plane in planes]
+
+    def test_wide_extent_fails_only_its_plane(self, sphere):
+        planes = [Plane(1.0, 0.3), Plane(0.5, 0.0), Plane(2.0, -0.4)]
+        extents = [rq.section_extent(sphere, p) for p in planes]
+        extents[1] = _widened(extents[1], sphere.q)
+        got = sections._per_plane(sections._trace_many, sphere, planes,
+                                  sections._sample_levels(128), extents=extents)
+        assert [type(e) for e in got] == [rq.SectionLoop, NonSimpleSection, rq.SectionLoop]
+        for plane, loop in zip(planes[::2], got[::2]):
+            assert loop.points.tobytes() == rq.trace_section(sphere, plane, 128).points.tobytes()
+
+    def test_empty_batch(self, sphere):
+        assert sections._trace_many(sphere, [], sections._sample_levels(16), []) == []
 
 
 class TestTraceSection:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -119,12 +120,21 @@ class TestCentroid:
 
     def test_pinned_search_far_from_the_axis_warns_of_nothing(self):
         # about (1e155, 1e155) the centroid is finite, but every pinned
-        # centre's squared distances overflow: the search scores inf
+        # centre's squared distances overflow: the search's start, at the
+        # centroid, raises as asymmetry_at does there, with no warning
         t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         r = 1e150 * (1.0 + 0.3 * np.cos(3.0 * t))
         pts = 1e155 + r[:, None] * np.column_stack([np.cos(t), np.sin(t)])
-        for report in (rq.centrality(pts, 1e-4), rq.centrality(pts, 1e-4, defer=True).finish()):
-            assert report.asymmetry == math.inf and not report.central
+        _, centroid_z = rq.centroid(synthetic_loop(pts))
+        with pytest.raises(InvalidDomain, match="distances of the reflections about"):
+            rq.asymmetry_at(synthetic_loop(pts), (0.0, centroid_z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for defer in (False, True):
+                with pytest.raises(InvalidDomain, match="distances of the reflections about"):
+                    rq.centrality(pts, 1e-4, defer=defer)
+        # the free search starts at the centroid, which is finite
+        assert rq.centrality(pts, 1e-4, free_center=True).asymmetry < math.inf
 
     @given(
         vy=st.floats(-5.0, 5.0),
@@ -1135,6 +1145,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 COLD_PROBE = """
 import sys
+import warnings
 import numpy as np
 import revquad as rq
 for spec in ("sphere", "quadric:-0.3,0.2,1.5,1"):
