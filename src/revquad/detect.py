@@ -254,7 +254,9 @@ def _test_planes(batch):
     batch holds (profile, m, beta, n, tol, delta) per plane, with the same
     profile and n throughout.  The planes are traced as trace_section
     traces each alone, in three steps: the extents of all of them are
-    bisected together (_extents); the planes up to the first without an
+    found together (_extents: one root solve for the batch, then each
+    bracket bisected on its own, one scalar gap value per midpoint); the
+    planes up to the first without an
     extent are traced together, as one array program (_trace_many); each
     plane's loop, or its error, goes to _test_plane_star, in plane order,
     which scores the loop or raises the error.  A batch step that raises is
@@ -494,15 +496,17 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
     with the worst failure as witness.  When all loops pass, a quadratic is
     fitted to F on a 4 n_planes grid over |z| <= q - 3 delta and the
     verdict follows the fit residual; central loops with a failing fit are
-    flagged rather than certified.
+    flagged rather than certified.  A slab slope mu/2 that underflows to
+    0 raises InvalidDomain before any plane is built.
 
     workers is an integer >= 1; workers > 1 evaluates planes in a process
     pool of k = min(workers, planes, CPUs) processes (serially when that is
     1), one task per worker: task i holds the planes i, i + k, i + 2k, ...
-    Each batch (the serial run is one) bisects its planes' extents in
-    lock-step and traces its planes as one array program, with the bits
-    each extent and loop has alone; a batch that raises is traced again
-    one plane at a time, so each plane keeps its own error.  Records are
+    Each batch (the serial run is one) decides its planes' extents
+    together, bisects each bracket on its own and traces its planes as one
+    array program, with the bits each extent and loop has alone; a batch
+    that raises is traced again one plane at a time, so each plane keeps
+    its own error.  Records are
     put back in plane order, and the first failing plane's error is
     raised; the failing probes' centre searches then finish in this
     process, witness first (see the module docstring), so the outcome does
@@ -527,6 +531,8 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
 
     mu = slope_bound(profile, delta)
     m_sweep = 0.5 * mu
+    if not m_sweep > 0.0:
+        raise InvalidDomain(f"slab slope mu / 2 underflows to 0, mu = {mu!r}")
     jobs = [(m_sweep, float(b)) for b in sweep_intercepts(q, delta, n_planes)]
     n_sweep = len(jobs)
     jobs += _probe_planes(profile, delta, mu)

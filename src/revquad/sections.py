@@ -22,7 +22,6 @@ import numpy as np
 from .errors import (
     InvalidDomain,
     LoopEscapesDomain,
-    NonPositiveProfile,
     NonSimpleSection,
     OutOfDomain,
     RevquadError,
@@ -45,13 +44,6 @@ __all__ = [
 # that polishes each root runs to floating-point exhaustion, so the bracket
 # width ends at one unit in the last place of z: far inside the documented
 # |dz| <= 1e-13 q guarantee for any double-precision q.
-
-# The upper side's sign, then the mirrored lower side's.
-_SIGNS = np.array([1.0, -1.0])
-# Bisection levels per round: one gap call scores the full midpoint tree of
-# each open bracket, 2**_DEPTH - 1 points per bracket.
-_DEPTH = 6
-
 
 @dataclass(frozen=True)
 class Plane:
@@ -117,8 +109,8 @@ def section_extent(profile, plane):
 
 
 def _extents(profile, planes):
-    """section_extent for each plane, the brackets of all of them bisected
-    together; raises the first error it meets, as section_extent does."""
+    """section_extent for each plane, the closing decision of all of them
+    made first; raises the first error it meets, as section_extent does."""
     brackets = _closing_brackets(profile, planes)
     if None in brackets:
         raise LoopEscapesDomain(
@@ -160,9 +152,9 @@ def _closing_brackets(profile, planes):
     start.  A plane whose upper side does not close reads no lower
     window.  Any other error section_extent raises before it bisects is
     raised, the first that one of the planes meets.  The profile at the
-    intercepts is one eval call, the gap polynomials one stacked root
-    solve (_gap_roots_many), and the windows of every side of every plane
-    another gap call.
+    intercepts is one eval call and the gap polynomials one stacked root
+    solve (_gap_roots_many); the window ends are then read one scalar gap
+    value at a time, in the order the decision needs them.
     """
     for plane in planes:
         if plane.m == 0.0:
@@ -173,29 +165,20 @@ def _closing_brackets(profile, planes):
     # the gap at an intercept is F there: eval raises unless it is positive
     profile.eval(np.array(betas))
     cap = _cap(profile)
-    sides, ends, at_beta, at_m = [], [], [], []
+    out = []
     for plane, roots in zip(planes, _gap_roots_many(profile, ms, betas)):
         roots = sorted(roots.tolist())
-        wins = (_windows(plane.beta, roots, cap),
-                _windows(-plane.beta, [-r for r in roots[::-1]], cap))
-        sides.append((len(ends), wins))
-        ends += [s * z for s, side in zip(_SIGNS, wins) for win in side for z in win]
-        at_beta += [plane.beta] * (len(ends) - len(at_beta))
-        at_m += [plane.m] * (len(ends) - len(at_m))
-    read = _reader(profile, np.array(ends), np.array(at_beta), np.array(at_m))
-    out = []
-    for at, wins in sides:
+        beta = float(plane.beta)
+        upper, lower = _side_gaps(profile, plane)
         brackets = []
-        for side in wins:
-            found = None
-            for win in side:
-                if found is None and read(at) > 0.0 >= read(at + 1):
-                    found = win
-                at += 2
+        for gap, start, side in ((upper, beta, roots),
+                                 (lower, -beta, [-r for r in roots[::-1]])):
+            found = next((win for win in _windows(start, side, cap)
+                          if gap(win[0]) > 0.0 >= gap(win[1])), None)
             if found is None:
                 break
             brackets.append(found)
-        out.append(None if found is None else brackets)
+        out.append(brackets if len(brackets) == 2 else None)
     return out
 
 
@@ -209,91 +192,59 @@ def _windows(beta, roots, cap):
     return wins
 
 
-def _reader(profile, z, beta, m):
-    """Index -> gap at z[index] on the plane (beta[index], m[index]), all
-    from one gap call.
+def _side_gaps(profile, plane):
+    """The plane's gap at one float, in Python floats: g(z) for the upper
+    side, then g(-z) for the lower side in the mirrored frame."""
+    beta, m = float(plane.beta), float(plane.m)
 
-    Should that call raise, each point is evaluated on its own when it is
-    read instead, so that only a point the scalar bisection of its own
-    plane would visit can raise.
-    """
-    try:
-        return _gap(profile, z, beta, m).tolist().__getitem__
-    except NonPositiveProfile:
-        return lambda i: float(_gap(profile, z[i], beta[i], m[i]))
+    def gap(z):
+        val = profile.eval(z)
+        off = (z - beta) / m
+        return val - off * off
+
+    return gap, lambda z: gap(-z)
 
 
 def _bisect_roots(profile, planes, brackets):
-    """Bisect the two brackets of every plane to exhaustion in lock-step.
+    """Bisect the two brackets of every plane to exhaustion, one at a time.
 
     brackets[k] holds plane k's brackets, gap(lo) > 0 >= gap(hi), the first
-    in z, the second in the mirrored frame -z.  Each round builds the
-    midpoint tree of every open bracket, _DEPTH levels deep, with the
-    scalar bisection's arithmetic (mid = 0.5 (lo + hi)), scores all of it in
-    one gap call, each point on its own plane, and walks each tree as the
-    scalar bisection would: stop when mid == lo or mid == hi, else keep
-    lo = mid where gap(mid) > 0 and hi = mid elsewhere.  So every bracket
-    ends where it would alone.  Returns per plane its two gap > 0 ends, as
-    the brackets give them.  A point's error is raised.
+    in z, the second in the mirrored frame -z.  Each bracket is bisected on
+    its own, one scalar gap value per midpoint: mid = 0.5 (lo + hi) until
+    mid == lo or mid == hi, keeping lo = mid where gap(mid) > 0 and
+    hi = mid elsewhere.  Returns per plane its two gap > 0 ends, as the
+    brackets give them.  A point's error is raised.
     """
-    bounds = [[list(b) for b in pair] for pair in brackets]
-    result = [[None, None] for _ in brackets]
-    beta = np.array([p.beta for p in planes])
-    m = np.array([p.m for p in planes])
-    width = 2**_DEPTH - 1
-    live = None
-    while True:
-        now = [(k, s) for k, res in enumerate(result) for s in (0, 1) if res[s] is None]
-        if not now:
-            return result
-        if now != live:
-            # each point's frame sign and plane, kept while no bracket closes
-            live = now
-            rows, signs = (list(c) for c in zip(*live))
-            sign = _SIGNS[signs, None]
-            at_beta, at_m = np.repeat(beta[rows], width), np.repeat(m[rows], width)
-        edges = np.array([bounds[k][s] for k, s in live])
-        levels = []
-        for _ in range(_DEPTH):
-            mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-            levels.append(mid)
-            split = np.empty((len(live), 2 * edges.shape[1] - 1))
-            split[:, ::2] = edges
-            split[:, 1::2] = mid
-            edges = split
-        # heap order: node i has children 2i + 1 (lower half), 2i + 2 (upper)
-        tree = np.hstack(levels)
-        read = _reader(profile, (sign * tree).ravel(), at_beta, at_m)
-        tree = tree.tolist()
-        for row, (k, s) in enumerate(live):
-            lo, hi = bounds[k][s]
-            node = 0
-            for _ in range(_DEPTH):
-                mid = tree[row][node]
+    out = []
+    for plane, pair in zip(planes, brackets):
+        ends = []
+        for gap, (lo, hi) in zip(_side_gaps(profile, plane), pair):
+            while True:
+                mid = 0.5 * (lo + hi)
                 if mid == lo or mid == hi:
-                    result[k][s] = lo
                     break
-                if read(row * width + node) > 0.0:
-                    lo, node = mid, 2 * node + 2
+                if gap(mid) > 0.0:
+                    lo = mid
                 else:
-                    hi, node = mid, 2 * node + 1
-            bounds[k][s] = [lo, hi]
+                    hi = mid
+            ends.append(lo)
+        out.append(ends)
+    return out
 
 
-def trace_section(profile, plane, n, extent=None):
+def trace_section(profile, plane, n):
     """Trace the closed section with n sample levels.
 
     For m > 0 the z-extent is sampled at Chebyshev extrema
     z_k = mid + rad cos(k pi / (n-1)), which cluster toward the turning
     points where dy/dz blows up; the first and last nodes land exactly on
     z_lo and z_hi.  The returned loop has 2n - 2 distinct points.  For
-    m = 0 it has n points uniformly spaced in angle.  extent, when given,
-    is section_extent(profile, plane), found beforehand; otherwise it is
-    found here.  The checks come in this order: the sample count (an
-    integer >= 16 that numpy can allocate), the intercept, the extent,
-    then the gap between the extent's ends.  A tilted plane is traced by
-    _trace_many, as a batch of one: the detector traces each batch of
-    planes as one such program.
+    m = 0 it has n points uniformly spaced in angle.  The checks come in
+    this order: the sample count (an integer >= 16 that numpy can
+    allocate), the intercept, the extent (section_extent), then the gap
+    between the extent's ends.  A tilted plane is traced by _trace_many,
+    as a batch of one: the detector traces each batch of planes as one
+    such program.
     """
     levels = _sample_levels(n, plane.m > 0.0)
     if abs(plane.beta) >= profile.q:
@@ -303,9 +254,7 @@ def trace_section(profile, plane, n, extent=None):
         ang = 2.0 * np.pi * levels / len(levels)
         pts = np.column_stack([r * np.cos(ang), r * np.sin(ang)])
         return SectionLoop(plane=plane, points=pts, z_lo=plane.beta, z_hi=plane.beta)
-    if extent is None:
-        extent = section_extent(profile, plane)
-    return _trace_many(profile, [plane], levels, extents=[extent])[0]
+    return _trace_many(profile, [plane], levels, extents=[section_extent(profile, plane)])[0]
 
 
 def _trace_many(profile, planes, cosines, extents):

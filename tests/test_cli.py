@@ -235,6 +235,13 @@ class TestDetectCommand:
         assert out == ""
         assert err.startswith("error:") and "not finite" in err
 
+    @pytest.mark.parametrize("extra", [(), ("--workers", "2")], ids=["serial", "pooled"])
+    def test_underflowing_slab_slope_exits_2(self, capsys, extra):
+        code, out, err = run_cli(capsys, "detect", "--profile", "cylinder:1e122,1e-200", *extra)
+        assert code == 2
+        assert out == ""
+        assert err == "error: slab slope mu / 2 underflows to 0, mu = 5e-324\n"
+
     def test_workers_below_one_is_usage_error(self, capsys):
         for value in ("0", "-2", "abc"):
             with pytest.raises(SystemExit) as exc:

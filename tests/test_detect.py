@@ -343,6 +343,17 @@ class TestDetectQuadric:
         with pytest.raises(InvalidDomain):
             rq.detect_quadric(sphere, 0.1, 5, 256, 1e-4, workers=workers)
 
+    def test_underflowing_slab_slope_rejected(self, monkeypatch):
+        # mu = 5e-324, so mu / 2 rounds to 0: no tilted slab plane exists,
+        # and the detector says so before it builds any probe
+        prof = rq.parse_profile("cylinder:1e122,1e-200")
+        assert rq.slope_bound(prof, 0.1 * prof.q) == 5e-324
+        monkeypatch.setattr(detect_module, "_probe_planes", None)
+        for workers in (1, 2):
+            with pytest.raises(InvalidDomain, match=r"^slab slope mu / 2 underflows to 0, "
+                                                    r"mu = 5e-324$"):
+                rq.detect_quadric(prof, 0.1 * prof.q, 17, 1024, 1e-4, workers=workers)
+
     def test_numpy_integer_counts(self, sphere):
         got = rq.detect_quadric(sphere, 0.1, np.int64(5), np.int32(256), 1e-4)
         assert rq.verdict_json(got) == rq.verdict_json(rq.detect_quadric(sphere, 0.1, 5, 256, 1e-4))
@@ -628,9 +639,13 @@ class TestWarmPool:
 
 def full_searches(profile, verdict, n, tol):
     """Each recorded plane's report from a full centre search, on the loop
-    traced over the recorded extent."""
-    return [rq.centrality(rq.trace_section(profile, Plane(r.m, r.beta), n, (r.z_lo, r.z_hi)), tol)
-            for r in verdict.sections]
+    traced alone, whose extent is the recorded one."""
+    out = []
+    for r in verdict.sections:
+        loop = rq.trace_section(profile, Plane(r.m, r.beta), n)
+        assert (loop.z_lo, loop.z_hi) == (r.z_lo, r.z_hi)
+        out.append(rq.centrality(loop, tol))
+    return out
 
 
 def check_witness_first(profile, n=1024, tol=1e-4):
@@ -655,7 +670,7 @@ def check_witness_first(profile, n=1024, tol=1e-4):
             if r.report != full:
                 assert full.asymmetry <= r.asymmetry < report.asymmetry
             if r.report != full and not r.report.central:
-                loop = rq.trace_section(profile, Plane(r.m, r.beta), n, (r.z_lo, r.z_hi))
+                loop = rq.trace_section(profile, Plane(r.m, r.beta), n)
                 start = rq.centrality(loop, tol, defer=True)
                 assert (r.report.center, r.asymmetry) == (start.center, start.asymmetry)
     return v, ref

@@ -41,6 +41,43 @@ class TestEval:
         for z, v in zip(zs, vec):
             assert paraboloid.eval(float(z)) == v
 
+    @pytest.mark.parametrize("prof", [
+        rq.parse_profile("sphere"),
+        rq.parse_profile("paraboloid:2,1"),
+        rq.parse_profile("poly:2,-0.3,0.7,0.05,-0.1;1.2"),
+        rq.make_sampled_profile(np.linspace(-1.0, 1.0, 9),
+                                [2.0, 1.5, 1.5, 1.5, 1.7, 2.5, 2.5, 1.2, 3.0]),
+        rq.make_sampled_profile([-1.3, -0.4, 0.0, 0.25, 1.1], [1.0, 2.0, 2.0, 0.5, 0.7], 1.0),
+        # built unchecked: values <= 0 inside the domain, and overflows
+        rq.Profile(kind="quadratic", q=1.0, coeffs=[-0.1, 0.0, 1.0]),
+        rq.Profile(kind="polynomial", q=1e10, coeffs=[1.0, -1e300, 1e300]),
+        rq.Profile(kind="polynomial", q=1e10, coeffs=[1.0, 1e300, -1e300]),
+        rq.Profile(kind="sampled", q=1.0, sample_z=[-1.0, -0.5, 0.5, 1.0],
+                   sample_f=[1.0, -1.0, 2.0, 2.0]),
+    ], ids=["sphere", "paraboloid", "quartic", "flat-pieces", "uneven-table",
+            "dips", "overflows", "overflows-negative", "negative-table"])
+    def test_float_matches_one_element_array(self, prof):
+        # a Python float takes eval's float branch: the array path's bits,
+        # its error classes and messages
+        q = prof.q
+        zs = [0.0, -0.0, 0.3 * q, -0.7 * q, 0.1 * q, 0.1, 1e9, -1e9,
+              math.nextafter(q, 0.0), -math.nextafter(q, 0.0), q, -q,
+              math.nextafter(q, math.inf), -math.nextafter(q, math.inf),
+              math.nan, math.inf, -math.inf]
+        if prof.sample_z is not None:
+            zs += prof.sample_z.tolist()
+        for z in zs:
+            outcomes = []
+            for arg in (z, np.array([z])):
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        val = prof.eval(arg)
+                    outcomes.append(val.hex() if type(val) is float else val[0].hex())
+                except rq.RevquadError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], z
+
     def test_polynomial_matches_numpy_polyval(self):
         coeffs = [2.0, -0.3, 0.7, 0.05, -0.1]
         p = rq.make_polynomial_profile(coeffs, 1.2)
@@ -186,9 +223,12 @@ class TestValueSemantics:
 
     def test_pickle_round_trip(self):
         for prof in (rq.parse_profile("sphere"), rq.make_sampled_profile(*self.table())):
+            want = prof.eval(0.3)  # builds the lists eval's float branch reads
             back = pickle.loads(pickle.dumps(prof))
-            assert back == prof
-            assert back.eval(0.3) == prof.eval(0.3)
+            # those lists stay out of the pickle, the key and the hash
+            assert "_float_pieces" not in vars(back)
+            assert back == prof and hash(back) == hash(prof)
+            assert back.eval(0.3) == want
             arr = back.coeffs if back.coeffs is not None else back.sample_f
             assert not arr.flags.writeable
 
@@ -366,8 +406,10 @@ class TestPchipMatchesScipy:
                                [-prof.q * (1.0 - 2.0 ** -52), prof.q * (1.0 - 2.0 ** -52)]])
         assert np.array_equal(prof.eval(grid), ref(grid))
         assert np.array_equal(prof.derivative(grid), ref(grid, 1))
+        # the float branch of eval, at every grid point, has the bits too
+        assert [prof.eval(x).hex() for x in grid.tolist()] == [v.hex() for v in ref(grid).tolist()]
         x = float(grid[0])
-        assert prof.eval(x) == float(ref(x)) and prof.derivative(x) == float(ref(x, 1))
+        assert prof.derivative(x) == float(ref(x, 1))
 
     @given(table=tables(), seed=st.integers(0, 2**32 - 1))
     def test_roots_and_extents_match_ppoly_roots(self, table, seed):

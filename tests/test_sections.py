@@ -146,8 +146,8 @@ class TestSectionExtent:
         frac=st.floats(-1.2, 1.2),
     )
     def test_extent_matches_scalar_bisection(self, spec, m, frac):
-        # the lock-step rounds return the scalar bisection's bits and raise
-        # its error classes
+        # the extent returns the scalar oracle's bits and raises its error
+        # classes
         prof = _SAMPLED_BUMP if spec == "sampled-bump" else rq.parse_profile(spec)
         plane = Plane(m, frac * prof.q)
         outcomes = []
@@ -270,8 +270,8 @@ class TestBatchedExtents:
         (lambda z: abs(z - 5.0 ** -0.5) < 1e-10, 2),  # inside the third plane's window
     ], ids=["window", "bisection"])
     def test_failing_point_fails_only_its_plane(self, sphere, monkeypatch, bad, failing):
-        # A profile that raises at some points makes each batched gap call
-        # that holds one raise, so every point is read on its own: only the
+        # A profile that raises at some points fails a batch whose planes
+        # read one; the batch is redone one plane at a time, so only the
         # plane that visits such a point fails, with that point's error.
         evaluate = rq.Profile.eval
 
