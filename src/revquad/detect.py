@@ -17,29 +17,20 @@ tolerance, so shallow planes alone cannot witness non-quadrics.
 
 One non-central section refutes the surface (a quadric has only central
 sections), and a refutation reports one witness: the failing plane of
-largest asymmetry.  So the centre searches of failing planes run witness
-first.  Each plane is traced and scored where it is tested, in this
-process or a pool worker, but a probe whose midpoint fails makes only its
-search's first evaluation, at the centroid.  The detector then takes
-those probes in this process, from the highest centroid score down.  A
-probe whose centroid scores below the largest score above the tolerance
-that a finished search found cannot be the witness, since a search's
-best score only falls: it keeps its centroid and that score.  Every other
-probe's search runs to the end.  So the witness keeps the plane, centre
-and asymmetry a full search of every plane gives, bit for bit, and every
-failing record is either its full search's or its start's.  Slab planes,
-whose centres are checked against the slab, and center_heights, which
-reports every centre, run every search to the end.
+largest asymmetry.  Each plane is traced and scored where it is tested,
+in this process or a pool worker, at its loop's forced centre, the
+midpoint of its extent (see centrality), so a plane's record does not
+depend on where it was tested.
 
-A central plane needs no exact score either: a quadric has only central
+A central plane needs no exact score: a quadric has only central
 sections, so the plane is settled by any proof that its loop is within
 tol of central symmetry about the midpoint.  Every plane is tested with
 centrality's midpoint bound (bound=True), an upper bound on the
 midpoint's score that builds no loop geometry; a plane whose bound is
-within tol passes on it, and only the others take the exact test.  A
-central plane's record thus keeps the full search's centre, bit for bit,
-and holds as its asymmetry a certified upper bound in [midpoint score,
-tol].  The witness and every failing record are the exact test's.
+within tol passes on it, and only the others take the exact score.  A
+central plane's record thus holds the midpoint as its centre and a
+certified upper bound in [midpoint score, tol] as its asymmetry.  The
+witness and every failing record hold the exact midpoint score.
 """
 
 from __future__ import annotations
@@ -47,7 +38,7 @@ from __future__ import annotations
 import atexit
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -75,7 +66,7 @@ from .sections import (
     slope_bound,
     trace_section,  # noqa: F401
 )
-from .symmetry import CentralityReport, PendingCentrality, _check_tol, centrality
+from .symmetry import CentralityReport, _check_tol, centrality
 
 __all__ = [
     "CenterEntry",
@@ -142,12 +133,10 @@ def _check_increasing(betas):
 class SectionRecord:
     """One tested plane: its loop extent and centrality outcome.
 
-    zeta, asymmetry and report come from the plane's centrality test.  A
-    central plane's centre is the midpoint, and its asymmetry a certified
-    upper bound on the midpoint's score, in [midpoint score, tol].  In a
-    refutation, a failing probe whose search starts below the witness
-    keeps its start: its record holds the centroid and the score there,
-    which is at least the full search's and below the witness's.
+    zeta, asymmetry and report come from the plane's centrality test, at
+    the midpoint of the loop's extent.  A failing plane's asymmetry is the
+    exact midpoint score; a central plane's is a certified upper bound on
+    it, in [midpoint score, tol].
     """
 
     m: float
@@ -164,10 +153,8 @@ class QuadricVerdict:
     """Detector outcome plus the diagnostics that justify it.
 
     witness is the failing plane of largest asymmetry, the first in plane
-    order on a tie, with the report of its full centre search.  The other
-    failing probes of a refutation may record their searches' starts, and every
-    central plane's record holds the full search's centre with a certified
-    upper bound in [midpoint score, tol] as its asymmetry (see
+    order on a tie, with its centrality report: the exact score at its
+    loop's midpoint.  Every record's centre is its loop's midpoint (see
     SectionRecord).
     """
 
@@ -191,13 +178,12 @@ def center_heights(profile, m, betas, n, tol, delta=None):
     is not positive and finite, and a delta that is neither None nor
     positive and finite raise InvalidDomain before any plane is traced.
     Errors from tracing or scoring are re-raised tagged with the offending
-    intercept, the first in order that fails.  Every
-    failing section's centre search runs to the end, so each zeta is the
-    full search's; a central section's asymmetry is a certified upper
-    bound in [midpoint score, tol], its zeta the midpoint's, as the full
-    search's.  When delta is given, each loop must stay inside the slab
-    |z - beta| < delta and its center height within delta of beta;
-    violations raise SlabViolation instead of passing silently.
+    intercept, the first in order that fails.  Each zeta is the midpoint
+    of its loop's extent; a failing section's asymmetry is the exact
+    midpoint score, a central section's a certified upper bound in
+    [midpoint score, tol].  When delta is given, each loop must stay
+    inside the slab |z - beta| < delta and its center height within delta
+    of beta; violations raise SlabViolation instead of passing silently.
     """
     if not (m > 0.0):
         raise InvalidDomain(f"need slope m > 0, got {m!r}")
@@ -207,7 +193,7 @@ def center_heights(profile, m, betas, n, tol, delta=None):
     if not (delta is None or 0.0 < delta < math.inf):
         raise InvalidDomain(f"need 0 < delta < inf, got delta = {delta!r}")
     args = [(profile, float(m), b, n, tol, delta) for b in betas]
-    records = _finish_searches(_test_planes(args), math.inf)
+    records = _test_planes(args)
     entries = tuple(CenterEntry(r.beta, r.zeta, r.asymmetry) for r in records)
     return CenterCurve(m=float(m), entries=entries)
 
@@ -218,8 +204,7 @@ def _test_plane(m, beta, tol, delta, loop):
     try:
         if isinstance(loop, RevquadError):
             raise loop
-        # a slab plane's centre is checked below, so its search runs to the end
-        report = centrality(loop, tol, defer=delta is None, bound=True)
+        report = centrality(loop, tol, bound=True)
     except RevquadError as exc:
         raise exc.__class__(f"beta = {beta!r}: {exc}") from exc
     if delta is not None:
@@ -262,9 +247,7 @@ def _test_planes(batch):
     which scores the loop or raises the error.  A batch step that raises is
     redone one plane at a time (_per_plane), so each plane keeps its own
     outcome, and its errors their precedence in trace_section: the sample
-    count, the intercept, the extent, then the gap.  A plane outside any
-    slab whose midpoint fails gets a PendingCentrality report, which
-    _finish_searches completes.
+    count, the intercept, the extent, then the gap.
     """
     if not batch:
         return []
@@ -284,36 +267,6 @@ def _test_planes(batch):
                            extents=extents[:k]) + extents[k:k + 1]
     return [_test_plane_star((m, beta, tol, delta, loop))
             for (_, m, beta, _, tol, delta), loop in zip(batch, loops)]
-
-
-def _finish_searches(records, tol):
-    """The records with every pending centre search finished or skipped,
-    witness first.
-
-    A pending record holds its search's start, the centroid, and its score
-    there.  The records are taken from the highest start score down, ties
-    in plane order.  A search runs to the end unless its start scores below
-    the witness so far, the largest score above tol of a search that ran to
-    the end; such a record keeps its start, as a plain CentralityReport.  A
-    search's best score never rises, so every search that ends at the
-    largest score runs to the end, and the witness keeps the plane, centre
-    and score a full search of every plane gives.  With tol = inf no score
-    is above tol, and every search runs to the end.
-    """
-    records = list(records)
-    pending = {i for i, r in enumerate(records) if isinstance(r.report, PendingCentrality)}
-    witness = max((r.asymmetry for i, r in enumerate(records)
-                   if i not in pending and r.asymmetry > tol), default=-math.inf)
-    for i in sorted(pending, key=lambda i: (-records[i].asymmetry, i)):
-        start = records[i].report
-        # a search that starts below the witness cannot end above it
-        report = (CentralityReport(start.center, start.asymmetry, start.tolerance, start.central)
-                  if start.asymmetry < witness else start.finish())
-        records[i] = replace(records[i], zeta=report.center[1], asymmetry=report.asymmetry,
-                             report=report)
-        if report.asymmetry > tol:
-            witness = max(witness, report.asymmetry)
-    return records
 
 
 def _map_pooled(size, args):
@@ -492,8 +445,9 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
 
     Sweeps n_planes slab planes at slope mu/2 plus a fixed set of steep
     probe planes; every traced loop is scored for central symmetry at the
-    given tolerance.  Any failing loop makes the verdict is_quadric=False
-    with the worst failure as witness.  When all loops pass, a quadratic is
+    given tolerance, once, at its forced centre, the midpoint of its
+    extent.  Any failing loop makes the verdict is_quadric=False with the
+    worst failure as witness.  When all loops pass, a quadratic is
     fitted to F on a 4 n_planes grid over |z| <= q - 3 delta and the
     verdict follows the fit residual; central loops with a failing fit are
     flagged rather than certified.  A slab slope mu/2 that underflows to
@@ -506,14 +460,12 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
     together, bisects each bracket on its own and traces its planes as one
     array program, with the bits each extent and loop has alone; a batch
     that raises is traced again one plane at a time, so each plane keeps
-    its own error.  Records are
-    put back in plane order, and the first failing plane's error is
-    raised; the failing probes' centre searches then finish in this
-    process, witness first (see the module docstring), so the outcome does
-    not depend on the worker count.  Pooled calls share one warm pool for
-    the life of the process: it is built by the first pooled call, rebuilt
-    when a call needs another size, after a fork, or after a worker died,
-    and shut down at interpreter exit.
+    its own error.  Records are put back in plane order, and the first
+    failing plane's error is raised, so the outcome does not depend on the
+    worker count.  Pooled calls share one warm pool for the life of the
+    process: it is built by the first pooled call, rebuilt when a call
+    needs another size, after a fork, or after a worker died, and shut
+    down at interpreter exit.
     """
     q = profile.q
     if not (0.0 < delta < q / 3.0):
@@ -541,7 +493,6 @@ def detect_quadric(profile, delta, n_planes, n_samples, tol, workers=1):
             for i, (m, beta) in enumerate(jobs)]
     procs = min(workers, len(args), os.cpu_count() or 1)
     records = _map_pooled(procs, args) if procs > 1 else _test_planes(args)
-    records = _finish_searches(records, tol)
 
     curve = CenterCurve(
         m=m_sweep,

@@ -8,6 +8,15 @@ and normalizes by the loop's chart diameter.  The score is zero for exact
 symmetry in any affine chart, so chart coordinates are good enough to decide
 centrality even though they distort lengths.
 
+The center is forced.  A point reflection swaps the extreme points of a
+centrally symmetric loop in each axis, so its center can only be the
+bounding-box midpoint b, and centrality scores the loop there once.  That
+score is honest against every other center c: if each reflected vertex
+about c lies within e of the loop, the reflections of the extreme vertices
+put c within e / 2 of b in each coordinate, so score(b) <= 2 score(c) for
+c on the axis of a traced loop and score(b) <= (1 + sqrt 2) score(c) for
+any c.
+
 The chart diameter is exact: the largest squared distance, dx*dx + dy*dy
 elementwise, over the antipodal vertex pairs of the loop's convex hull,
 which rotating calipers enumerate (Shamos 1978; Toussaint 1983).  A
@@ -30,14 +39,12 @@ A row is one scored vertex.  The angular window of a row is both
 segments at each of the 4 vertices whose polar angles about the
 bounding-box center bracket the reflected point's; the squared distance W
 to its nearest segment bounds the row's value from above and needs no tree
-query.  An evaluation refines a seed batch of rows (the descent's worst
-rows at its best center, else the 64 rows of largest bound) and, after one
-bound pass over its rows, only the rows whose bound exceeds the seed's
-maximum L: a row bounded by L cannot raise the maximum (the pruning of
-exact Hausdorff distances, Taha & Hanbury 2015).  The score is thus the
+query.  An evaluation makes one bound pass over its rows, refines the 64
+rows of largest bound first, and then only the rows whose bound exceeds
+their maximum L: a row bounded by L cannot raise the maximum (the pruning
+of exact Hausdorff distances, Taha & Hanbury 2015).  The score is thus the
 largest row value over all scored rows, whichever rows were refined.  How
-a row is refined, and whether it is bounded from below, depends on which
-of two classes its loop is in.
+a row is refined depends on which of two classes its loop is in.
 
 A loop certifies when it is strictly convex, its box center lies inside
 every edge's line by more than a rounding slack, and its vertices' sorted
@@ -61,36 +68,10 @@ strictly between the sorted angles at positions j - 3 and j + 2, j the
 reflected angle's, those segments are all in the window, and the row keeps
 W at no cost: every row of a quadric's central loops does.
 
-Such a loop also bounds each row from below: it lies in the inner
-half-plane of each of its edges, so a reflected point is at least its
-outward distance to the edge's supporting line away from every segment.
-The largest of these distances over the window's edges, less a rounding
-slack a thousand times the rounding of either side, is a certified lower
-bound on the root of the row's value.  A lower bound never supplies a
-score: it only rejects.  An evaluation with a cut (the tolerance of the
-midpoint test, the best score of the center search) stops as soon as the
-lower bounds from its bound pass, or the maximum of its refined rows, reach
-the cut; the center search drops a trial earlier still when its best
-center's worst rows, their windows kept and moved with the trial, do.  A
-rejected trial's exact score would have been rejected too, so every
-reported center, score and witness keeps its bits.
-
-Such a loop bounds each row from above across centers too, by a ceiling.
-A row's value is the squared distance from its reflection to the
-polyline, and moving the center by delta moves the reflection by 2 delta,
-so the root of the value moves by at most 2 |delta| (the Lipschitz bound
-of Shubert 1972).  The center search keeps a ceiling for each row at its
-best center: the root of the row's refined value, else of its bound, else
-the ceiling the row was carried in with.  A trial one step away adds 2
-step and a rounding slack to every ceiling, and only rows whose ceiling
-exceeds the trial's lower bound (the floor above) take its bound pass: any
-other row's value is at most the score's, so leaving it out keeps the
-score's bits.
-
 Every other loop is in the general class: non-convex loops, a traced
 section of a wiggly profile among them, and convex loops whose box center
 lies on or near their boundary (a right triangle, an arc and its chord).
-Its rows have no lower bound.  A row's value is the distance to the nearest
+A row's value is the distance to the nearest
 segment of the union of the window and the near set: every segment of a
 small loop, scanned all-pairs; for a large one, both segments at each of
 the 8 vertices nearest the reflected point, from a k-d tree.  It never
@@ -124,7 +105,7 @@ central; anywhere else the exact test runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -133,7 +114,6 @@ from .errors import DegenerateLoop, InvalidDomain
 
 __all__ = [
     "CentralityReport",
-    "PendingCentrality",
     "centroid",
     "asymmetry_at",
     "centrality",
@@ -160,20 +140,12 @@ _CERT_SEGS = 5
 _CERT_OFFSETS = np.arange(_CERT_SEGS)[:, None]
 
 # Rows in an evaluation's seed, which it refines first: the rows of largest
-# bound, or the descent's worst rows at its best center (max_dist2).
+# bound (max_dist2).
 _WORST_POINTS = 64
 
-# Rounding slack of a row's lower bound, relative to the scale of the
-# loop and the center (_LoopGeometry._slack).
+# Rounding slack of the certificate's distances, relative to the scale of
+# the loop and the center (_LoopGeometry._slack).
 _SLACK = 1e-12
-
-# Rounding slacks (_LoopGeometry._slack) a ceiling gains with each move of
-# the center: one for the rounding of the values at either center and of
-# the move itself, with room to spare.
-_CEILING_SLACKS = 4.0
-
-# A rejection needs a lower bound this far above the score to beat.
-_REJECT_MARGIN = 1.0 + 1e-9
 
 # Angular slack of a row's sector (_LoopGeometry._sector), in radians: a
 # thousandfold the rounding of the angles it is compared with.
@@ -280,28 +252,26 @@ def _segment_dist2(apx, apy, dx, dy, len2, t, tmp):
 
 
 class _LoopGeometry:
-    """Per-loop precomputation shared by repeated asymmetry evaluations.
+    """Per-loop precomputation for asymmetry evaluations.
 
-    Each evaluation makes at most one bound pass and refines only the rows
-    that can hold the maximum (max_dist2; the row value, the pruning rules
-    and the two loop classes are in the module docstring).  For the bound,
-    the vertices' polar angles about the bounding-box center, in
-    box-normalised coordinates, are sorted here once; a bound pass
-    (_bound_dist2) is a value, its windows included, which the refinement
-    and the rejection read.  The loop's class is decided here once: a loop
-    that certifies has edge normals (_certify_normals), refines in sectors
-    (_sector_dist2) and bounds rows from below (_rejects, floor); on any
-    other, a row's refinement scans all pairs or queries the k-d tree
-    (_row_dist2).  Every row's value is a function of the loop, the center
-    and the row alone, so the score does not depend on which rows were
-    refined, and reflect_dist2, which refines every row, is its reference.
+    Each evaluation makes one bound pass and refines only the rows that can
+    hold the maximum (max_dist2; the row value, the pruning rule and the
+    two loop classes are in the module docstring).  For the bound, the
+    vertices' polar angles about the bounding-box center, in box-normalised
+    coordinates, are sorted here once; a bound pass (_bound_dist2) is a
+    value, its angles and sorted positions included, which the refinement
+    reads.  The loop's
+    class is decided here once: a loop that certifies (_certifies) refines
+    in sectors (_sector_dist2); on any other, a row's refinement scans all
+    pairs or queries the k-d tree (_row_dist2).  Every row's value is a
+    function of the loop, the center and the row alone, so the score does
+    not depend on which rows were refined, and reflect_dist2, which refines
+    every row, is its reference.
 
     The candidate kernel's scratch (_work) is allocated by the first
-    evaluation and reused by every bound pass and sector block, so the many
-    evaluations of a centre search do not allocate and release megabytes
-    each (a deferred search drops it until it resumes); the general
-    class allocates per refinement, at most 7 * 24 n floats or the all-pairs
-    scan's 4 n^2.  The y-mirror layout of a traced loop is detected here
+    evaluation and reused by its bound pass and every sector block; the
+    general class allocates per refinement, at most 7 * 24 n floats or the
+    all-pairs scan's 4 n^2.  The y-mirror layout of a traced loop is detected here
     once, exactly, from the points alone (_mirror_half); evaluations about a
     center on the axis then score only rows 0 .. h-1 (see the module
     docstring).  Other loops (an m = 0 circle, a rotated or perturbed copy
@@ -338,13 +308,12 @@ class _LoopGeometry:
         angles = self._angles(pts)
         order = np.argsort(angles, kind="stable")
         self._sorted_angles = angles[order]
-        # only a loop that certifies has edge normals and _cert_angles[j + n],
-        # the angle at sorted position j for j in [-n, 2n), unwrapped by 2 pi
-        # past either end, and _sector_seg[j], the segment between sorted
-        # positions j and j + 1 (mod n)
-        self._normals = self._certify_normals(convex[0], order)
+        # only a loop that certifies has _cert_angles[j + n], the angle at
+        # sorted position j for j in [-n, 2n), unwrapped by 2 pi past either
+        # end, and _sector_seg[j], the segment between sorted positions j and
+        # j + 1 (mod n)
         self._cert_angles = None
-        if self._normals is None:
+        if not self._certifies(convex[0], order):
             # _ring[j + 2] is the vertex at sorted position j, wrapping
             self._ring = np.concatenate([order[-2:], order, order[:2]])
         else:
@@ -364,15 +333,8 @@ class _LoopGeometry:
     @cached_property
     def _work(self):
         """The candidate kernel's scratch, which the bound pass and each
-        sector block of at most _BOUND_SEGS * n pairs fit.  A deferred
-        centre search drops it (release_scratch); its next evaluation
-        allocates it again."""
+        sector block of at most _BOUND_SEGS * n pairs fit."""
         return np.empty(7 * len(self.pts) * _BOUND_SEGS)
-
-    def release_scratch(self):
-        """Drop _work, so a geometry kept for later holds only the loop's
-        own arrays, and pickles without it."""
-        self.__dict__.pop("_work", None)
 
     @cached_property
     def _tree(self):
@@ -382,21 +344,20 @@ class _LoopGeometry:
 
         return cKDTree(self.pts)
 
-    def _certify_normals(self, ccw, order):
-        """The edges' outward unit normals (dy, -dx) / |d|, negated on a
-        clockwise loop, if the loop certifies: it is strictly convex (ccw,
-        the loop of _convex_ccw, is not None), its sorted angle order is a
-        rotation of the loop order, either way round, and its box center
-        lies inside every edge's line by more than the rounding slack.
-        None on a loop of the general class."""
+    def _certifies(self, ccw, order):
+        """Whether the loop certifies: it is strictly convex (ccw, the loop
+        of _convex_ccw, is not None), its sorted angle order is a rotation
+        of the loop order, either way round, and its box center lies inside
+        every edge's line, along the edge's outward unit normal (dy, -dx) /
+        |d| (negated on a clockwise loop), by more than the rounding slack."""
         step = np.diff(order) % len(order)
         if ccw is None or not ((step == 1).all() or (step == len(order) - 1).all()):
-            return None
+            return False
         scale = (1.0 if ccw is self.pts else -1.0) / np.sqrt(self.seg_len2)
         nx, ny = self.seg_d[:, 1] * scale, -self.seg_d[:, 0] * scale
         c = self.box_center
         inside = (c[0] - self.seg_a[:, 0]) * nx + (c[1] - self.seg_a[:, 1]) * ny
-        return (nx, ny) if inside.max() < -self._slack(c) else None
+        return bool(inside.max() < -self._slack(c))
 
     def _angles(self, pts):
         """Polar angles about the box center, in box-normalised coordinates."""
@@ -420,20 +381,20 @@ class _LoopGeometry:
         the segment that ends at it."""
         theta = self._angles(refl)
         pos = np.searchsorted(self._sorted_angles, theta)
-        if self._normals is not None:
+        if self._cert_angles is not None:
             return self._ring[pos + _CERT_OFFSETS], theta, pos
         verts = self._ring[pos + _WINDOW_OFFSETS]
         # vertex v starts segment v; segment v - 1 (-1: the closing one) ends at v
         return np.concatenate([verts, verts - 1]), theta, pos
 
     def _bound_dist2(self, refl):
-        """A bound pass over refl: (bound, theta, pos, cols), each reflected
+        """A bound pass over refl: (bound, theta, pos), each reflected
         point's squared distance to the nearest segment of its angular
-        window cols, with the angle and sorted position of _window."""
+        window, with the angle and sorted position of _window."""
         cols, theta, pos = self._window(refl)
         bound = max_min_dist_candidates(refl, self.seg_a, self.seg_d, self.seg_len2, cols.T,
                                         work=self._work)
-        return bound, theta, pos, cols
+        return bound, theta, pos
 
     def _sector(self, center, refl, bound):
         """(ratio, half) of each row: r / rho and the half-width
@@ -462,7 +423,7 @@ class _LoopGeometry:
         """
         n = len(self.pts)
         refl = refl[rows]
-        out, theta, pos = (part[rows] for part in bounds[:3])
+        out, theta, pos = (part[rows] for part in bounds)
         ratio, half = self._sector(center, refl, out)
         # extended positions e: segment e joins the angles e and e + 1
         first = np.searchsorted(self._cert_angles, theta - half) - 1
@@ -494,75 +455,11 @@ class _LoopGeometry:
             return self._row_dist2(refl[rows])
         return self._sector_dist2(center, refl, bounds, rows)
 
-    def _outward(self, refl, cols):
-        """(s, nx, ny), (width, m) arrays: the outward distance s from each
-        reflected point to the supporting line of each of its window
-        segments cols, and the line's outward unit normal."""
-        nx = np.take(self._normals[0], cols, mode="wrap")
-        ny = np.take(self._normals[1], cols, mode="wrap")
-        dist = (refl[:, 0] - np.take(self.seg_a[:, 0], cols, mode="wrap")) * nx
-        dist += (refl[:, 1] - np.take(self.seg_a[:, 1], cols, mode="wrap")) * ny
-        return dist, nx, ny
-
     def _slack(self, center):
-        """Rounding slack of a lower bound about center: rounding moves the
-        bounds and the row values by a few ulp of the coordinates and the
+        """Rounding slack of the certificate's distances about center:
+        rounding moves them by a few ulp of the coordinates and the
         distances involved, which this exceeds a thousandfold."""
         return _SLACK * (self._slack_scale + abs(center[0]) + abs(center[1]))
-
-    def _row_lower(self, center, refl, cols):
-        """Each row's certified lower bound on the root of its value, on a
-        loop that certifies: the largest outward distance from the
-        reflected point to the supporting lines of the (width, m) window
-        segments cols, less _slack.
-
-        The loop lies in the inner half-plane of each of its edges, so a
-        point is at least that far from every segment, and a row's value
-        is the squared distance to the nearest of some of the segments.
-        """
-        return self._outward(refl, cols)[0].max(axis=0) - self._slack(center)
-
-    def _rejects(self, center, refl, bounds, cutoff):
-        """Whether the rows' lower bounds, in the windows of the bound pass
-        bounds over refl, prove the score's root above cutoff; never on a
-        loop of the general class.  Only rows whose upper bound exceeds
-        cutoff squared can, so only they are bounded; a nan bound proves
-        nothing."""
-        if self._normals is None or not cutoff < math.inf:
-            return False
-        rows = np.flatnonzero(bounds[0] > cutoff * cutoff)
-        if not len(rows):
-            return False
-        return bool(self._row_lower(center, refl[rows], bounds[3][:, rows]).max() > cutoff)
-
-    def floor(self, center, rows):
-        """A certified lower bound on the root of the score about centers
-        near center, from the given scored rows alone, as a function of
-        the center; None on a loop of the general class.
-
-        The rows' windows about center are kept.  Moving the center by
-        delta moves each reflected point by 2 delta, and so its outward
-        distance to a line by 2 delta . n, n the line's outward unit
-        normal: one pass over the kept arrays.  Any edge bounds any row
-        (_row_lower), so the windows need not be the moved points' own.  A
-        center that scores fewer rows (on the axis, after one off it) gets
-        no bound.
-        """
-        if self._normals is None:
-            return None
-        scored = len(self._scored(center))
-        refl = 2.0 * center - self.pts[rows]
-        dist, nx, ny = self._outward(refl, self._window(refl)[0])
-
-        def bound(cand):
-            if len(self._scored(cand)) < scored:
-                return -math.inf
-            moved = dist + (2.0 * (cand[1] - center[1])) * ny
-            if cand[0] != center[0]:
-                moved += (2.0 * (cand[0] - center[0])) * nx
-            return float(moved.max()) - self._slack(cand)
-
-        return bound
 
     def _row_dist2(self, refl):
         """Each row's value on a loop of the general class: the squared
@@ -587,78 +484,28 @@ class _LoopGeometry:
         refl = 2.0 * center - (self._scored(center) if rows is None else self.pts[rows])
         return self._values(center, refl, np.arange(len(refl)), self._bound_dist2(refl))
 
-    def max_dist2(self, center, seed=None, cut=math.inf, ceiling=None, low=-math.inf):
-        """(largest row value, refined rows, their values, ceiling) about
-        center, or None once the score's root is proven to be at least cut.
+    def max_dist2(self, center):
+        """The largest row value about center: the square of the score's
+        numerator.
 
-        The seed rows (default: the _WORST_POINTS rows of largest bound)
-        are refined first, then every other row whose bound exceeds their
-        maximum, so the first value returned is the largest over every
-        scored row.  A loop that certifies makes its one bound pass first,
-        and its lower bounds may reject at once (_rejects); rows whose
-        sector lies in their window keep their bound as their value
-        (_sector_dist2), refined at no cost.  The general class refines a
-        given seed before its bound pass.  None is returned too as soon as
-        a refined maximum's root reaches cut or is nan; with cut = inf,
-        never, not even when a value overflows to inf.
-
-        On a loop that certifies, ceiling, if given, holds a certified upper
-        bound on the root of each scored row's value about center, and low
-        a certified lower bound on the root of the score: a row whose
-        ceiling is at most low cannot raise the maximum, so only the others
-        (a nan ceiling among them) take the bound pass and may be refined.
-        A ceiling of another length than the scored rows is ignored.  The
-        ceiling returned holds, for each scored row, the root of its
-        refined value, else of its bound, else its ceiling given; None on
-        a loop of the general class.
+        One bound pass over the scored rows; the _WORST_POINTS rows of
+        largest bound are refined first, then every other row whose bound
+        exceeds their maximum, so the value is the largest over every
+        scored row.  On a loop that certifies, rows whose sector lies in
+        their window keep their bound as their value (_sector_dist2),
+        refined at no cost.  A value that overflows is inf.
         """
         center = np.asarray(center, dtype=float)
         refl = 2.0 * center - self._scored(center)
-        if seed is not None:
-            seed = seed[seed < len(refl)]
-        live = None
-        if self._normals is not None and ceiling is not None and len(ceiling) == len(refl):
-            live = np.flatnonzero(~(ceiling <= low))
-            if seed is not None:
-                picked = np.zeros(len(refl), dtype=bool)
-                picked[seed] = True
-                seed = np.flatnonzero(picked[live])
-            refl = refl[live]
-        bounds = None
-        if seed is None or not len(seed) or self._normals is not None:
-            bounds = self._bound_dist2(refl)
-            if self._rejects(center, refl, bounds, cut * _REJECT_MARGIN):
-                return None
-            if seed is None or not len(seed):
-                seed = _worst_rows(bounds[0])
-        vals = self._values(center, refl, seed, bounds)
-        top = vals.max()
-        if cut != math.inf and not _root(top) < cut:
-            return None
-        if bounds is None:
-            bounds = self._bound_dist2(refl)
+        bounds = self._bound_dist2(refl)
+        seed = _worst_rows(bounds[0])
+        top = self._values(center, refl, seed, bounds).max()
         more = bounds[0] > top
         more[seed] = False
         rest = np.flatnonzero(more)
-        rows = seed
         if len(rest):
-            extra = self._values(center, refl, rest, bounds)
-            top = max(top, extra.max())
-            if cut != math.inf and not _root(top) < cut:
-                return None
-            rows, vals = np.concatenate([seed, rest]), np.concatenate([vals, extra])
-        if self._normals is None:
-            return top, rows, vals, None
-        if live is None:
-            ceiling, live = np.empty(len(refl)), slice(None)
-        else:
-            ceiling, rows = ceiling.copy(), live[rows]
-        ceiling[live] = np.sqrt(bounds[0])
-        ceiling[rows] = np.sqrt(vals)
-        return top, rows, vals, ceiling
-
-    def max_reflect_distance(self, center):
-        return _root(self.max_dist2(center)[0])
+            top = max(top, self._values(center, refl, rest, bounds).max())
+        return top
 
 
 def _mirror_half(pts):
@@ -790,36 +637,37 @@ def asymmetry_at(loop, center):
     finite, or whose reflections or their distances overflow, raises
     InvalidDomain.
     """
-    geom = _LoopGeometry(loop)
+    return _asymmetry(_LoopGeometry(loop), center)
+
+
+def _asymmetry(geom, center):
     center = np.asarray(center, dtype=float)
     if center.shape != (2,) or not np.isfinite(center).all():
         raise InvalidDomain(f"center must be two finite numbers, got {center.tolist()!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(2.0 * center - geom.pts).all():
             raise InvalidDomain(f"reflections about {center.tolist()!r} overflow")
-        dist = geom.max_reflect_distance(center)
+        dist = _root(geom.max_dist2(center))
     if not math.isfinite(dist):
         raise InvalidDomain(f"distances of the reflections about {center.tolist()!r} overflow")
     return dist / geom.diameter
 
 
-def centrality(loop, tol, free_center=False, defer=False, bound=False):
-    """Find the best center and decide centrality at the given tolerance.
+def centrality(loop, tol, free_center=False, bound=False):
+    """Score the loop at its forced center and decide centrality at tol.
 
-    The midpoint of the loop's extent (its bounding box) is tried first: a
-    point reflection swaps the extreme points of a centrally symmetric loop,
-    so its center can only be that midpoint, and for a traced loop it is
-    (0, (z_lo + z_hi) / 2).  If the asymmetry there is within tol, that
-    center and its score are returned.  Only when the midpoint fails does
-    the search run: it seeds at the arclength-weighted centroid and refines
-    by coordinate descent with step diameter/8 halved 20 times, and the
-    reported asymmetry is the descent's best.  Traced loops are mirror
-    symmetric in y, so the center's y-coordinate is pinned to 0 in both
-    steps; pass free_center=True for externally supplied loops to search
-    both coordinates.  About a center on the axis a traced loop is scored
-    on its turning points and upper branch only, which its mirror symmetry
-    makes equal to the full score in exact arithmetic (see the module
-    docstring); centers off the axis are scored on every vertex.
+    A point reflection swaps the extreme points of a centrally symmetric
+    loop, so its center can only be the midpoint b of its extent (its
+    bounding box); for a traced loop b = (0, (z_lo + z_hi) / 2).  Traced
+    loops are mirror symmetric in y, so b's y-coordinate is pinned to 0;
+    pass free_center=True for externally supplied loops to take the box's.
+    The loop is scored once, at b, as asymmetry_at scores it there, bit
+    for bit and with its errors, and it is central when that score is
+    within tol.  No other center can score below half of b's score pinned,
+    or below b's score over 1 + sqrt 2 free (see the module docstring).
+    About a center on the axis a traced loop is scored on its turning
+    points and upper branch only, which its mirror symmetry makes equal to
+    the full score in exact arithmetic.
 
     With bound=True and the center pinned, a y-mirror loop first takes a
     certified upper bound on the midpoint's score (_midpoint_bound), which
@@ -827,14 +675,7 @@ def centrality(loop, tol, free_center=False, defer=False, bound=False):
     is returned with the bound as its asymmetry: at most tol and, on a loop
     that certifies, at least the midpoint's score, so the report is central
     as the exact one is, with the same center.  Otherwise, and on any
-    other loop, the exact test runs as without bound.
-
-    With defer=True a failing midpoint makes only the search's first
-    evaluation, at the centroid, and returns a PendingCentrality, whose
-    finish runs the search from there to the end.  Squared distances that
-    overflow score inf, with no warning; when the centroid's score
-    overflows, so that the search could only report inf, centrality raises
-    InvalidDomain, as asymmetry_at does there, with and without defer.
+    other loop, the exact score is taken as without bound.
     """
     _check_tol(tol)
     if bound and not free_center:
@@ -846,22 +687,7 @@ def centrality(loop, tol, free_center=False, defer=False, bound=False):
     center = geom.box_center.copy()
     if not free_center:
         center[0] = 0.0
-    # a refined maximum or a lower bound past the cut proves asym > tol
-    cut = tol * geom.diameter * _REJECT_MARGIN
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = geom.max_dist2(center, cut=cut)
-        asym = math.inf if got is None else _root(got[0]) / geom.diameter
-        if asym <= tol:
-            return _report(center, asym, tol)
-        start = _centroid_start(geom, free_center)
-    # a search's best score only falls, so a finite start ends finite
-    if not math.isfinite(start[1]):
-        raise InvalidDomain(f"distances of the reflections about {start[0].tolist()!r} overflow")
-    if not defer:
-        return _report(*_centroid_descent(geom, free_center, start), tol)
-    geom.release_scratch()
-    return _report(start[0], start[1] / geom.diameter, tol, PendingCentrality,
-                   search=(geom, free_center, start))
+    return _report(center, _asymmetry(geom, center), tol)
 
 
 def _check_tol(tol):
@@ -937,88 +763,13 @@ def _mirror_diameter_floor(pts, h):
     return _root(max(tall2, wide2))
 
 
-@dataclass(frozen=True)
-class PendingCentrality(CentralityReport):
-    """The report of a failing midpoint whose centre search is deferred.
-
-    centrality(..., defer=True) returns it after the search's first
-    evaluation: center and asymmetry are the centroid's, where the search
-    starts, and central tells whether that score is within the tolerance.
-    search holds the loop geometry, without its kernel scratch, and the
-    start, so the report crosses a process pool pickled.  The detector
-    either finishes the search or keeps the start, as a plain
-    CentralityReport, when the start scores below its witness.
-    """
-
-    search: tuple = field(compare=False, repr=False)
-
-    def finish(self):
-        """The plain report of the search run to the end: the report
-        centrality gives without defer, bit for bit."""
-        geom, free_center, start = self.search
-        return _report(*_centroid_descent(geom, free_center, start), self.tolerance)
-
-
-def _report(center, asym, tol, kind=CentralityReport, **extra):
-    return kind(
+def _report(center, asym, tol):
+    return CentralityReport(
         center=(float(center[0]), float(center[1])),
         asymmetry=asym,
         tolerance=float(tol),
         central=bool(asym <= tol),
-        **extra,
     )
-
-
-def _centroid_start(geom, free_center):
-    """The search's first evaluation, at the centroid: (center, best,
-    worst, ceiling), best the root of its score and worst its worst rows."""
-    cy, cz = centroid(geom.pts)
-    center = np.array([cy, cz]) if free_center else np.array([0.0, cz])
-    top, rows, vals, ceiling = geom.max_dist2(center)
-    return center, _root(top), rows[_worst_rows(vals)], ceiling
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _centroid_descent(geom, free_center, start):
-    """Coordinate descent from the centroid; returns (center, asymmetry).
-
-    start is _centroid_start's result, the search's first evaluation.  A
-    trial center is an evaluation seeded with the worst rows of the best
-    center and cut at the best score, so it returns a score only when that
-    score is lower, and the trial is then accepted.  Its values are the
-    bits any evaluation gives its rows, and a bound never supplies a score,
-    so a rejected trial's full score would have been rejected too.  On a
-    loop that certifies, the best center's worst rows bound a trial from
-    below before its evaluation (floor), and the best center's ceilings,
-    moved by 2 step and a rounding slack, leave out of the evaluation the
-    rows that cannot reach that lower bound (max_dist2).  The worst rows
-    and the ceilings of an accepted center are taken from its evaluation.
-    Squared distances that overflow are inf, with no warning.
-    """
-    center, best, worst, ceiling = start
-    dirs = [np.array([0.0, 1.0])]
-    if free_center:
-        dirs.append(np.array([1.0, 0.0]))
-    step = geom.diameter / 8.0
-    floor = geom.floor(center, worst)
-    for _ in range(20):
-        for d in dirs:
-            for cand in (center + step * d, center - step * d):
-                low = -math.inf if floor is None else floor(cand)
-                if low > best * _REJECT_MARGIN:
-                    continue
-                moved = None
-                if ceiling is not None:
-                    # the trial moves every reflected point by 2 step
-                    moved = ceiling + (2.0 * step + _CEILING_SLACKS * geom._slack(cand))
-                got = geom.max_dist2(cand, worst, best, moved, low)
-                if got is not None:
-                    top, rows, vals, ceiling = got
-                    best, center, worst = _root(top), cand, rows[_worst_rows(vals)]
-                    floor = geom.floor(center, worst)
-                    break
-        step *= 0.5
-    return center, best / geom.diameter
 
 
 def _worst_rows(d2):

@@ -4,7 +4,6 @@ quadric decision procedure."""
 import concurrent.futures
 import math
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -32,7 +31,6 @@ from revquad import (
     SlabViolation,
 )
 from revquad import symmetry
-from revquad.symmetry import PendingCentrality
 
 from conftest import oracle_quadratic_fit
 
@@ -134,7 +132,8 @@ class TestCenterHeights:
     @pytest.mark.parametrize("spec, m", [("poly:2,0,0,1;1", 0.4), ("poly:1,0,-1,0,0.05;1", 0.6)])
     def test_failing_sections_report_full_searches(self, spec, m):
         # at these steep slopes the sections fail their midpoint test; each
-        # entry is still the full search's centre and asymmetry, bit for bit
+        # entry is the centre and asymmetry of the plane's own centrality
+        # report, bit for bit
         prof = rq.parse_profile(spec)
         betas = [-0.3, -0.1, 0.2]
         curve = rq.center_heights(prof, m, betas, 512, 1e-4)
@@ -637,9 +636,9 @@ class TestWarmPool:
         assert detect_module._pool[0] is pool and _worker_pids() == pids
 
 
-def full_searches(profile, verdict, n, tol):
-    """Each recorded plane's report from a full centre search, on the loop
-    traced alone, whose extent is the recorded one."""
+def exact_reports(profile, verdict, n, tol):
+    """Each recorded plane's exact centrality report, on the loop traced
+    alone, whose extent is the recorded one."""
     out = []
     for r in verdict.sections:
         loop = rq.trace_section(profile, Plane(r.m, r.beta), n)
@@ -648,90 +647,58 @@ def full_searches(profile, verdict, n, tol):
     return out
 
 
-def check_witness_first(profile, n=1024, tol=1e-4):
-    """Detect at both worker counts: the witness is the full searches'
-    worst plane, bit for bit, and every other failing record is either the
-    full search's or its start's, below the witness."""
-    ref = None
+def check_refutation_records(profile, n=1024, tol=1e-4):
+    """Refute at both worker counts: every failing record is its plane's
+    exact report, at its loop's midpoint, and the witness is the first
+    record of largest asymmetry."""
     for workers in (1, 2):
         v = rq.detect_quadric(profile, 0.1 * profile.q, 17, n, tol, workers=workers)
-        if ref is None:
-            ref = full_searches(profile, v, n, tol)
-            worst = max(range(len(ref)), key=lambda i: ref[i].asymmetry)
         assert not v.is_quadric
-        plane, report = v.witness
-        want = v.sections[worst]
-        assert plane == Plane(want.m, want.beta)
-        assert repr(report) == repr(ref[worst])
-        assert report == ref[worst]
-        for r, full in zip(v.sections, ref):
-            assert type(r.report) is CentralityReport
-            assert r.report.center[1] == r.zeta and r.report.asymmetry == r.asymmetry
-            if r.report != full:
-                assert full.asymmetry <= r.asymmetry < report.asymmetry
-            if r.report != full and not r.report.central:
-                loop = rq.trace_section(profile, Plane(r.m, r.beta), n)
-                start = rq.centrality(loop, tol, defer=True)
-                assert (r.report.center, r.asymmetry) == (start.center, start.asymmetry)
-    return v, ref
+        ref = exact_reports(profile, v, n, tol)
+        for r, exact in zip(v.sections, ref):
+            assert r.report.center == (0.0, 0.5 * (r.z_lo + r.z_hi)) == exact.center
+            assert r.zeta == r.report.center[1] and r.asymmetry == r.report.asymmetry
+            if not r.report.central:
+                assert repr(r.report) == repr(exact)
+        worst = max(range(len(ref)), key=lambda i: v.sections[i].asymmetry)
+        assert v.witness == (Plane(v.sections[worst].m, v.sections[worst].beta), ref[worst])
+    return v
 
 
-class TestWitnessFirst:
+class TestRefutationRecords:
     @pytest.mark.parametrize("spec", ["poly:2,0,0,1;1", "poly:1,0,-1,0,0.05;1"])
     def test_witness_keeps_its_bits(self, spec):
-        v, ref = check_witness_first(rq.parse_profile(spec))
-        # the failing probes that cannot hold the witness keep their starts
-        assert any(r.report != full for r, full in zip(v.sections, ref))
+        check_refutation_records(rq.parse_profile(spec))
 
     def test_sampled_table_witness(self):
         z = np.linspace(-1.0, 1.0, 200)
-        check_witness_first(rq.make_sampled_profile(z, ((0.3 * z + 0.2) * z - 0.1) * z + 1.7))
+        check_refutation_records(rq.make_sampled_profile(z, ((0.3 * z + 0.2) * z - 0.1) * z + 1.7))
 
     @settings(max_examples=8)
     @given(c0=st.floats(1.8, 2.5), c1=st.floats(-0.3, 0.3), c2=st.floats(-0.5, 0.5),
            c3=st.floats(0.3, 0.8), sign=st.sampled_from([-1.0, 1.0]))
     def test_cubic_perturbations(self, c0, c1, c2, c3, sign):
         prof = rq.parse_profile(f"poly:{c0!r},{c1!r},{c2!r},{sign * c3!r};1")
-        check_witness_first(prof, n=256)
+        check_refutation_records(prof, n=256)
 
-    def test_later_search_overtakes_the_first(self):
-        # the mirror probes at beta = -0.2 and 0.2 agree to 13 digits; the
-        # first scores higher at its centroid and is searched first, the
-        # second ends higher and must not be skipped: it is the witness
-        prof = rq.parse_profile("poly:1,0,1,0,1;1")
-        v, ref = check_witness_first(prof)
-        (lo, lo_ref), (hi, hi_ref) = [(r, f) for r, f in zip(v.sections, ref)
-                                      if r.m != v.slope and abs(abs(r.beta) - 0.2) < 1e-12]
-        assert v.witness[0] == Plane(hi.m, hi.beta)
-        assert lo.report == lo_ref and hi.report == hi_ref
-        assert lo_ref.asymmetry < hi_ref.asymmetry == pytest.approx(lo_ref.asymmetry, rel=1e-12)
-        tol = 1e-4
-        starts = [rq.centrality(rq.trace_section(prof, Plane(r.m, r.beta), 1024), tol, defer=True)
-                  for r in (lo, hi)]
-        assert starts[0].asymmetry > starts[1].asymmetry
-
-    def test_tied_planes_both_run_to_the_end(self, cubic, monkeypatch):
-        # two probes on one plane tie at every step: the second search is
-        # never below the first's finished score, so it runs to the end too,
-        # and the witness is the first of them
+    def test_tied_planes_give_the_first_witness(self, cubic, monkeypatch):
+        # two probes on one plane tie: the witness is the first of them
         real = detect_module._probe_planes
         monkeypatch.setattr(detect_module, "_probe_planes",
                             lambda *args: [real(*args)[2]] * 2 + real(*args)[:2])
         v = rq.detect_quadric(cubic, 0.1, 17, 512, 1e-4)
-        ref = full_searches(cubic, v, 512, 1e-4)
+        ref = exact_reports(cubic, v, 512, 1e-4)
         assert v.sections[17] == v.sections[18]
-        assert v.sections[17].report == ref[17]
         assert v.witness == (Plane(v.sections[17].m, v.sections[17].beta), ref[17])
         assert ref[17].asymmetry == max(r.asymmetry for r in ref)
 
-    def test_pending_report_resumes_to_the_full_search(self, cubic):
-        loop = rq.trace_section(cubic, Plane(0.5, 0.0), 512)
-        full = rq.centrality(loop, 1e-4)
-        pending = rq.centrality(loop, 1e-4, defer=True)
-        assert isinstance(pending, PendingCentrality)
-        assert "_work" not in vars(pending.search[0])
-        resumed = pickle.loads(pickle.dumps(pending))
-        assert repr(resumed.finish()) == repr(full)
+    def test_near_quadric_cubic_is_refuted(self):
+        # a 1e-3 cubic term: one probe's midpoint scores above tol, though a
+        # centre search once found a centre within tol there, so the
+        # surface is refuted; it is a true non-quadric
+        v = check_refutation_records(rq.parse_profile("poly:1,0,1,0.001;1"))
+        assert v.witness[1].asymmetry > 1e-4
+        assert v.witness[1].asymmetry == pytest.approx(1.042e-4, rel=1e-3)
 
 
 class _CountingGeometry(symmetry._LoopGeometry):
@@ -743,9 +710,9 @@ class _CountingGeometry(symmetry._LoopGeometry):
 
 
 def check_bound_records(profile, n=1024, tol=1e-4):
-    """Certify at both worker counts: every record keeps the full search's
-    centre and zeta, bit for bit, with an asymmetry between the full
-    search's and tol, and the serial run builds no loop geometry."""
+    """Certify at both worker counts: every record keeps the exact
+    report's centre and zeta, bit for bit, with an asymmetry between the
+    exact one and tol, and the serial run builds no loop geometry."""
     serial = None
     for workers in (1, 2):
         with pytest.MonkeyPatch.context() as mp:
@@ -757,11 +724,11 @@ def check_bound_records(profile, n=1024, tol=1e-4):
         assert v.is_quadric
         if serial is None:
             serial = v
-            ref = full_searches(profile, v, n, tol)
+            ref = exact_reports(profile, v, n, tol)
         assert v.sections == serial.sections
-        for r, full in zip(v.sections, ref):
-            assert r.report.center == full.center and r.zeta == full.center[1]
-            assert full.asymmetry <= r.asymmetry == r.report.asymmetry <= tol
+        for r, exact in zip(v.sections, ref):
+            assert r.report.center == exact.center and r.zeta == exact.center[1]
+            assert exact.asymmetry <= r.asymmetry == r.report.asymmetry <= tol
 
 
 class TestMidpointBound:
@@ -784,9 +751,9 @@ class TestMidpointBound:
         betas = [-0.4, -0.1, 0.0, 0.2, 0.5]
         curve = rq.center_heights(sphere, 0.5, betas, 1024, 1e-4)
         for e in curve.entries:
-            full = rq.centrality(rq.trace_section(sphere, Plane(0.5, e.beta), 1024), 1e-4)
-            assert e.zeta == full.center[1]
-            assert full.asymmetry <= e.asymmetry <= 1e-4
+            exact = rq.centrality(rq.trace_section(sphere, Plane(0.5, e.beta), 1024), 1e-4)
+            assert e.zeta == exact.center[1]
+            assert exact.asymmetry <= e.asymmetry <= 1e-4
 
 
 MA_PROBE = """

@@ -9,6 +9,14 @@ holds the ``verdict_json`` text of the README's bumped quartic at the
 acceptance budget.  A speed-up must reproduce every byte.  The file is
 only read.
 
+Each case also keeps the score the retired centre search reported
+(``search_asymmetry``, and ``search_witness_asymmetry`` for a verdict).
+The score at the box midpoint b, which the bytes now hold, is checked
+against it: no centre scores below half of b's score pinned, or below b's
+score over 1 + sqrt 2 free (``revquad.symmetry``), so the search's score
+bounds b's from above, and every central flag and verdict is the
+search's.
+
 ``tests/data/golden_sampled.json`` does the same for sampled profiles,
 recorded while they were still interpolated by scipy's
 ``PchipInterpolator``: the ``verdict_json`` of the benchmark's drawn tables
@@ -21,6 +29,7 @@ out (flat runs, oscillation, four rows).
 
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -50,11 +59,28 @@ def _label(case):
     return f"{case['profile']}-m{case['m']!r}-b{case['beta']!r}-n{case['n']}-free{case['free_center']}"
 
 
+def _check_against_search(case, rep):
+    """The report keeps the search's central flag, and its score is within
+    the midpoint bound of the search's."""
+    factor = 1.0 + math.sqrt(2.0) if case["free_center"] else 2.0
+    search = case["search_asymmetry"]
+    assert rep.central == (search <= case["tol"])
+    assert rep.asymmetry <= factor * search * (1.0 + 1e-9)
+
+
+def _check_witness_against_search(case, verdict):
+    search = case["search_witness_asymmetry"]
+    assert (verdict.witness is None) == (search is None)
+    if search is not None:
+        assert verdict.witness[1].asymmetry <= 2.0 * search * (1.0 + 1e-9)
+
+
 @pytest.mark.parametrize("case", GOLDEN["centrality"], ids=_label)
 def test_centrality_json_bytes(case):
     loop = rq.trace_section(_profile(case["profile"]), rq.Plane(case["m"], case["beta"]), case["n"])
     rep = rq.centrality(loop, case["tol"], free_center=case["free_center"])
     assert centrality_json(rep) == case["centrality_json"]
+    _check_against_search(case, rep)
 
 
 def test_golden_set_covers_both_paths_and_verdicts():
@@ -70,6 +96,7 @@ def test_verdict_json_bytes(case):
     verdict = rq.detect_quadric(_profile(case["profile"]), case["delta"], n_planes=case["n_planes"],
                                 n_samples=case["n_samples"], tol=case["tol"])
     assert verdict_json(verdict) == case["verdict_json"]
+    _check_witness_against_search(case, verdict)
 
 
 def _drawn_table(seed):
@@ -99,6 +126,7 @@ def test_sampled_verdict_json_bytes(case):
                                 n_planes=case["n_planes"], n_samples=case["n_samples"],
                                 tol=case["tol"])
     assert verdict_json(verdict) == case["verdict_json"]
+    _check_witness_against_search(case, verdict)
 
 
 @pytest.mark.parametrize("case", SAMPLED["centrality"],
@@ -108,6 +136,7 @@ def test_sampled_centrality_json_bytes(case):
     loop = rq.trace_section(prof, rq.Plane(case["m"], case["beta"]), case["n"])
     rep = rq.centrality(loop, case["tol"], free_center=case["free_center"])
     assert centrality_json(rep) == case["centrality_json"]
+    _check_against_search(case, rep)
 
 
 @pytest.mark.parametrize("case", SAMPLED["grids"], ids=lambda c: c["table"])

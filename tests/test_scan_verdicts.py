@@ -1,11 +1,12 @@
 """The benchmark's recorded catalog of non-quadric loops keeps its verdicts.
 
 ``perfbench/scan_verdicts.json`` holds the central/non-central verdict of
-every catalog loop (profile, plane, sample count, centre search), recorded
-from the code the benchmark was built on, with borderline planes left out.
-Each is replayed here through ``trace_section`` and ``centrality``.  Only
-verdicts are compared: the recorded asymmetries came from older scoring
-code and are not reproduced digit for digit.  The file is only read.
+every catalog loop (profile, plane, sample count, pinned or free centre),
+recorded from the code the benchmark was built on, with borderline planes
+left out.  Each is replayed here through ``trace_section`` and
+``centrality``.  Only verdicts are compared: the recorded asymmetries came
+from older scoring code and are not reproduced digit for digit.  The file
+is only read.
 """
 
 import importlib.util

@@ -100,40 +100,42 @@ class TestCentroid:
         with pytest.raises(DegenerateLoop):
             rq.centroid(synthetic_loop(pts))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_weighted_sums_rejected(self):
         # a finite 3-lobed loop of radius 1e150 about (1e160, 1e160): its
-        # length-weighted sums overflow, so neither centroid nor the free
-        # search that starts from it has a finite centre
+        # length-weighted sums overflow, so centroid has no finite centre
         t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         r = 1e150 * (1.0 + 0.3 * np.cos(3.0 * t))
         pts = 1e160 + r[:, None] * np.column_stack([np.cos(t), np.sin(t)])
         with pytest.raises(InvalidDomain, match="centroid is not finite"):
             rq.centroid(pts)
-        with pytest.raises(InvalidDomain, match="centroid is not finite"):
-            rq.centrality(pts, 1e-4, free_center=True)
         assert 0.0 < rq.asymmetry_at(pts, (1e160, 1e160)) < 1.0
-        # pinned, the midpoint (0, 1e160) is scored first: its reflections
-        # lie 2e160 away, and their squared distances overflow with no
-        # warning before the centroid raises
-        with pytest.raises(InvalidDomain, match="centroid is not finite"):
+        # centrality reads no centroid: free, it scores the box centre
+        rep = rq.centrality(pts, 1e-4, free_center=True)
+        box = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+        assert rep.center == tuple(box)
+        assert rep.asymmetry == rq.asymmetry_at(pts, box) == pytest.approx(0.2824, abs=1e-4)
+        # pinned, the midpoint (0, 1e160): its reflections lie 2e160 away,
+        # and their squared distances overflow, with no warning
+        with pytest.raises(InvalidDomain, match="distances of the reflections about"):
             rq.centrality(pts, 1e-4)
 
     def test_pinned_search_far_from_the_axis_warns_of_nothing(self):
-        # about (1e155, 1e155) the centroid is finite, but every pinned
-        # centre's squared distances overflow: the search's start, at the
-        # centroid, raises as asymmetry_at does there, with no warning
+        # about (1e155, 1e155) every pinned centre's squared distances
+        # overflow: centrality raises at the midpoint as asymmetry_at does
+        # there, with no warning
         t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         r = 1e150 * (1.0 + 0.3 * np.cos(3.0 * t))
         pts = 1e155 + r[:, None] * np.column_stack([np.cos(t), np.sin(t)])
-        _, centroid_z = rq.centroid(synthetic_loop(pts))
-        with pytest.raises(InvalidDomain, match="distances of the reflections about"):
-            rq.asymmetry_at(synthetic_loop(pts), (0.0, centroid_z))
+        mid = 0.5 * (pts[:, 1].min() + pts[:, 1].max())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for defer in (False, True):
-                with pytest.raises(InvalidDomain, match="distances of the reflections about"):
-                    rq.centrality(pts, 1e-4, defer=defer)
-        # the free search starts at the centroid, which is finite
+            with pytest.raises(InvalidDomain, match="distances of the reflections about") as want:
+                rq.asymmetry_at(synthetic_loop(pts), (0.0, mid))
+            with pytest.raises(InvalidDomain, match="distances of the reflections about") as got:
+                rq.centrality(pts, 1e-4)
+        assert str(got.value) == str(want.value)
+        # the free centre is the box centre, near the loop
         assert rq.centrality(pts, 1e-4, free_center=True).asymmetry < math.inf
 
     @given(
@@ -287,35 +289,6 @@ def reference_score(geom, center, all_rows=False):
     return float(np.sqrt(np.minimum(knn, bound).max()))
 
 
-def reference_centrality(loop, tol, free_center):
-    """centrality without the worst-point pre-check: the extent midpoint,
-    then, if it fails, the coordinate descent with every trial center
-    scored in full.  Returns (center, asymmetry, descent_ran)."""
-    geom = _LoopGeometry(loop)
-    center = 0.5 * (geom.pts.min(axis=0) + geom.pts.max(axis=0))
-    if not free_center:
-        center[0] = 0.0
-    asym = reference_score(geom, center) / geom.diameter
-    if asym <= tol:
-        return (float(center[0]), float(center[1])), asym, False
-    cy, cz = rq.centroid(loop)
-    center = np.array([cy, cz]) if free_center else np.array([0.0, cz])
-    best = reference_score(geom, center)
-    dirs = [np.array([0.0, 1.0])]
-    if free_center:
-        dirs.append(np.array([1.0, 0.0]))
-    step = geom.diameter / 8.0
-    for _ in range(20):
-        for d in dirs:
-            for cand in (center + step * d, center - step * d):
-                val = reference_score(geom, cand)
-                if val < best:
-                    best, center = val, cand
-                    break
-        step *= 0.5
-    return (float(center[0]), float(center[1])), best / geom.diameter, True
-
-
 def sampled_cubic():
     z = np.linspace(-1.0, 1.0, 200)
     return rq.make_sampled_profile(z, ((0.4 * z - 0.1) * z + 0.2) * z + 1.8)
@@ -349,7 +322,7 @@ class TestKernels:
                 assert float(np.sqrt(d2.max())) == reference_max_min_dist_candidates(
                     refl, *args, cand
                 )
-                assert geom.max_reflect_distance(center) == reference_score(geom, center)
+                assert math.sqrt(geom.max_dist2(center)) == reference_score(geom, center)
                 # the pre-check's premise: a subset of rows scores the very
                 # bits the full evaluation gives those rows
                 rows = rng.choice(len(pts), 64, replace=False)
@@ -402,7 +375,7 @@ class TestHalfEvaluation:
             center = (0.0, z)
             d2 = geom.reflect_dist2(center)
             assert np.array_equal(d2, geom.reflect_dist2(center, np.arange(len(pts)))[:n])
-            half = geom.max_reflect_distance(center) / geom.diameter
+            half = math.sqrt(geom.max_dist2(center)) / geom.diameter
             full = reference_score(geom, center, all_rows=True) / geom.diameter
             assert half <= full
             assert full - half <= 2.0**-52
@@ -410,7 +383,7 @@ class TestHalfEvaluation:
         # off the axis, however slightly, every row is scored
         for cy in (5e-324, -1e-3 * geom.diameter):
             assert len(geom.reflect_dist2((cy, mid))) == len(pts)
-            assert geom.max_reflect_distance((cy, mid)) == reference_score(geom, (cy, mid))
+            assert math.sqrt(geom.max_dist2((cy, mid))) == reference_score(geom, (cy, mid))
 
     @pytest.mark.parametrize("n", [128, 1024])
     def test_broken_mirrors_score_all_rows(self, quartic, cylinder, n):
@@ -433,7 +406,7 @@ class TestHalfEvaluation:
             assert geom._half is None, name
             for center in ((0.0, mid), (0.0, mid + 0.01), (0.0, 0.0)):
                 assert len(geom.reflect_dist2(center)) == len(pts), name
-                got = geom.max_reflect_distance(center)
+                got = math.sqrt(geom.max_dist2(center))
                 assert got == reference_score(geom, center, all_rows=True), name
 
 
@@ -493,43 +466,22 @@ class TestBoundThenRefine:
             pts = geom.pts[: len(vals)]
             bound = geom._bound_dist2(2.0 * np.asarray(center) - pts)[0]
             assert (bound >= vals).all()
-            top, rows, got, _ = geom.max_dist2(center)
-            assert top == vals.max()
-            assert np.array_equal(got, vals[rows])
-            # any seed, rows out of range included, gives the same maximum
-            picked = rng.choice(len(geom.pts), 40, replace=False)
-            assert geom.max_dist2(center, picked)[0] == top
-            # a cut at or below the score's root gives None, whatever the
-            # seed; a larger one gives the exact maximum
-            root = math.sqrt(top)
-            for seed in (None, picked):
-                for cut in (0.5 * root, root):
-                    assert geom.max_dist2(center, seed, cut) is None
-                for cut in (np.nextafter(root, math.inf), 2.0 * root + 1.0):
-                    assert geom.max_dist2(center, seed, cut)[0] == top
+            assert geom.max_dist2(center) == vals.max()
 
     @given(case=bounded_loops(), seed=st.integers(0, 2**32 - 1))
     def test_one_bound_pass_per_evaluation(self, case, seed):
         loop, _ = case
         geom = _LoopGeometry(loop)
         rng = np.random.default_rng(seed)
-        events = []
+        passes = []
+        bound_pass = _LoopGeometry._bound_dist2
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("_bound_dist2", "_row_dist2"):
-                method = getattr(_LoopGeometry, name)
-                mp.setattr(_LoopGeometry, name, lambda self, *args, name=name, method=method:
-                           events.append(name) or method(self, *args))
+            mp.setattr(_LoopGeometry, "_bound_dist2",
+                       lambda self, refl: passes.append(len(refl)) or bound_pass(self, refl))
             for center in trial_centers(geom, rng):
-                top = geom.reflect_dist2(center).max()
-                picked = rng.choice(len(geom.pts), 40, replace=False)
-                for given in (None, picked):
-                    for cut in (math.inf, 0.5 * math.sqrt(top), 2.0 * math.sqrt(top) + 1.0):
-                        del events[:]
-                        geom.max_dist2(center, given, cut)
-                        assert events.count("_bound_dist2") <= 1
-                        # the general class refines a given seed first
-                        if given is not None and geom._cert_angles is None:
-                            assert events[0] == "_row_dist2"
+                del passes[:]
+                geom.max_dist2(center)
+                assert passes == [len(geom._scored(center))]
 
     @given(case=bounded_loops(), seed=st.integers(0, 2**32 - 1))
     def test_oracle_never_exceeds_score(self, case, seed):
@@ -547,190 +499,12 @@ class TestBoundThenRefine:
         assert rq.asymmetry_at(loop, rep.center) == rep.asymmetry
 
 
-@st.composite
-def convex_loops(draw):
-    """A strictly convex polygon: an ellipse's vertices, some a hair
-    apart, rotated, shifted far from the origin or not, in either
-    orientation; or a traced section."""
-    if draw(st.booleans()):
-        spec = draw(st.sampled_from(TestHalfEvaluation.SPECS))
-        prof = sampled_cubic() if spec == "sampled" else rq.parse_profile(spec)
-        plane = Plane(draw(st.floats(0.05, 0.45)), draw(st.floats(-0.3, 0.3)) * prof.q)
-        try:
-            pts = rq.trace_section(prof, plane, draw(st.sampled_from((16, 128, 512)))).points
-        except rq.LoopEscapesDomain:
-            assume(False)
-    else:
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        n = draw(st.integers(3, 600))
-        ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
-        # near-degenerate short edges: some vertices 1e-7 rad past the last
-        close = rng.random(n) < draw(st.sampled_from((0.0, 0.2)))
-        ang = np.sort(np.where(close, np.roll(ang, 1) + 1e-7, ang) % (2.0 * np.pi))
-        pts = np.column_stack([np.cos(ang), draw(st.floats(0.05, 1.0)) * np.sin(ang)])
-        rot = rng.uniform(0.0, np.pi)
-        pts = pts @ np.array([[np.cos(rot), np.sin(rot)], [-np.sin(rot), np.cos(rot)]])
-        pts = pts * draw(st.sampled_from((1e-3, 1.0, 50.0))) + rng.normal(0.0, 1e3, 2)
-    return pts[::-1] if draw(st.booleans()) else pts
-
-
 def nearby_centers(geom, rng):
     """The box center, on the axis or not, and centers up to half a
     diameter away from it."""
     span = 0.5 * geom.diameter
     return [tuple(geom.box_center), (0.0, geom.box_center[1])] + [
         tuple(geom.box_center + rng.uniform(-span, span, 2)) for _ in range(2)]
-
-
-def without_rejection(monkeypatch):
-    """Turn the lower-bound rejection off: no descent floor, no rejects;
-    with no floor, no trial leaves out a row by its ceiling either."""
-    monkeypatch.setattr(_LoopGeometry, "floor", lambda self, center, rows: None)
-    monkeypatch.setattr(_LoopGeometry, "_rejects", lambda self, *args: False)
-
-
-class TestLowerBound:
-    """A strictly convex loop bounds each row from below by its outward
-    distance to its window edges' supporting lines; the bound only ever
-    rejects a center whose exact score would be rejected too."""
-
-    @given(pts=convex_loops(), seed=st.integers(0, 2**32 - 1))
-    def test_row_bound_never_exceeds_oracle_distance(self, pts, seed):
-        geom = _LoopGeometry(synthetic_loop(pts))
-        if geom._normals is None:
-            # the general class, which has no lower bound: rounding made a
-            # hair-thin edge turn the wrong way, or the loop cannot certify
-            assert geom._cert_angles is None
-            return
-        rng = np.random.default_rng(seed)
-        for center in nearby_centers(geom, rng):
-            center = np.asarray(center)
-            refl = 2.0 * center - geom._scored(center)
-            picked = rng.choice(len(refl), min(64, len(refl)), replace=False)
-            exact = oracle_distances(pts, refl[picked])
-            own = geom._row_lower(center, refl, geom._window(refl)[0])
-            assert (own[picked] <= exact).all()
-            # the bound pass's windows give every row the same guarantee:
-            # no rejection at the oracle's all-rows score
-            bounds = geom._bound_dist2(refl)
-            assert not geom._rejects(center, refl, bounds, oracle_distances(pts, refl).max())
-            # the descent's floor, kept from center and moved to cand
-            floor = geom.floor(center, picked)
-            for cand in (center, center + rng.uniform(-0.1, 0.1, 2) * geom.diameter,
-                         center + [0.0, 0.01 * geom.diameter]):
-                moved = oracle_distances(pts, 2.0 * cand - pts[picked])
-                if len(geom._scored(cand)) == len(refl):
-                    assert floor(cand) <= moved.max()
-
-    def test_bound_pass_keeps_its_windows(self, cubic):
-        # a bound pass is a value: another pass, about another center and
-        # over another row count, changes neither its windows nor what
-        # _rejects reads from them
-        loop = rq.trace_section(cubic, Plane(0.4, 0.0), 512)
-        geom = _LoopGeometry(loop)
-        center = np.array([0.0, geom.box_center[1] + 0.05 * geom.diameter])
-        refl = 2.0 * center - geom._scored(center)
-        bounds = geom._bound_dist2(refl)
-        cols = bounds[3].copy()
-        top = geom._row_lower(center, refl, cols).max()
-        cutoffs = (0.5 * top, np.nextafter(top, 0.0), top)
-        before = [geom._rejects(center, refl, bounds, cut) for cut in cutoffs]
-        assert before == [True, True, False]
-        other = np.array([1e-3 * geom.diameter, geom.box_center[1]])
-        other_refl = 2.0 * other - geom._scored(other)
-        assert len(other_refl) != len(refl)
-        geom._bound_dist2(other_refl)
-        assert np.array_equal(bounds[3], cols)
-        assert [geom._rejects(center, refl, bounds, cut) for cut in cutoffs] == before
-
-    def test_bound_is_tight_outside_a_square(self):
-        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        for pts in (square, square[::-1]):
-            geom = _LoopGeometry(synthetic_loop(pts))
-            # the corners' reflections about (0.5, -0.25) lie straight below
-            # the bottom edge, 0.5 and 1.5 away; about the center, on corners
-            for center in ((0.5, -0.25), (0.5, 0.5)):
-                refl = 2.0 * np.array(center) - pts
-                low = geom._row_lower(center, refl, geom._window(refl)[0])
-                assert np.allclose(low, oracle_distances(pts, refl), rtol=0.0, atol=1e-11)
-
-    @given(poly=polygons())
-    def test_non_convex_loops_never_take_the_bound(self, poly):
-        geom = _LoopGeometry(synthetic_loop(poly))
-        # edge normals exist exactly on loops that certify, all convex
-        assert (geom._normals is None) == (geom._cert_angles is None)
-        if symmetry._convex_ccw(poly)[0] is not None:
-            return
-        assert geom._normals is None
-        center = geom.box_center
-        refl = 2.0 * center - geom.pts
-        rows = np.arange(len(refl))
-        assert geom.floor(center, rows) is None
-        assert not geom._rejects(center, refl, geom._bound_dist2(refl), 0.0)
-
-    def test_floor_gives_no_bound_where_fewer_rows_are_scored(self, cubic):
-        # a traced loop's lower branch is scored off the axis, not on it
-        loop = rq.trace_section(cubic, Plane(0.4, 0.0), 128)
-        geom = _LoopGeometry(loop)
-        z = 0.5 * (loop.z_lo + loop.z_hi)
-        center = np.array([1e-3 * geom.diameter, z])
-        floor = geom.floor(center, np.arange(geom._half, len(geom.pts)))
-        assert floor(center) > 0.0
-        assert floor(np.array([0.0, z])) == -math.inf
-
-    @pytest.mark.parametrize("name", ["crescent", "doubly wound", "star"])
-    def test_named_non_convex_loops(self, cubic, name):
-        rng = np.random.default_rng(3)
-        traced = rq.trace_section(cubic, Plane(0.45, -0.2), 64).points
-        pts = {
-            "crescent": crescent_points(rng, 200, 0.0),
-            "doubly wound": np.vstack([traced, traced]),
-            "star": circle_points(0.0, 0.0, 1.0, 40) * (1.0 + 0.3 * (np.arange(40) % 2))[:, None],
-        }[name]
-        geom = _LoopGeometry(synthetic_loop(pts))
-        assert geom._normals is None
-        assert geom.floor(geom.box_center, np.arange(10)) is None
-
-    def test_nan_never_certifies_a_rejection(self, cubic):
-        loop = rq.trace_section(cubic, Plane(0.45, -0.2), 512)
-        geom = _LoopGeometry(loop)
-        center = np.array([0.0, geom.box_center[1]])
-        floor = geom.floor(center, np.arange(64))
-        assert floor is not None
-        assert not floor(np.array([0.0, math.nan])) > -math.inf
-        assert not floor(np.array([math.nan, geom.box_center[1]])) > -math.inf
-        refl = 2.0 * center - geom._scored(center)
-        bounds = geom._bound_dist2(refl)
-        refl[5] = math.nan  # one nan row among rows that would certify
-        assert math.isnan(geom._row_lower(center, refl, geom._window(refl)[0])[5])
-        inf_bounds = (np.full(len(refl), math.inf),) + bounds[1:]
-        assert not geom._rejects(center, refl, inf_bounds, 0.0)
-        assert not geom._rejects(center, refl, bounds, math.nan)
-
-    @given(case=bounded_loops(), tol=st.sampled_from((1e-5, 1e-4, 3e-3)))
-    @example(case=(WIGGLY[128], False), tol=1e-4)
-    @example(case=(WIGGLY[1024], True), tol=1e-4)
-    def test_rejection_changes_no_bits(self, case, tol):
-        loop, free = case
-        with_bound = rq.centrality(loop, tol, free_center=free)
-        with pytest.MonkeyPatch.context() as mp:
-            without_rejection(mp)
-            plain = rq.centrality(loop, tol, free_center=free)
-        assert repr(with_bound) == repr(plain)  # bits, signed zeros too
-
-    @pytest.mark.parametrize("n", [128, 1024])
-    def test_descent_skips_refinement_of_rejected_trials(self, cubic, monkeypatch, n):
-        loop = rq.trace_section(cubic, Plane(0.4, 0.0), n)
-        calls = []
-        refine = _LoopGeometry._sector_dist2
-        monkeypatch.setattr(_LoopGeometry, "_sector_dist2",
-                            lambda self, *args: calls.append(len(args[-1])) or refine(self, *args))
-        with_bound = rq.centrality(loop, 1e-4)
-        refined = len(calls)
-        del calls[:]
-        without_rejection(monkeypatch)
-        assert rq.centrality(loop, 1e-4) == with_bound
-        assert refined < 0.6 * len(calls)
 
 
 @st.composite
@@ -774,7 +548,7 @@ def certified(geom, center, refl, bounds):
     holds for, restated from the module docstring: the disc of radius r
     leaves out the box center, and the widened sector theta +- half lies
     strictly between the sorted angles at positions j - 3 and j + 2."""
-    bound, theta, pos, _ = bounds
+    bound, theta, pos = bounds
     ratio, half = geom._sector(center, refl, bound)
     n, ext = len(geom.pts), geom._cert_angles
     return (ratio < 1.0) & (ext[pos + n - 3] < theta - half) & (theta + half < ext[pos + n + 2])
@@ -783,8 +557,8 @@ def certified(geom, center, refl, bounds):
 def uncertified(bounds, n):
     """The bound pass bounds with its sorted positions moved past every
     angle of an n-point loop, so that no row keeps its bound."""
-    bound, theta, pos, cols = bounds
-    return bound, theta, pos + 3 * n, cols
+    bound, theta, pos = bounds
+    return bound, theta, pos + 3 * n
 
 
 def refine_every_row(mp):
@@ -806,7 +580,7 @@ def count_kernel_runs(mp):
 
 
 def cannot_certify(geom):
-    return geom._cert_angles is None and geom._normals is None
+    return geom._cert_angles is None
 
 
 class TestWindowCertificate:
@@ -842,14 +616,14 @@ class TestWindowCertificate:
                 got = geom._sector_dist2(center, refl, bounds, rows)
             assert runs == [] and np.array_equal(got, bounds[0][rows])
             # max_dist2 takes the same values
-            assert geom.max_dist2(center)[0] == geom.reflect_dist2(center).max()
+            assert geom.max_dist2(center) == geom.reflect_dist2(center).max()
 
     @given(pts=certificate_loops(), seed=st.integers(0, 2**32 - 1))
     def test_five_column_window_is_the_ring_window(self, pts, seed):
         # a certifying loop's 8 window segments are 5 distinct ones, and
         # the bound pass over those 5 keeps the 8-column minimum's bits
         geom = _LoopGeometry(synthetic_loop(pts))
-        if geom._normals is None:
+        if cannot_certify(geom):
             return
         rng = np.random.default_rng(seed)
         far = tuple(geom.box_center + 3.0 * geom.diameter * rng.uniform(-1.0, 1.0, 2))
@@ -917,7 +691,6 @@ class TestWindowCertificate:
         assert cannot_certify(geom)
         assert (symmetry._convex_ccw(pts)[0] is not None) == (
             name in ("right triangle", "arc and chord"))
-        assert geom.floor(geom.box_center, np.arange(3)) is None
 
     def test_nan_certifies_nothing(self, sphere):
         loop = rq.trace_section(sphere, Plane(0.3, 0.1), 256)
@@ -973,11 +746,9 @@ class TestSectorRefinement:
             # every row refined in its sector, certified or not
             refined = geom._sector_dist2(center, refl, uncertified(bounds, len(geom.pts)), rows)
             assert np.array_equal(refined, want)
-            # every evaluation takes these values: the reference, a given
-            # seed and the default seed
+            # every evaluation takes these values
             assert np.array_equal(geom.reflect_dist2(center, rows), want)
-            assert np.array_equal(geom.max_dist2(center, rows)[2][: len(rows)], want)
-            assert geom.max_dist2(center)[0] == geom.reflect_dist2(center).max()
+            assert geom.max_dist2(center) == geom.reflect_dist2(center).max()
 
     def test_far_rows_of_a_thin_loop_take_every_segment(self, monkeypatch):
         # box-normalised, r is measured in units of the short half-width:
@@ -1012,135 +783,6 @@ class TestSectorRefinement:
         assert widths[0] == n and widths[-1] < n and widths == sorted(widths, reverse=True)
 
 
-def shifted_pairs(geom, rng):
-    """(c, cand): the trial centers c, each moved by up to a fiftieth of a
-    diameter, along the axis or in any direction; both score the same rows."""
-    span = 0.02 * geom.diameter
-    for c, along in zip(trial_centers(geom, rng), (True, False, False, True)):
-        c = np.asarray(c)
-        cand = c + (np.array([0.0, rng.uniform(-span, span)]) if along
-                    else rng.uniform(-span, span, 2))
-        if len(geom._scored(cand)) == len(geom._scored(c)):
-            yield c, cand
-
-
-def moved_ceiling(geom, ceiling, c, cand):
-    """The ceiling about c carried to cand, as the descent carries it."""
-    reach = 2.0 * math.hypot(*(cand - c))
-    return ceiling + (reach + symmetry._CEILING_SLACKS * geom._slack(cand))
-
-
-def count_bound_passes(mp):
-    """Record the row count of every bound pass."""
-    passes = []
-    bound_pass = _LoopGeometry._bound_dist2
-    mp.setattr(_LoopGeometry, "_bound_dist2",
-               lambda self, refl: passes.append(len(refl)) or bound_pass(self, refl))
-    return passes
-
-
-def without_ceilings(mp):
-    """Make every evaluation ignore the ceiling it is given."""
-    evaluate = _LoopGeometry.max_dist2
-    mp.setattr(_LoopGeometry, "max_dist2",
-               lambda self, center, seed=None, cut=math.inf, ceiling=None, low=-math.inf:
-               evaluate(self, center, seed, cut))
-
-
-class TestCeilings:
-    """On a loop that certifies, a row's value is its reflection's distance
-    to the polyline, which moves by at most 2 delta when the center moves
-    by delta; so a ceiling carried from the best center bounds a trial's
-    rows, and rows whose ceiling cannot reach the trial's lower bound skip
-    the bound pass without changing the score."""
-
-    @given(case=bounded_loops(), seed=st.integers(0, 2**32 - 1))
-    def test_moved_ceiling_covers_every_row(self, case, seed):
-        loop, _ = case
-        geom = _LoopGeometry(loop)
-        rng = np.random.default_rng(seed)
-        for c, cand in shifted_pairs(geom, rng):
-            ceiling = geom.max_dist2(c)[3]
-            if geom._normals is None:
-                assert ceiling is None
-                return
-            assert np.array_equal(ceiling >= np.sqrt(geom.reflect_dist2(c)), ~np.isnan(ceiling))
-            moved = moved_ceiling(geom, ceiling, c, cand)
-            assert (np.sqrt(geom.reflect_dist2(cand)) <= moved).all()
-
-    @given(case=bounded_loops(), seed=st.integers(0, 2**32 - 1))
-    def test_pruned_evaluation_keeps_the_score(self, case, seed):
-        loop, _ = case
-        assume(len(loop.points) <= 2046)
-        geom = _LoopGeometry(loop)
-        assume(geom._normals is not None)
-        rng = np.random.default_rng(seed)
-        for c, cand in shifted_pairs(geom, rng):
-            top, rows, vals, ceiling = geom.max_dist2(c)
-            worst = rows[symmetry._worst_rows(vals)]
-            low = geom.floor(c, worst)(cand)
-            moved = moved_ceiling(geom, ceiling, c, cand)
-            exact = geom.reflect_dist2(cand)
-            root = math.sqrt(exact.max())
-            for cut in (math.inf, root, np.nextafter(root, math.inf)):
-                plain = geom.max_dist2(cand, worst, cut)
-                pruned = geom.max_dist2(cand, worst, cut, moved, low)
-                assert (pruned is None) == (plain is None)
-                if pruned is None:
-                    continue
-                assert pruned[0] == plain[0] == exact.max()
-                # the refined rows take their exact values, and the ceiling
-                # handed back bounds every row about cand
-                assert np.array_equal(pruned[2], exact[pruned[1]])
-                assert (np.sqrt(exact) <= pruned[3]).all()
-
-    def test_nan_ceiling_keeps_its_row(self, cubic, monkeypatch):
-        loop = rq.trace_section(cubic, Plane(0.4, 0.0), 512)
-        geom = _LoopGeometry(loop)
-        center = np.array([0.0, 0.5 * (loop.z_lo + loop.z_hi)])
-        exact = geom.reflect_dist2(center)
-        ceiling = np.zeros(len(exact))
-        ceiling[7] = math.nan
-        passes = count_bound_passes(monkeypatch)
-        top, rows, vals, got = geom.max_dist2(center, ceiling=ceiling, low=1.0)
-        assert passes == [1]
-        assert list(rows) == [7] and top == exact[7] and vals[0] == exact[7]
-        assert got[7] == math.sqrt(exact[7])
-        assert np.array_equal(np.delete(got, 7), np.delete(ceiling, 7))
-        # a nan lower bound keeps every row
-        del passes[:]
-        assert geom.max_dist2(center, ceiling=ceiling, low=math.nan)[0] == exact.max()
-        assert passes == [len(exact)]
-
-    def test_ceiling_of_another_length_is_ignored(self, cubic):
-        loop = rq.trace_section(cubic, Plane(0.4, 0.0), 128)
-        geom = _LoopGeometry(loop)
-        z = 0.5 * (loop.z_lo + loop.z_hi)
-        # off the axis every row is scored; on it, only the first h
-        off = geom.max_dist2(np.array([1e-3 * geom.diameter, z]))
-        assert len(off[3]) == len(geom.pts)
-        on = geom.max_dist2(np.array([0.0, z]), ceiling=np.zeros(len(geom.pts)), low=1.0)
-        assert on[0] == geom.reflect_dist2((0.0, z)).max()
-        assert len(on[3]) == geom._half
-
-    @pytest.mark.parametrize("n", [128, 1024])
-    @pytest.mark.parametrize("free", [False, True])
-    def test_descent_bounds_fewer_rows(self, cubic, monkeypatch, n, free):
-        loop = rq.trace_section(cubic, Plane(0.4, 0.0), n)
-        geom = _LoopGeometry(loop)
-        assert geom._normals is not None
-        passes = count_bound_passes(monkeypatch)
-        center, asym = symmetry._centroid_descent(geom, free, symmetry._centroid_start(geom, free))
-        assert asym > 1e-4
-        scored = len(geom._scored(center))
-        assert sum(passes) < 0.5 * len(passes) * scored
-        del passes[:]
-        without_ceilings(monkeypatch)
-        start = symmetry._centroid_start(geom, free)
-        assert repr(symmetry._centroid_descent(geom, free, start)) == repr((center, asym))
-        assert sum(passes) == len(passes) * scored
-
-
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 COLD_PROBE = """
@@ -1166,8 +808,8 @@ assert "scipy.spatial" in sys.modules
 
 def test_quadric_runs_leave_scipy_spatial_out():
     # a fresh interpreter: this one has imported scipy already.  Quadric,
-    # non-quadric and sampled verdicts and a free centre search on traced
-    # loops load no scipy module; a 1500-point noisy circle is not convex:
+    # non-quadric and sampled verdicts and a free centrality test on a
+    # traced loop load no scipy module; a 1500-point noisy circle is not convex:
     # it takes its hull from Qhull and its rows from the k-d tree, loaded
     # on first use
     rng = np.random.default_rng(1500)
@@ -1349,37 +991,52 @@ class TestCentrality:
                     assert rep.center == (0.0, 0.5 * (loop.z_lo + loop.z_hi))
                     assert rep.asymmetry <= rep.tolerance
 
-    def test_steep_cubic_witness_comes_from_descent(self, cubic):
-        for m in (0.4, 0.5):
-            loop = rq.trace_section(cubic, Plane(m, 0.0), 1024)
-            rep = rq.centrality(loop, 1e-4)
-            mid = (0.0, 0.5 * (loop.z_lo + loop.z_hi))
-            assert rep.central is False
-            assert rep.asymmetry == rq.asymmetry_at(loop, rep.center)
-            # the descent improves on the failed midpoint
-            assert rep.asymmetry < rq.asymmetry_at(loop, mid)
-
-    @pytest.mark.parametrize("free", [False, True])
-    @pytest.mark.parametrize("n", [128, 1024])
-    @pytest.mark.parametrize("spec, plane", [
-        ("poly:2,0,0,1;1", Plane(0.4, 0.0)),
-        ("poly:1,0,1,0,1;1", Plane(0.4, -0.2)),
-        ("sampled", Plane(0.5, 0.0)),
-    ])
-    def test_pruned_descent_reproduces_full_descent(self, spec, plane, n, free):
-        prof = sampled_cubic() if spec == "sampled" else rq.parse_profile(spec)
-        loop = rq.trace_section(prof, plane, n)
-        center, asym, descent_ran = reference_centrality(loop, 1e-4, free)
-        rep = rq.centrality(loop, 1e-4, free_center=free)
-        assert descent_ran
-        assert rep.center == center
-        assert rep.asymmetry == asym
-
     @given(case=scored_loops(), tol=st.sampled_from((1e-5, 1e-4, 3e-3)))
     def test_reported_center_reproduces_verdict(self, case, tol):
         loop, free = case
         rep = rq.centrality(loop, tol, free_center=free)
         assert rep.central == (rq.asymmetry_at(loop, rep.center) <= tol)
+
+    @given(case=st.one_of(bounded_loops(), scored_loops(), st.tuples(polygons(), st.booleans())),
+           tol=st.sampled_from((1e-5, 1e-4, 3e-3)), bound=st.booleans())
+    @example(case=(WIGGLY[128], False), tol=1e-4, bound=True)
+    @example(case=(WIGGLY[1024], True), tol=1e-4, bound=False)
+    def test_score_is_asymmetry_at_the_box_midpoint(self, case, tol, bound):
+        # a loop the midpoint bound does not settle is scored once, at the
+        # box midpoint b, with the bits asymmetry_at gives there
+        loop, free = case
+        pts = np.asarray(getattr(loop, "points", loop))
+        b = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+        if not free:
+            b[0] = 0.0
+        if bound and not free and symmetry._midpoint_bound(pts, tol) is not None:
+            return
+        scored = []
+        evaluate = _LoopGeometry.max_dist2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_LoopGeometry, "max_dist2",
+                       lambda self, center: scored.append(tuple(center)) or evaluate(self, center))
+            rep = rq.centrality(loop, tol, free_center=free, bound=bound)
+        assert scored == [tuple(b)]
+        assert repr(rep.center) == repr(tuple(b.tolist()))
+        assert rep.asymmetry == rq.asymmetry_at(loop, b)
+
+    @given(case=st.one_of(bounded_loops(), scored_loops()), seed=st.integers(0, 2**32 - 1))
+    def test_no_centre_scores_below_the_midpoint_bound(self, case, seed):
+        # score(b) <= 2 score(c) for c on the axis of a traced loop, and
+        # score(b) <= (1 + sqrt 2) score(c) for any c (module docstring)
+        loop, _ = case
+        pts = loop.points
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        rng = np.random.default_rng(seed)
+        free = rq.centrality(loop, 1e-4, free_center=True).asymmetry
+        for c in lo + rng.uniform(-0.25, 1.25, (3, 2)) * (hi - lo):
+            assert free <= (1.0 + math.sqrt(2.0)) * rq.asymmetry_at(loop, c) * (1.0 + 1e-9)
+        if symmetry._mirror_half(pts) is None:
+            return
+        pinned = rq.centrality(loop, 1e-4).asymmetry
+        for t in lo[1] + rng.uniform(-0.25, 1.25, 3) * (hi[1] - lo[1]):
+            assert pinned <= 2.0 * rq.asymmetry_at(loop, (0.0, t)) * (1.0 + 1e-9)
 
 
 @st.composite
