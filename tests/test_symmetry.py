@@ -723,6 +723,50 @@ class TestWindowCertificate:
         assert repr(with_cert) == repr(plain)  # bits, signed zeros too
 
 
+def never_takes_the_bound(geom):
+    """Check that no row of geom, a loop of the general class, keeps its
+    bound about the box center: with every bound pass value zeroed, each
+    row still takes its refined value, at most its window bound and, on a
+    loop small enough for the all-pairs scan, its distance to the whole
+    polyline, bit for bit."""
+    assert cannot_certify(geom)
+    center = geom.box_center
+    refl = 2.0 * center - geom.pts
+    bound, theta, pos = geom._bound_dist2(refl)
+    rows = np.arange(len(refl))
+    got = geom._values(center, refl, rows, (np.zeros_like(bound), theta, pos))
+    assert np.array_equal(got, geom._row_dist2(refl))
+    assert (got <= bound).all()
+    if geom._brute:
+        assert np.array_equal(got, all_segments_dist2(geom, refl))
+
+
+class TestLowerBound:
+    """A row's distance to the whole polyline bounds its value from below
+    and its window minimum from above.  A loop that certifies may keep the
+    window minimum as the value; a non-convex loop never takes the bound:
+    each of its rows is refined, to the lower bound itself where the loop
+    is small enough for the all-pairs scan."""
+
+    @given(poly=polygons())
+    def test_non_convex_loops_never_take_the_bound(self, poly):
+        if symmetry._convex_ccw(poly)[0] is not None:
+            return
+        never_takes_the_bound(_LoopGeometry(synthetic_loop(poly)))
+
+    @pytest.mark.parametrize("name", ["crescent", "doubly wound", "star"])
+    def test_named_non_convex_loops(self, cubic, name):
+        rng = np.random.default_rng(3)
+        traced = rq.trace_section(cubic, Plane(0.45, -0.2), 64).points
+        pts = {
+            "crescent": crescent_points(rng, 200, 0.0),
+            "doubly wound": np.vstack([traced, traced]),
+            "star": circle_points(0.0, 0.0, 1.0, 40) * (1.0 + 0.3 * (np.arange(40) % 2))[:, None],
+        }[name]
+        assert symmetry._convex_ccw(pts)[0] is None
+        never_takes_the_bound(_LoopGeometry(synthetic_loop(pts)))
+
+
 class TestSectorRefinement:
     """On a loop that certifies, a row the window leaves open takes the
     minimum over the segments that meet its sector, or over every segment
