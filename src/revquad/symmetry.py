@@ -4,9 +4,10 @@ A loop is centrally symmetric about c when the point reflection p -> 2c - p
 maps it onto itself.  The asymmetry score reflects every vertex through a
 candidate center, measures each reflected vertex's distance to the original
 polyline (point-to-segment, closing segment included), takes the maximum,
-and normalizes by the loop's chart diameter.  The score is zero for exact
-symmetry in any affine chart, so chart coordinates are good enough to decide
-centrality even though they distort lengths.
+and normalizes by s = max(w, h), the larger side of the loop's bounding
+box.  The score is zero for exact symmetry in any affine chart, so chart
+coordinates are good enough to decide centrality even though they distort
+lengths.
 
 The center is forced.  A point reflection swaps the extreme points of a
 centrally symmetric loop in each axis, so its center can only be the
@@ -17,12 +18,16 @@ put c within e / 2 of b in each coordinate, so score(b) <= 2 score(c) for
 c on the axis of a traced loop and score(b) <= (1 + sqrt 2) score(c) for
 any c.
 
-The chart diameter is exact: the largest squared distance, dx*dx + dy*dy
-elementwise, over the antipodal vertex pairs of the loop's convex hull,
-which rotating calipers enumerate (Shamos 1978; Toussaint 1983).  A
-strictly convex loop serves as its own hull; other loops take theirs from
-Qhull.  No score goes through a matrix product, so none depends on the
-BLAS build or its thread count.
+The box that fixes the center also fixes the scale.  The loop's diameter
+D, its largest distance between two vertices, satisfies s <= D <= sqrt 2 s:
+the vertices at the ends of the box's larger side are s apart at least,
+and no two points of the box are farther apart than its diagonal.  So a
+score is the diameter-normalised one times D / s, in [1, sqrt 2].  On a
+traced loop, whose box is aligned with its mirror axis, D / s is 1 or
+within a few parts in 1e5 of it.  s needs no squares, so it neither
+overflows nor underflows where the loop's coordinates do not.  No score
+goes through a matrix product, so none depends on the BLAS build or its
+thread count.
 
 The distance kernels work on separate x and y columns:
 
@@ -75,8 +80,8 @@ A row's value is the distance to the nearest
 segment of the union of the window and the near set: every segment of a
 small loop, scanned all-pairs; for a large one, both segments at each of
 the 8 vertices nearest the reflected point, from a k-d tree.  It never
-exceeds the near set's alone.  scipy.spatial, home of the tree and of
-Qhull, is imported only when such a loop first needs one of them.
+exceeds the near set's alone.  scipy.spatial, home of the tree, is
+imported only when a large loop of the general class is first refined.
 
 The candidate kernel works on (K, N) arrays, one row per candidate, so its
 closing minimum runs across contiguous rows; numpy reduces a short inner
@@ -97,9 +102,9 @@ A y-mirror loop's midpoint test can also pass on a bound, with no loop
 geometry built (centrality's bound=True, _midpoint_bound): each scored row
 takes only the two segments at the vertex where a central loop's
 reflection of it lands, a minimum over fewer segments than its value's,
-and the diameter is bounded from below.  Where their ratio is within tol
-it is a certified upper bound on the midpoint's score, and the loop is
-central; anywhere else the exact test runs.
+divided by the same s, bit for bit.  Where that is within tol it is a
+certified upper bound on the midpoint's score, and the loop is central;
+anywhere else the exact test runs.
 """
 
 from __future__ import annotations
@@ -276,6 +281,8 @@ class _LoopGeometry:
     center on the axis then score only rows 0 .. h-1 (see the module
     docstring).  Other loops (an m = 0 circle, a rotated or perturbed copy
     of a traced loop) and centers off the axis are scored on every row.
+    side is s, the larger side of the bounding box (_box), which divides
+    every score.
     """
 
     def __init__(self, points):
@@ -290,21 +297,15 @@ class _LoopGeometry:
                 raise InvalidDomain("squared edge lengths of the loop overflow")
             if len2.sum() == 0.0:
                 raise DegenerateLoop("loop has zero total length")
-            convex = _convex_ccw(pts)
-            self.diameter = _chart_diameter(pts, convex)
-        if not math.isfinite(self.diameter):
-            raise InvalidDomain("the squared chart diameter of the loop overflows")
+            ccw = _convex_ccw(pts)
         self.seg_len2 = np.where(len2 > 0.0, len2, 1.0)
-        if self.diameter == 0.0:
-            raise DegenerateLoop("loop has zero diameter")
         self._half = _mirror_half(pts)
         n = len(pts)
-        # column by column: numpy reduces across 2 columns far more slowly
-        lo = np.array([pts[:, 0].min(), pts[:, 1].min()])
-        hi = np.array([pts[:, 0].max(), pts[:, 1].max()])
+        lo, hi, self.side = _box(pts)
         self.box_center = 0.5 * (lo + hi)
         self._box_scale = np.where(hi > lo, 0.5 * (hi - lo), 1.0)
-        self._slack_scale = self.diameter + abs(self.box_center[0]) + abs(self.box_center[1])
+        # w + h is at least the diameter
+        self._slack_scale = (hi - lo).sum() + abs(self.box_center[0]) + abs(self.box_center[1])
         angles = self._angles(pts)
         order = np.argsort(angles, kind="stable")
         self._sorted_angles = angles[order]
@@ -313,7 +314,7 @@ class _LoopGeometry:
         # end, and _sector_seg[j], the segment between sorted positions j and
         # j + 1 (mod n)
         self._cert_angles = None
-        if not self._certifies(convex[0], order):
+        if not self._certifies(ccw, order):
             # _ring[j + 2] is the vertex at sorted position j, wrapping
             self._ring = np.concatenate([order[-2:], order, order[:2]])
         else:
@@ -532,108 +533,37 @@ def _root(d2):
     return float(np.sqrt(d2))
 
 
-def _chart_diameter(pts, convex=None):
-    """Max pairwise distance, exact: the square root of the largest
-    dx*dx + dy*dy over the antipodal vertex pairs of the loop's convex hull.
-
-    A loop that is a strictly convex polygon winding once, as every
-    quadric section is, is its own hull; any other loop takes its hull from
-    Qhull.  Qhull finds a loop of tiny coordinates flat, so it is handed
-    the points scaled by an exact power of two, to a largest |coordinate|
-    in [0.5, 1); the calipers run on the points themselves.
-    Points that Qhull finds flat (collinear or repeated) lie on one line,
-    whose diameter is the distance between its two ends.  convex, if
-    given, is _convex_ccw(pts).
-    """
-    hull, phi = _convex_ccw(pts) if convex is None else convex
-    if hull is None:
-        from scipy.spatial import ConvexHull, QhullError  # a slow import, needed here only
-
-        k = math.frexp(float(np.abs(pts).max()))[1]
-        try:
-            hull = pts[ConvexHull(np.ldexp(pts, -k)).vertices]
-        except QhullError:
-            return _line_diameter(pts)
-        _, phi = _edges_and_angles(hull)
-        # a convex hull's edge angles rise; this irons out their rounding
-        phi = np.maximum.accumulate(phi)
-    return float(np.sqrt(_caliper_max_dist2(hull, phi)))
+def _box(pts):
+    """(lo, hi, s): the corners of the loop's bounding box and its larger
+    side s = max(w, h), which divides every score."""
+    # column by column: numpy reduces across 2 columns far more slowly
+    lo = np.array([pts[:, 0].min(), pts[:, 1].min()])
+    hi = np.array([pts[:, 0].max(), pts[:, 1].max()])
+    return lo, hi, float((hi - lo).max())
 
 
 def _convex_ccw(pts):
-    """(loop, edge angles), the loop counterclockwise (pts itself when it
-    already is), if it is a strictly convex polygon that winds once;
-    otherwise (None, None)."""
-    cross, phi = _edges_and_angles(pts)
-    if (cross < 0.0).all():
-        pts = pts[::-1]
-        cross, phi = _edges_and_angles(pts)
-    if not (cross > 0.0).all():
-        return None, None
-    # Every turn is a left turn below pi, so the anchored angles rise
-    # throughout exactly when the total turning is 2 pi.
-    if (phi[1:] < phi[:-1]).any():
-        return None, None
-    return pts, phi
-
-
-def _edges_and_angles(pts):
-    """The turn cross product at each vertex and the angle of each edge
-    pts[i] -> pts[i + 1], unwrapped to [phi_0, phi_0 + 2 pi)."""
-    e = np.diff(np.concatenate([pts, pts[:2]]), axis=0)  # edges 0 .. h-1, 0
-    cross = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
-    phi = np.arctan2(e[:-1, 1], e[:-1, 0])
-    phi[phi < phi[0]] += 2.0 * np.pi
-    return cross, phi
-
-
-def _caliper_max_dist2(hull, phi):
-    """Largest squared distance between antipodal vertices of a convex,
-    counterclockwise polygon with rising edge angles phi (rotating
-    calipers; Shamos 1978, Toussaint 1983).
-
-    The vertex farthest from edge i is where the edge angles pass
-    phi[i] + pi; both ends of the edge are antipodal to it, and every
-    antipodal pair arises this way from one of its edges.  The far
-    vertex's two neighbours are scored too, which covers parallel edges
-    and angles that round across a vertex.
-    """
-    h = len(hull)
-    target = phi + np.pi
-    target[target >= phi[0] + 2.0 * np.pi] -= 2.0 * np.pi
-    far = np.searchsorted(phi, target)  # in [0, h]
-    # wrap-padded columns: x[k + 1] is vertex k mod h, for k in [-1, h + 1]
-    x = np.concatenate([hull[-1:, 0], hull[:, 0], hull[:2, 0]])
-    y = np.concatenate([hull[-1:, 1], hull[:, 1], hull[:2, 1]])
-    # rows: vertices far - 1, far, far + 1, gathered once
-    opp = far + np.arange(3)[:, None]
-    ox, oy = x[opp], y[opp]
-    best = 0.0
-    for end in (1, 2):  # vertex i, then vertex i + 1
-        dx = x[end : end + h] - ox
-        dy = y[end : end + h] - oy
-        best = max(best, float((dx * dx + dy * dy).max()))
-    return best
-
-
-def _line_diameter(pts):
-    """Diameter of points on one line: the point farthest from any point is
-    an end of the line, and the point farthest from that end is the other."""
-    end = pts[np.argmax(_dist2_from(pts, pts[0]))]
-    return float(np.sqrt(_dist2_from(pts, end).max()))
-
-
-def _dist2_from(pts, p):
-    dx = pts[:, 0] - p[0]
-    dy = pts[:, 1] - p[1]
-    return dx * dx + dy * dy
+    """The loop counterclockwise (pts itself when it already is), if it is
+    a strictly convex polygon that winds once; otherwise None.  Reversed,
+    a loop's turn cross products are its own negated, bit for bit."""
+    for loop in (pts, pts[::-1]):
+        e = np.diff(np.concatenate([loop, loop[:2]]), axis=0)  # edges 0 .. n-1, 0
+        if (e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0] > 0.0).all():
+            # Every turn is a left turn below pi, so the edge angles,
+            # unwrapped to [phi_0, phi_0 + 2 pi), rise throughout exactly
+            # when the total turning is 2 pi.
+            phi = np.arctan2(e[:-1, 1], e[:-1, 0])
+            phi[phi < phi[0]] += 2.0 * np.pi
+            return None if (phi[1:] < phi[:-1]).any() else loop
+    return None
 
 
 def asymmetry_at(loop, center):
     """Asymmetry of the loop about the given chart center.
 
     Maximum over reflected vertices of the distance to the original
-    polyline, divided by the loop's chart diameter.  A center that is not
+    polyline, divided by the larger side of the loop's bounding box (the
+    module docstring relates it to the diameter).  A center that is not
     finite, or whose reflections or their distances overflow, raises
     InvalidDomain.
     """
@@ -650,7 +580,7 @@ def _asymmetry(geom, center):
         dist = _root(geom.max_dist2(center))
     if not math.isfinite(dist):
         raise InvalidDomain(f"distances of the reflections about {center.tolist()!r} overflow")
-    return dist / geom.diameter
+    return dist / geom.side
 
 
 def centrality(loop, tol, free_center=False, bound=False):
@@ -711,27 +641,30 @@ def _midpoint_bound(pts, tol):
     sections among them) and on every small one; on a large loop of the
     general class the exact value is a minimum over a near set, which
     holds that vertex wherever the reflection lands close to it.  The
-    diameter is bounded from below (_mirror_diameter_floor).  None, too,
-    wherever a value is not finite or the diameter could overflow, so
-    every error of the exact test is raised there as before.
+    maximum is divided by the exact test's s (_box), bit for bit.
+    None, too, wherever the exact test raises: the segments read are the
+    lower branch's and the two upper ones at its ends, and the lower
+    branch mirrors the upper one bit for bit, so their squared lengths are
+    those of every edge, which the exact test rejects when one overflows or
+    all are 0 (edges shorter than about 1e-162 square to 0); every later
+    error is a center, reflection or distance that is not finite, which
+    makes the bound nan or inf.
     """
     h = _mirror_half(pts)
     if h is None:
-        return None
-    diameter = _mirror_diameter_floor(pts, h)
-    # every edge joins two vertices, so its squared length is finite too
-    if not diameter > 0.0:
         return None
     with np.errstate(all="ignore"):
         # the h + 1 segments the rows read: h - 2 .. n - 1, then 0
         ends = np.concatenate((pts[h - 2 :], pts[:2]))
         seg_d = ends[1:] - ends[:-1]
         len2 = seg_d[:, 0] ** 2 + seg_d[:, 1] ** 2
-        z = pts[:, 1]
-        center = np.array([0.0, 0.5 * (z.min() + z.max())])
+        if not (np.isfinite(len2).all() and len2.max() > 0.0):
+            return None
+        lo, hi, side = _box(pts)
+        center = np.array([0.0, 0.5 * (lo[1] + hi[1])])
         d2 = max_min_dist_candidates(2.0 * center - pts[:h], ends[:-1], seg_d,
                                      np.where(len2 > 0.0, len2, 1.0), _bound_candidates(h))
-        asym = _root(d2.max()) / diameter
+        asym = _root(d2.max()) / side
     return _report(center, asym, tol) if asym <= tol else None
 
 
@@ -743,24 +676,6 @@ def _bound_candidates(h):
     cand = (np.arange(h) + np.arange(2)[:, None]).T
     cand.setflags(write=False)
     return cand
-
-
-def _mirror_diameter_floor(pts, h):
-    """A lower bound on the chart diameter of a y-mirror loop of half h:
-    the larger of the widest mirror pair (y, z), (-y, z), squared as
-    dx*dx + dy*dy with dy = 0, and the squared z-range, which the pair of
-    lowest and highest vertices spans at least.  nan where the exact
-    diameter could overflow: no pair of vertices is wider than the widest
-    or taller than the z-range, so every pair's squared distance is finite
-    when the sum of those two squares is."""
-    z = pts[:, 1]
-    with np.errstate(over="ignore"):
-        tall = z.max() - z.min()
-        wide = 2.0 * pts[1 : h - 1, 0]
-        tall2, wide2 = float(tall * tall), float((wide * wide).max())
-    if not math.isfinite(tall2 + wide2):
-        return math.nan
-    return _root(max(tall2, wide2))
 
 
 def _report(center, asym, tol):

@@ -29,10 +29,10 @@ settings.load_profile("suite")
 def oracle_asymmetry(points, center):
     """Brute-force asymmetry: reflect every vertex, measure the worst
     distance to the closed polyline over all segments, divide by the
-    brute-force diameter."""
+    larger side of the bounding box."""
     pts = np.asarray(points, dtype=float)
     refl = 2.0 * np.asarray(center, dtype=float) - pts
-    return float(oracle_distances(pts, refl).max()) / oracle_diameter(pts)
+    return float(oracle_distances(pts, refl).max()) / float(np.ptp(pts, axis=0).max())
 
 
 def oracle_distances(points, query):

@@ -580,20 +580,26 @@ class TestWarmPool:
         assert str(pooled.value) == str(serial.value)
         assert str(serial.value).startswith("beta = 9.8: gap stays positive")
 
-    # the chart diameter of this profile's loops overflows at slope 1e-155
-    # for |beta| < ~0.6, which centrality raises; at slope 1e-153 every
-    # section escapes the domain, which tracing raises
+    # at slope 1e-153 every section of this profile escapes the domain,
+    # which tracing raises; at slope 1e-155 they close, about 5e153 wide.
+    # No traced loop raises in centrality: about its midpoint a reflected
+    # vertex lies within the loop's half-width, at most sqrt(max F), of
+    # the loop, so no squared distance overflows.  A loop that spans more
+    # than its slab half-width delta raises in scoring, after centrality:
+    # delta = 0.01 at beta = 0.0, whose section spans |z| < 0.084
     @pytest.mark.parametrize("planes, failing", [
-        ([(1e-155, -0.9), (1e-155, 0.8), (1e-153, 0.5), (1e-155, 0.0)], 2),
-        ([(1e-155, -0.9), (1e-155, 0.0), (1e-153, 0.5), (1e-155, 0.9)], 1),
-        ([(1e-153, -0.9), (1e-155, 0.0)], 0),
-    ], ids=["trace-first", "centrality-first", "first-plane"])
+        ([(1e-155, -0.9, None), (1e-155, 0.8, None), (1e-153, 0.5, None),
+          (1e-155, 0.0, None)], 2),
+        ([(1e-155, -0.9, None), (1e-155, 0.0, 0.01), (1e-153, 0.5, None),
+          (1e-155, 0.9, None)], 1),
+        ([(1e-153, -0.9, None), (1e-155, 0.0, None)], 0),
+    ], ids=["trace-first", "scoring-first", "first-plane"])
     def test_batch_raises_its_first_failing_plane(self, planes, failing):
         # planes are traced as one batch, but each raises in plane order: a
         # plane that fails at trace raises only once the planes before it
         # are scored, serially and pooled
         prof = rq.parse_profile("quadric:-6e307,0,7e307,1")
-        args = [(prof, m, beta, 64, 1e-4, None) for m, beta in planes]
+        args = [(prof, m, beta, 64, 1e-4, delta) for m, beta, delta in planes]
         with pytest.raises(rq.RevquadError) as alone:
             detect_module._test_planes(args[failing:failing + 1])
         assert str(alone.value).startswith(f"beta = {planes[failing][1]!r}: ")

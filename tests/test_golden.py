@@ -10,11 +10,13 @@ acceptance budget.  A speed-up must reproduce every byte.  The file is
 only read.
 
 Each case also keeps the score the retired centre search reported
-(``search_asymmetry``, and ``search_witness_asymmetry`` for a verdict).
-The score at the box midpoint b, which the bytes now hold, is checked
-against it: no centre scores below half of b's score pinned, or below b's
-score over 1 + sqrt 2 free (``revquad.symmetry``), so the search's score
-bounds b's from above, and every central flag and verdict is the
+(``search_asymmetry``, and ``search_witness_asymmetry`` for a verdict),
+divided by the loop's diameter D as scores then were.  The score at the
+box midpoint b, which the bytes now hold, is divided by the larger side s
+of the loop's bounding box; it is rescaled by s / D and checked against
+the search's: no centre scores below half of b's score pinned, or below
+b's score over 1 + sqrt 2 free (``revquad.symmetry``), so the search's
+score bounds b's from above, and every central flag and verdict is the
 search's.
 
 ``tests/data/golden_sampled.json`` does the same for sampled profiles,
@@ -40,7 +42,7 @@ import revquad as rq
 from revquad.formats import centrality_json, verdict_json
 from revquad.sections import section_extent
 
-from conftest import assert_batch_matches_one_plane_calls
+from conftest import assert_batch_matches_one_plane_calls, oracle_diameter
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "golden_centrality.json").read_text())
@@ -59,20 +61,29 @@ def _label(case):
     return f"{case['profile']}-m{case['m']!r}-b{case['beta']!r}-n{case['n']}-free{case['free_center']}"
 
 
-def _check_against_search(case, rep):
+def _diameter_scaled(asymmetry, loop):
+    """A score of loop, divided by its box's larger side s, rescaled to
+    one divided by its diameter D: times s / D."""
+    side = float(np.ptp(loop.points, axis=0).max())
+    return asymmetry * side / oracle_diameter(loop.points)
+
+
+def _check_against_search(case, rep, loop):
     """The report keeps the search's central flag, and its score is within
     the midpoint bound of the search's."""
     factor = 1.0 + math.sqrt(2.0) if case["free_center"] else 2.0
     search = case["search_asymmetry"]
     assert rep.central == (search <= case["tol"])
-    assert rep.asymmetry <= factor * search * (1.0 + 1e-9)
+    assert _diameter_scaled(rep.asymmetry, loop) <= factor * search * (1.0 + 1e-9)
 
 
-def _check_witness_against_search(case, verdict):
+def _check_witness_against_search(case, profile, verdict):
     search = case["search_witness_asymmetry"]
     assert (verdict.witness is None) == (search is None)
     if search is not None:
-        assert verdict.witness[1].asymmetry <= 2.0 * search * (1.0 + 1e-9)
+        plane, rep = verdict.witness
+        loop = rq.trace_section(profile, plane, case["n_samples"])
+        assert _diameter_scaled(rep.asymmetry, loop) <= 2.0 * search * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("case", GOLDEN["centrality"], ids=_label)
@@ -80,7 +91,7 @@ def test_centrality_json_bytes(case):
     loop = rq.trace_section(_profile(case["profile"]), rq.Plane(case["m"], case["beta"]), case["n"])
     rep = rq.centrality(loop, case["tol"], free_center=case["free_center"])
     assert centrality_json(rep) == case["centrality_json"]
-    _check_against_search(case, rep)
+    _check_against_search(case, rep, loop)
 
 
 def test_golden_set_covers_both_paths_and_verdicts():
@@ -93,10 +104,11 @@ def test_golden_set_covers_both_paths_and_verdicts():
 
 @pytest.mark.parametrize("case", GOLDEN["verdicts"], ids=lambda c: c["profile"])
 def test_verdict_json_bytes(case):
-    verdict = rq.detect_quadric(_profile(case["profile"]), case["delta"], n_planes=case["n_planes"],
+    prof = _profile(case["profile"])
+    verdict = rq.detect_quadric(prof, case["delta"], n_planes=case["n_planes"],
                                 n_samples=case["n_samples"], tol=case["tol"])
     assert verdict_json(verdict) == case["verdict_json"]
-    _check_witness_against_search(case, verdict)
+    _check_witness_against_search(case, prof, verdict)
 
 
 def _drawn_table(seed):
@@ -122,11 +134,11 @@ def _sampled(label):
 
 @pytest.mark.parametrize("case", SAMPLED["verdicts"], ids=lambda c: f"table:{c['table_seed']}")
 def test_sampled_verdict_json_bytes(case):
-    verdict = rq.detect_quadric(_sampled(f"table:{case['table_seed']}"), case["delta"],
-                                n_planes=case["n_planes"], n_samples=case["n_samples"],
-                                tol=case["tol"])
+    prof = _sampled(f"table:{case['table_seed']}")
+    verdict = rq.detect_quadric(prof, case["delta"], n_planes=case["n_planes"],
+                                n_samples=case["n_samples"], tol=case["tol"])
     assert verdict_json(verdict) == case["verdict_json"]
-    _check_witness_against_search(case, verdict)
+    _check_witness_against_search(case, prof, verdict)
 
 
 @pytest.mark.parametrize("case", SAMPLED["centrality"],
@@ -136,7 +148,7 @@ def test_sampled_centrality_json_bytes(case):
     loop = rq.trace_section(prof, rq.Plane(case["m"], case["beta"]), case["n"])
     rep = rq.centrality(loop, case["tol"], free_center=case["free_center"])
     assert centrality_json(rep) == case["centrality_json"]
-    _check_against_search(case, rep)
+    _check_against_search(case, rep, loop)
 
 
 @pytest.mark.parametrize("case", SAMPLED["grids"], ids=lambda c: c["table"])

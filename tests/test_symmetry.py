@@ -114,7 +114,7 @@ class TestCentroid:
         rep = rq.centrality(pts, 1e-4, free_center=True)
         box = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
         assert rep.center == tuple(box)
-        assert rep.asymmetry == rq.asymmetry_at(pts, box) == pytest.approx(0.2824, abs=1e-4)
+        assert rep.asymmetry == rq.asymmetry_at(pts, box) == pytest.approx(0.2832, abs=1e-4)
         # pinned, the midpoint (0, 1e160): its reflections lie 2e160 away,
         # and their squared distances overflow, with no warning
         with pytest.raises(InvalidDomain, match="distances of the reflections about"):
@@ -154,7 +154,7 @@ class TestCentroid:
 class TestAsymmetryAt:
     def test_offset_circle_closed_form(self, cylinder):
         # reflecting a unit circle about a point 0.1 off-center produces a
-        # circle whose farthest point lies 0.2 away; diameter 2 gives 0.1
+        # circle whose farthest point lies 0.2 away; box side 2 gives 0.1
         loop = rq.trace_section(cylinder, Plane(0.0, 0.0), 512)
         val = rq.asymmetry_at(loop, (0.1, 0.0))
         assert val == pytest.approx(0.1, abs=1e-3)
@@ -225,8 +225,8 @@ class TestAsymmetryAt:
         assert abs(fast - brute) <= 1e-12 + 1e-9 * brute
 
     def test_matches_oracle_on_large_noisy_loop(self):
-        # 1500 points: the diameter comes from the hull, the distances from
-        # the candidate path
+        # 1500 points, not convex: the distances come from the k-d tree's
+        # candidates
         rng = np.random.default_rng(1500)
         pts = circle_points(0.0, 0.0, 1.0, 1500) + rng.normal(0.0, 0.05, (1500, 2))
         center = (0.02, -0.01)
@@ -370,18 +370,18 @@ class TestHalfEvaluation:
         mid = 0.5 * (loop.z_lo + loop.z_hi)
         # the midpoint, the centroid height and shifts both ways, which put
         # one or the other turning point's image outside the loop
-        heights = [mid, rq.centroid(loop)[1]] + [mid + s * geom.diameter for s in shifts]
+        heights = [mid, rq.centroid(loop)[1]] + [mid + s * geom.side for s in shifts]
         for z in heights:
             center = (0.0, z)
             d2 = geom.reflect_dist2(center)
             assert np.array_equal(d2, geom.reflect_dist2(center, np.arange(len(pts)))[:n])
-            half = math.sqrt(geom.max_dist2(center)) / geom.diameter
-            full = reference_score(geom, center, all_rows=True) / geom.diameter
+            half = math.sqrt(geom.max_dist2(center)) / geom.side
+            full = reference_score(geom, center, all_rows=True) / geom.side
             assert half <= full
             assert full - half <= 2.0**-52
-            assert half == reference_score(geom, center) / geom.diameter
+            assert half == reference_score(geom, center) / geom.side
         # off the axis, however slightly, every row is scored
-        for cy in (5e-324, -1e-3 * geom.diameter):
+        for cy in (5e-324, -1e-3 * geom.side):
             assert len(geom.reflect_dist2((cy, mid))) == len(pts)
             assert math.sqrt(geom.max_dist2((cy, mid))) == reference_score(geom, (cy, mid))
 
@@ -446,7 +446,7 @@ def bounded_loops(draw):
 def trial_centers(geom, rng):
     """The box center, on and off the axis, and centers shifted from it."""
     mid = geom.box_center[1]
-    span = 0.05 * geom.diameter
+    span = 0.05 * geom.side
     return [(0.0, mid), (0.0, mid + rng.uniform(-span, span)),
             (rng.uniform(-span, span), mid), tuple(geom.box_center)]
 
@@ -500,9 +500,9 @@ class TestBoundThenRefine:
 
 
 def nearby_centers(geom, rng):
-    """The box center, on the axis or not, and centers up to half a
-    diameter away from it."""
-    span = 0.5 * geom.diameter
+    """The box center, on the axis or not, and centers up to half the box's
+    larger side away from it."""
+    span = 0.5 * geom.side
     return [tuple(geom.box_center), (0.0, geom.box_center[1])] + [
         tuple(geom.box_center + rng.uniform(-span, span, 2)) for _ in range(2)]
 
@@ -595,7 +595,7 @@ class TestWindowCertificate:
             assert cannot_certify(geom)
             return
         rng = np.random.default_rng(seed)
-        far = tuple(geom.box_center + 3.0 * geom.diameter * rng.uniform(-1.0, 1.0, 2))
+        far = tuple(geom.box_center + 3.0 * geom.side * rng.uniform(-1.0, 1.0, 2))
         for center in nearby_centers(geom, rng) + [far]:
             center = np.asarray(center)
             refl = 2.0 * center - geom._scored(center)
@@ -626,7 +626,7 @@ class TestWindowCertificate:
         if cannot_certify(geom):
             return
         rng = np.random.default_rng(seed)
-        far = tuple(geom.box_center + 3.0 * geom.diameter * rng.uniform(-1.0, 1.0, 2))
+        far = tuple(geom.box_center + 3.0 * geom.side * rng.uniform(-1.0, 1.0, 2))
         for center in nearby_centers(geom, rng) + [far]:
             refl = 2.0 * np.asarray(center) - geom.pts
             five = geom._window(refl)[0].T
@@ -669,7 +669,7 @@ class TestWindowCertificate:
     @given(poly=polygons())
     def test_non_convex_loops_never_certify(self, poly):
         geom = _LoopGeometry(synthetic_loop(poly))
-        if symmetry._convex_ccw(poly)[0] is None:
+        if symmetry._convex_ccw(poly) is None:
             assert cannot_certify(geom)
 
     @pytest.mark.parametrize("name", [
@@ -689,7 +689,7 @@ class TestWindowCertificate:
         }[name]
         geom = _LoopGeometry(synthetic_loop(pts))
         assert cannot_certify(geom)
-        assert (symmetry._convex_ccw(pts)[0] is not None) == (
+        assert (symmetry._convex_ccw(pts) is not None) == (
             name in ("right triangle", "arc and chord"))
 
     def test_nan_certifies_nothing(self, sphere):
@@ -750,7 +750,7 @@ class TestLowerBound:
 
     @given(poly=polygons())
     def test_non_convex_loops_never_take_the_bound(self, poly):
-        if symmetry._convex_ccw(poly)[0] is not None:
+        if symmetry._convex_ccw(poly) is not None:
             return
         never_takes_the_bound(_LoopGeometry(synthetic_loop(poly)))
 
@@ -763,7 +763,7 @@ class TestLowerBound:
             "doubly wound": np.vstack([traced, traced]),
             "star": circle_points(0.0, 0.0, 1.0, 40) * (1.0 + 0.3 * (np.arange(40) % 2))[:, None],
         }[name]
-        assert symmetry._convex_ccw(pts)[0] is None
+        assert symmetry._convex_ccw(pts) is None
         never_takes_the_bound(_LoopGeometry(synthetic_loop(pts)))
 
 
@@ -778,7 +778,7 @@ class TestSectorRefinement:
         if geom._cert_angles is None:
             return
         rng = np.random.default_rng(seed)
-        far = [tuple(geom.box_center + k * geom.diameter * rng.uniform(-1.0, 1.0, 2))
+        far = [tuple(geom.box_center + k * geom.side * rng.uniform(-1.0, 1.0, 2))
                for k in (1.0, 3.0)]
         for center in nearby_centers(geom, rng) + far:
             center = np.asarray(center)
@@ -802,7 +802,7 @@ class TestSectorRefinement:
         geom = _LoopGeometry(synthetic_loop(pts))
         assert geom._cert_angles is not None
         n = len(geom.pts)
-        center = np.array([3.0 * geom.diameter, 0.01])
+        center = np.array([3.0 * geom.side, 0.01])
         refl = 2.0 * center - geom.pts
         bounds = geom._bound_dist2(refl)
         assert (geom._sector(center, refl, bounds[0])[0] >= 1.0).all()
@@ -843,6 +843,8 @@ for prof in (rq.parse_profile("poly:2,0,0,1;1"), table):
     assert not rq.detect_quadric(prof, 0.1 * prof.q, 17, 1024, 1e-4).is_quadric
 loop = rq.trace_section(rq.parse_profile("poly:1,0,1,0,1;1"), rq.Plane(0.4, -0.2), 2048)
 assert not rq.centrality(loop, 1e-4, free_center=True).central
+wiggly = rq.make_sampled_profile(z := np.linspace(-1.0, 1.0, 400), 2.0 + 0.3 * np.sin(10.0 * z))
+assert not rq.centrality(rq.trace_section(wiggly, rq.Plane(0.4, 0.0), 128), 1e-4).central
 loaded = [name for name in sys.modules if name.startswith("scipy")]
 assert not loaded, f"a run on traced loops loaded {loaded}"
 print(repr(rq.centrality(np.array(eval(sys.stdin.read())), 1e-4, free_center=True)))
@@ -852,9 +854,11 @@ assert "scipy.spatial" in sys.modules
 
 def test_quadric_runs_leave_scipy_spatial_out():
     # a fresh interpreter: this one has imported scipy already.  Quadric,
-    # non-quadric and sampled verdicts and a free centrality test on a
-    # traced loop load no scipy module; a 1500-point noisy circle is not convex:
-    # it takes its hull from Qhull and its rows from the k-d tree, loaded
+    # non-quadric and sampled verdicts, a free centrality test on a traced
+    # loop and a test of a 254-point wiggly one, which is not convex, load
+    # no scipy module: every score is divided by the loop's box, with no
+    # hull.  A 1500-point noisy circle is not convex either, and too large
+    # for the all-pairs scan: it takes its rows from the k-d tree, loaded
     # on first use
     rng = np.random.default_rng(1500)
     pts = circle_points(0.0, 0.0, 1.0, 1500) + rng.normal(0.0, 0.05, (1500, 2))
@@ -865,7 +869,37 @@ def test_quadric_runs_leave_scipy_spatial_out():
     assert out.stdout == repr(rq.centrality(pts, 1e-4, free_center=True)) + "\n"
 
 
+def diameter_scaled_oracle(pts, center):
+    """The brute-force asymmetry divided by the chart diameter D, as scores
+    were before the box's larger side s replaced it."""
+    refl = 2.0 * np.asarray(center, dtype=float) - pts
+    return float(oracle_distances(pts, refl).max()) / oracle_diameter(pts)
+
+
+def check_side_against_diameter(pts, ratio=math.sqrt(2.0), center=None):
+    """s, the larger side of the bounding box, is what _LoopGeometry
+    divides by, and s <= D <= ratio s for the brute-force diameter D.  With
+    a center, the score times s / D is the diameter-normalised oracle's."""
+    pts = np.asarray(pts, dtype=float)
+    side = _LoopGeometry(synthetic_loop(pts)).side
+    assert side == float(np.ptp(pts, axis=0).max())
+    exact = oracle_diameter(pts)
+    assert side <= exact * (1.0 + 2.0**-51) and exact <= ratio * side * (1.0 + 2.0**-51)
+    if center is not None:
+        want = diameter_scaled_oracle(pts, center)
+        got = rq.asymmetry_at(pts, center) * side / exact
+        assert abs(got - want) <= 1e-15 + 1e-9 * want
+    return side
+
+
 class TestChartDiameter:
+    """Every score is divided by s = max(w, h), the larger side of the
+    loop's bounding box.  The chart diameter D, the largest distance
+    between two vertices, divided scores before and is now a brute-force
+    oracle only (oracle_diameter): s <= D <= sqrt 2 s on every loop, D / s
+    is within 1e-4 of 1 on a traced loop, and a score times s / D is the
+    diameter-normalised oracle's."""
+
     # (spec, steep plane); every profile is also cut at a shallow slope
     CASES = (
         ("sphere", Plane(0.8, 0.0)),
@@ -876,71 +910,76 @@ class TestChartDiameter:
 
     @pytest.mark.parametrize("n", [128, 512, 1024, 2048])
     def test_exact_on_traced_loops(self, n):
-        # 2n - 2 points, 254 to 4094; every traced loop is a strictly convex
-        # polygon, so it serves as its own hull for the calipers
+        # 2n - 2 points, 254 to 4094, mirror symmetric about the z axis, so
+        # their box's sides are their widths along and across the axis;
+        # scored at the midpoint and off it where the oracle is quick
         for spec, steep in self.CASES:
             prof = rq.parse_profile(spec)
             for plane in (Plane(0.02, 0.3 * prof.q), steep):
-                pts = rq.trace_section(prof, plane, n).points
-                exact = oracle_diameter(pts)
-                assert abs(symmetry._chart_diameter(pts) - exact) <= 2.0**-51 * exact
+                loop = rq.trace_section(prof, plane, n)
+                mid = (0.0, 0.5 * (loop.z_lo + loop.z_hi))
+                for center in ((mid, (0.01, mid[1] + 0.02)) if n <= 512 else (None,)):
+                    check_side_against_diameter(loop.points, 1.0001, center)
 
     @pytest.mark.parametrize("noise", [0.01, 0.05, 0.3])
     def test_exact_on_noisy_circles(self, noise):
-        # non-convex loops of 100-3000 points take their hull from Qhull
+        # loops of 100-3000 points that are not convex
         for seed in range(6):
             rng = np.random.default_rng([seed, int(noise * 100)])
             n = int(rng.integers(100, 3001))
             pts = circle_points(0.0, 0.0, 1.0, n) + rng.normal(0.0, noise, (n, 2))
-            exact = oracle_diameter(pts)
-            assert abs(symmetry._chart_diameter(pts) - exact) <= 2.0**-51 * exact
+            check_side_against_diameter(pts, center=(0.02, -0.01) if n <= 1000 else None)
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-158, 1e-160, 1e-162, 1e-170, 1e150, 1e153])
     def test_hull_of_tiny_and_huge_coordinates(self, scale):
-        # Qhull finds a noisy circle at 1e-160 flat; handed the points
-        # scaled by a power of two it finds the hull, and the calipers on
-        # the points themselves give the all-pairs diameter
+        # s takes no squares: where the squares of a noisy circle's
+        # coordinates underflow or overflow, its s is the unscaled circle's
+        # times the scale, to rounding; the box is the loop's axis-aligned hull
         rng = np.random.default_rng(0)
-        pts = scale * (circle_points(0.0, 0.0, 1.0, 300) + rng.normal(0.0, 0.05, (300, 2)))
-        assert symmetry._convex_ccw(pts)[0] is None
-        exact = oracle_diameter(pts)
-        assert abs(symmetry._chart_diameter(pts) - exact) <= 2.0**-51 * exact
+        unit = circle_points(0.0, 0.0, 1.0, 300) + rng.normal(0.0, 0.05, (300, 2))
+        pts = scale * unit
+        assert symmetry._convex_ccw(pts) is None
+        side = symmetry._box(pts)[2]
+        assert side == float(np.ptp(pts, axis=0).max())
+        assert abs(side / scale - check_side_against_diameter(unit)) <= 1e-15
+        if scale >= 1e-158:
+            assert side == _LoopGeometry(synthetic_loop(pts)).side
 
     @pytest.mark.parametrize("n", [16, 1024])
     def test_orientation_start_and_winding(self, cubic, n):
         pts = rq.trace_section(cubic, Plane(0.45, -0.2), n).points
-        assert symmetry._convex_ccw(pts)[0] is pts
-        exact = oracle_diameter(pts)
+        assert symmetry._convex_ccw(pts) is pts
+        side = check_side_against_diameter(pts, 1.0001)
         copies = {
             "clockwise": pts[::-1],
             "start-rotated": np.roll(pts, n // 3, axis=0),
             "doubly wound": np.vstack([pts, pts]),
         }
         for name, copy in copies.items():
-            got = symmetry._chart_diameter(copy)
-            assert abs(got - exact) <= 2.0**-51 * exact, name
-        assert symmetry._convex_ccw(copies["doubly wound"])[0] is None
+            assert _LoopGeometry(synthetic_loop(copy)).side == side, name
+        assert symmetry._convex_ccw(copies["doubly wound"]) is None
 
     def test_parallel_opposite_edges(self):
-        # a centrally symmetric hexagon: every edge has an exactly parallel
-        # opposite edge, so far vertices tie and the diameter pair is found
-        # only through a far vertex's neighbour
+        # a centrally symmetric hexagon, every edge exactly parallel to its
+        # opposite: 0 about its center, and D / s = sqrt(244) / 12
         hexagon = np.array([[4.0, -6.0], [5.0, -6.0], [1.0, 5.0],
                             [-4.0, 6.0], [-5.0, 6.0], [-1.0, -5.0]])
         for pts in (hexagon, hexagon[::-1], np.roll(hexagon, 2, axis=0)):
-            assert symmetry._chart_diameter(pts) == oracle_diameter(hexagon)
+            assert check_side_against_diameter(pts, center=(0.0, 0.0)) == 12.0
+            assert rq.asymmetry_at(pts, (0.0, 0.0)) == 0.0
 
     def test_collinear_and_repeated_points(self):
         line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        assert symmetry._chart_diameter(line) == 2.0
+        assert check_side_against_diameter(line, 1.0, center=(1.0, 0.0)) == 2.0
+        # a diagonal attains D = sqrt 2 s
         back_and_forth = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]])
-        assert symmetry._chart_diameter(back_and_forth) == 2.0 * math.sqrt(2.0)
+        assert check_side_against_diameter(back_and_forth, center=(1.0, 1.0)) == 2.0
+        assert oracle_diameter(back_and_forth) == 2.0 * math.sqrt(2.0)
         assert rq.asymmetry_at(synthetic_loop(back_and_forth), (1.0, 1.0)) == 0.0
         # rounded coordinates on a slanted line, in shuffled order
         t = np.random.default_rng(5).permutation(np.linspace(-1.0, 3.0, 9))
         slanted = np.column_stack([0.1 * t, 0.7 * t])
-        exact = oracle_diameter(slanted)
-        assert abs(symmetry._chart_diameter(slanted) - exact) <= 2.0**-51 * exact
+        check_side_against_diameter(slanted, center=(0.1, 0.7))
 
     def test_degenerate_loops_rejected(self):
         for pts in (np.tile([[0.3, -0.1]], (5, 1)),
@@ -952,11 +991,12 @@ class TestChartDiameter:
 
     @given(poly=polygons(), shift=st.integers(0, 200))
     def test_matches_oracle_and_ignores_vertex_order(self, poly, shift):
-        got = symmetry._chart_diameter(poly)
-        exact = oracle_diameter(poly)
-        assert abs(got - exact) <= 2.0**-51 * exact
-        assert symmetry._chart_diameter(np.roll(poly, shift, axis=0)) == got
-        assert symmetry._chart_diameter(poly[::-1]) == got
+        # the score is taken about the box center, the center centrality
+        # scores free
+        center = tuple(0.5 * (poly.min(axis=0) + poly.max(axis=0)))
+        side = check_side_against_diameter(poly, center=center)
+        for copy in (np.roll(poly, shift, axis=0), poly[::-1]):
+            assert _LoopGeometry(synthetic_loop(copy)).side == side
 
 
 class TestCentrality:
@@ -1106,9 +1146,48 @@ class TestMidpointBound:
             assert got.central and exact.central
             assert got.center == exact.center
             assert exact.asymmetry <= got.asymmetry <= tol
+
+    @given(loop=mirror_loops())
+    def test_bound_and_exact_divide_by_one_side(self, loop):
+        # the bound's rows, each against the two segments at vertex
+        # (h + i - 1) mod n, recomputed by the (N, K, 2) reference kernel,
+        # give the bound over the exact test's s, bit for bit; the exact
+        # score is its own numerator over that s
         pts = loop.points
-        floor = symmetry._mirror_diameter_floor(pts, symmetry._mirror_half(pts))
-        assert 0.0 < floor <= _LoopGeometry(loop).diameter
+        n, h = len(pts), symmetry._mirror_half(pts)
+        geom = _LoopGeometry(loop)
+        center = np.array([0.0, geom.box_center[1]])
+        cand = (h - 2 + np.arange(h)[:, None] + np.arange(2)) % n
+        d2 = reference_min_dist2_candidates(2.0 * center - pts[:h], geom.seg_a, geom.seg_d,
+                                            geom.seg_len2, cand)
+        assert symmetry._midpoint_bound(pts, 1e300).asymmetry == math.sqrt(d2.max()) / geom.side
+        assert rq.asymmetry_at(loop, center) == math.sqrt(geom.max_dist2(center)) / geom.side
+        assert geom.side == symmetry._box(pts)[2] == float(np.ptp(pts, axis=0).max())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("free", [False, True])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e-165, 1e-162, 1e-158, 1e-150,
+                                       1.0, 1e150, 1e153, 1e155])
+    def test_bound_and_exact_agree_across_scales(self, sphere, cubic, scale, free):
+        # where the exact test raises, the bound declines, so the error is
+        # the exact one's; elsewhere the center and verdict are the exact
+        # ones, at no lower a score.  Below about 1e-162 every squared edge
+        # length underflows to 0 and the exact test raises; at 1e155 the
+        # squared diameter would overflow, but s takes no square
+        for prof, plane in ((sphere, Plane(0.5, 0.3)), (cubic, Plane(0.4, 0.0))):
+            pts = rq.trace_section(prof, plane, 128).points * scale
+            outcomes = []
+            for bound in (False, True):
+                try:
+                    outcomes.append(rq.centrality(pts, 1e-4, free_center=free, bound=bound))
+                except rq.RevquadError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            exact, got = outcomes
+            if isinstance(exact, tuple):
+                assert got == exact
+            else:
+                assert (got.center, got.central) == (exact.center, exact.central)
+                assert got.asymmetry >= exact.asymmetry
 
     def test_quadric_sections_take_the_bound(self, sphere, hyperboloid, paraboloid):
         for prof in (sphere, hyperboloid, paraboloid):
@@ -1143,14 +1222,16 @@ class TestMidpointBound:
             rq.centrality(big, 1e-4, bound=True)
         assert str(got.value) == str(exact.value)
         # the widest pair's square and the turning pair's (about half of
-        # it) are finite, their sum is not: the exact path scores the loop,
-        # the bound declines
+        # it) are finite, their sum, the squared diameter, is not: s takes
+        # no square, so the exact path scores the loop and the bound passes
         h = symmetry._mirror_half(pts)
         wide = 2.0 * np.abs(pts[1 : h - 1, 0]).max()
         tall = pts * (0.9 * 2.0**512 / wide)
-        assert math.isnan(symmetry._mirror_diameter_floor(tall, h))
-        assert symmetry._midpoint_bound(tall, 1e-4) is None
-        assert repr(rq.centrality(tall, 1e-4, bound=True)) == repr(rq.centrality(tall, 1e-4))
+        exact = rq.centrality(tall, 1e-4)
+        got = symmetry._midpoint_bound(tall, 1e-4)
+        assert got == rq.centrality(tall, 1e-4, bound=True)
+        assert got.center == exact.center and exact.central
+        assert exact.asymmetry <= got.asymmetry <= 1e-4
 
 
 class TestMidpointMachinery:
