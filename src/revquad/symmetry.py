@@ -40,52 +40,58 @@ a subset of rows returns the very bits a run on all rows gives for them.
 The kernels return these per-point minima; the caller takes the maximum and
 its square root, which is the max-min distance the names refer to.
 
-A row is one scored vertex.  The angular window of a row is both
-segments at each of the 4 vertices whose polar angles about the
-bounding-box center bracket the reflected point's; the squared distance W
-to its nearest segment bounds the row's value from above and needs no tree
-query.  An evaluation makes one bound pass over its rows, refines the 64
-rows of largest bound first, and then only the rows whose bound exceeds
-their maximum L: a row bounded by L cannot raise the maximum (the pruning
-of exact Hausdorff distances, Taha & Hanbury 2015).  The score is thus the
-largest row value over all scored rows, whichever rows were refined.  How
-a row is refined depends on which of two classes its loop is in.
+A row is one scored vertex, and its value is the squared distance from
+its reflection to the whole polyline.  The vertices' polar angles about
+the bounding-box center are sorted once.  A row's angular window is the 5
+segments that start at the vertices at the sorted positions j - 3 .. j + 1,
+j the reflected angle's (on a loop whose angles fall along the loop, each
+vertex's segment is the one that ends at it); the squared distance W to
+its nearest segment bounds the row's value from above.  An evaluation
+makes one bound pass over its rows, refines the 64 rows of largest bound
+first, and then only the rows whose bound exceeds their maximum L: a row
+bounded by L cannot raise the maximum (the pruning of exact Hausdorff
+distances, Taha & Hanbury 2015).  The score is thus the largest row value
+over all scored rows, whichever rows were refined.  How a row is refined
+depends on which of two classes its loop is in.
 
-A loop certifies when it is strictly convex, its box center lies inside
-every edge's line by more than a rounding slack, and its vertices' sorted
-angles run in loop order, either way round.  Quadric sections and every
-traced loop of the benchmark do.  A row's value is then the squared
-distance from its reflection to the whole polyline, and its window's 4
-vertices are consecutive along the loop, so their 8 segments are only 5
-distinct ones, the segments between the sorted positions j - 3 and j + 2;
-the window holds just these 5.  Each segment sweeps
-the angles between its two ends, which sit at consecutive sorted
-positions.  Any segment whose computed distance could undercut W comes
-within r = sqrt(W) plus the slack of the reflected point, r in
-box-normalised units (divided by the smaller box half-width), so it meets
-the disc of radius r about it.  When the disc leaves out the box center, at
-distance rho, every such segment meets the sector theta +- asin(r / rho),
-widened by an angular slack, within the angles between its two ends; the
-segments between consecutive sorted angles whose span meets the sector
-hold the nearest segment, and where r / rho >= 1 every segment does.  Their
-minimum is the all-segments minimum, bit for bit.  When the sector lies
-strictly between the sorted angles at positions j - 3 and j + 2, j the
-reflected angle's, those segments are all in the window, and the row keeps
-W at no cost: every row of a quadric's central loops does.
+A loop certifies when it is star-shaped about its box center: its
+vertices' sorted angles run in loop order, either way round, and its box
+center lies inside every edge's line by more than a rounding slack.
+Quadric sections, every traced loop of the benchmark, and loops that are
+star-shaped without being convex (the sections of a wiggly profile, a
+zigzag star) do.  Each segment then sweeps only the angles between its two
+ends, which sit at consecutive sorted positions, so the window's segments
+are the 5 between the sorted positions j - 3 and j + 2.  Any segment whose
+computed distance could undercut W comes within r = sqrt(W) plus the slack
+of the reflected point, r in box-normalised units (divided by the smaller
+box half-width), so it meets the disc of radius r about it.  When the disc
+leaves out the box center, at distance rho, every such segment meets the
+sector theta +- asin(r / rho), widened by an angular slack, within the
+angles between its two ends; the segments between consecutive sorted
+angles whose span meets the sector hold the nearest segment, and where
+r / rho >= 1 every segment does.  Their minimum is the all-segments
+minimum, bit for bit.  When the sector lies strictly between the sorted
+angles at positions j - 3 and j + 2, those segments are all in the window,
+and the row keeps W at no cost: every row of a quadric's central loops
+does.
 
-Every other loop is in the general class: non-convex loops, a traced
-section of a wiggly profile among them, and convex loops whose box center
-lies on or near their boundary (a right triangle, an arc and its chord).
-A row's value is the distance to the nearest
-segment of the union of the window and the near set: every segment of a
-small loop, scanned all-pairs; for a large one, both segments at each of
-the 8 vertices nearest the reflected point, from a k-d tree.  It never
-exceeds the near set's alone.  scipy.spatial, home of the tree, is
-imported only when a large loop of the general class is first refined.
+Every other loop is in the general class: a loop whose box center lies
+outside it or on its boundary (a crescent, a right triangle, an arc and
+its chord), a loop that winds twice, and a noisy loop whose sorted angles
+leave loop order.  Its rows are refined by the all-pairs scan, in blocks
+of _BLOCK_ROWS rows.
 
 The candidate kernel works on (K, N) arrays, one row per candidate, so its
 closing minimum runs across contiguous rows; numpy reduces a short inner
 axis many times more slowly.
+
+Every public score (asymmetry_at, centrality, the midpoint bound) is taken
+on the loop scaled by 2^-e, e the binary exponent of s, so that the scaled
+box's larger side lies in [1/2, 1), and the center with it; a reported
+center is scaled back.  A power of two scales every step above exactly, so
+a loop in the normal range keeps its bits, while a tiny or huge one is
+scored as its unit-sized copy is, and no squared distance underflows to 0
+or overflows.
 
 A traced loop is a y-mirror: its lower branch is its upper branch with y
 negated, bit for bit, and both turning points lie on the axis y = 0, so the
@@ -102,16 +108,16 @@ A y-mirror loop's midpoint test can also pass on a bound, with no loop
 geometry built (centrality's bound=True, _midpoint_bound): each scored row
 takes only the two segments at the vertex where a central loop's
 reflection of it lands, a minimum over fewer segments than its value's,
-divided by the same s, bit for bit.  Where that is within tol it is a
-certified upper bound on the midpoint's score, and the loop is central;
-anywhere else the exact test runs.
+divided by the same s, bit for bit.  It is at least the row's value, so
+where it is within tol it is a certified upper bound on the midpoint's
+score, and the loop is central; anywhere else the exact test runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -127,22 +133,15 @@ __all__ = [
     "max_midpoint_residual",
 ]
 
-# Below this many point-segment pairs the exact all-pairs scan is cheap
-# enough; above it, candidate segments come from a nearest-vertex query.
-_BRUTE_PAIR_LIMIT = 250_000
+# Segments in the angular window that bounds each row: those at the sorted
+# positions 3 below to 2 above the point's (_LoopGeometry._window).
+_WINDOW_SEGS = 5
+_WINDOW_COLS = np.arange(_WINDOW_SEGS)[:, None]
 
-# Neighbours consulted per reflected point on the fast path.  Both incident
-# segments of each neighbour vertex are checked.
-_KNN = 8
-
-# Segments in the angular window that bounds each row: both segments at
-# each of the 4 vertices whose angles bracket the reflected point's.
-_BOUND_SEGS = 8
-_WINDOW_OFFSETS = np.arange(_BOUND_SEGS // 2)[:, None]
-# On a loop that certifies, those are the 5 distinct segments between the
-# sorted positions 3 below and 2 above the point's (_LoopGeometry._window).
-_CERT_SEGS = 5
-_CERT_OFFSETS = np.arange(_CERT_SEGS)[:, None]
+# A refinement block of an n-point loop scans at most _BLOCK_ROWS * n
+# point-segment pairs: _BLOCK_ROWS rows of the all-pairs scan, or more rows
+# of narrower sectors.
+_BLOCK_ROWS = 8
 
 # Rows in an evaluation's seed, which it refines first: the rows of largest
 # bound (max_dist2).
@@ -198,18 +197,16 @@ def centroid(loop):
     return float(c[0]), float(c[1])
 
 
-def max_min_dist_candidates(refl, seg_a, seg_d, seg_len2, cand, work=None):
+def max_min_dist_candidates(refl, seg_a, seg_d, seg_len2, cand):
     """Per-point squared distance to the nearest of its candidate segments.
 
     refl is (N, 2), the segment arrays are indexed by cand, an (N, K) array
     of segment indices; returns an N-vector.  The work runs on (K, N)
     arrays, so the closing minimum runs across contiguous rows; cand is
-    read fastest as the transpose of a C-contiguous (K, N) array.  work,
-    if given, is a flat scratch array of at least 7 N K floats used in
-    place of temporaries.
+    read fastest as the transpose of a C-contiguous (K, N) array.
     """
     cols = cand.T
-    apx, apy, dx, dy, len2, t, tmp = _scratch(work, 7, cols.shape)
+    apx, apy, dx, dy, len2, t, tmp = np.empty((7, *cols.shape))
     # mode="wrap" reads index -1 as fancy indexing does, without buffering
     np.take(seg_a[:, 0], cols, out=apx, mode="wrap")
     np.subtract(refl[:, 0], apx, out=apx)
@@ -231,14 +228,6 @@ def max_min_dist_all(refl, seg_a, seg_d, seg_len2):
     np.subtract(refl[:, 0:1], seg_a[:, 0], out=apx)
     np.subtract(refl[:, 1:2], seg_a[:, 1], out=apy)
     return _segment_dist2(apx, apy, seg_d[:, 0], seg_d[:, 1], seg_len2, t, tmp).min(axis=1)
-
-
-def _scratch(work, count, shape):
-    """count float arrays of the given 2-D shape: views of the leading
-    entries of the flat array work, or fresh ones when work is None."""
-    if work is None:
-        return np.empty((count, *shape))
-    return work[: count * shape[0] * shape[1]].reshape(count, *shape)
 
 
 def _segment_dist2(apx, apy, dx, dy, len2, t, tmp):
@@ -265,24 +254,21 @@ class _LoopGeometry:
     vertices' polar angles about the bounding-box center, in box-normalised
     coordinates, are sorted here once; a bound pass (_bound_dist2) is a
     value, its angles and sorted positions included, which the refinement
-    reads.  The loop's
-    class is decided here once: a loop that certifies (_certifies) refines
-    in sectors (_sector_dist2); on any other, a row's refinement scans all
-    pairs or queries the k-d tree (_row_dist2).  Every row's value is a
+    reads.  The loop's class is decided here once: a loop that certifies
+    (_certifies), star-shaped about its box center, refines in sectors
+    (_sector_dist2); any other refines by the all-pairs scan (_all_dist2),
+    in blocks of at most _BLOCK_ROWS * n pairs, as sector blocks are.
+    Every row's value is its squared distance to the whole polyline, a
     function of the loop, the center and the row alone, so the score does
     not depend on which rows were refined, and reflect_dist2, which refines
     every row, is its reference.
 
-    The candidate kernel's scratch (_work) is allocated by the first
-    evaluation and reused by its bound pass and every sector block; the
-    general class allocates per refinement, at most 7 * 24 n floats or the
-    all-pairs scan's 4 n^2.  The y-mirror layout of a traced loop is detected here
-    once, exactly, from the points alone (_mirror_half); evaluations about a
-    center on the axis then score only rows 0 .. h-1 (see the module
-    docstring).  Other loops (an m = 0 circle, a rotated or perturbed copy
-    of a traced loop) and centers off the axis are scored on every row.
-    side is s, the larger side of the bounding box (_box), which divides
-    every score.
+    The y-mirror layout of a traced loop is detected here once, exactly,
+    from the points alone (_mirror_half); evaluations about a center on the
+    axis then score only rows 0 .. h-1 (see the module docstring).  Other
+    loops (an m = 0 circle, a rotated or perturbed copy of a traced loop)
+    and centers off the axis are scored on every row.  side is s, the
+    larger side of the bounding box (_box), which divides every score.
     """
 
     def __init__(self, points):
@@ -297,7 +283,6 @@ class _LoopGeometry:
                 raise InvalidDomain("squared edge lengths of the loop overflow")
             if len2.sum() == 0.0:
                 raise DegenerateLoop("loop has zero total length")
-            ccw = _convex_ccw(pts)
         self.seg_len2 = np.where(len2 > 0.0, len2, 1.0)
         self._half = _mirror_half(pts)
         n = len(pts)
@@ -309,52 +294,36 @@ class _LoopGeometry:
         angles = self._angles(pts)
         order = np.argsort(angles, kind="stable")
         self._sorted_angles = angles[order]
+        # turn is 1 when the sorted angles rise along the loop, -1 when they
+        # fall, else 0
+        step = np.diff(order) % n
+        turn = 1 if (step == 1).all() else -1 if (step == n - 1).all() else 0
+        # _sector_seg[j], the segment at sorted position j: where the angles
+        # fall, the segment order[j + 1] ends at vertex order[j]
+        self._sector_seg = np.roll(order, -1) if turn < 0 else order
+        # _ring[j + 3] is _sector_seg[j], wrapping
+        self._ring = np.concatenate([self._sector_seg[-3:], self._sector_seg,
+                                     self._sector_seg[:2]])
         # only a loop that certifies has _cert_angles[j + n], the angle at
         # sorted position j for j in [-n, 2n), unwrapped by 2 pi past either
-        # end, and _sector_seg[j], the segment between sorted positions j and
-        # j + 1 (mod n)
+        # end; its _sector_seg[j] joins sorted positions j and j + 1 (mod n)
         self._cert_angles = None
-        if not self._certifies(ccw, order):
-            # _ring[j + 2] is the vertex at sorted position j, wrapping
-            self._ring = np.concatenate([order[-2:], order, order[:2]])
-        else:
+        if self._certifies(turn):
             two_pi = 2.0 * np.pi
             s = self._sorted_angles
             self._cert_angles = np.concatenate([s - two_pi, s, s + two_pi])
             # box-normalised distances, widened past the rounding of r / rho
             self._cert_scale = (1.0 + _SLACK) / self._box_scale.min()
-            # counterclockwise, vertex order[j] starts that segment; clockwise,
-            # order[j + 1] does
-            self._sector_seg = order if order[1] == (order[0] + 1) % n else np.roll(order, -1)
-            # _ring[j + 3] is _sector_seg[j], wrapping
-            self._ring = np.concatenate([self._sector_seg[-3:], self._sector_seg,
-                                         self._sector_seg[:2]])
-        self._brute = n * n <= _BRUTE_PAIR_LIMIT
 
-    @cached_property
-    def _work(self):
-        """The candidate kernel's scratch, which the bound pass and each
-        sector block of at most _BOUND_SEGS * n pairs fit."""
-        return np.empty(7 * len(self.pts) * _BOUND_SEGS)
-
-    @cached_property
-    def _tree(self):
-        """The k-d tree of the vertices, built by the first refinement of a
-        large loop of the general class."""
-        from scipy.spatial import cKDTree  # a slow import, needed here only
-
-        return cKDTree(self.pts)
-
-    def _certifies(self, ccw, order):
-        """Whether the loop certifies: it is strictly convex (ccw, the loop
-        of _convex_ccw, is not None), its sorted angle order is a rotation
-        of the loop order, either way round, and its box center lies inside
+    def _certifies(self, turn):
+        """Whether the loop certifies: its sorted angles run in loop order,
+        either way round (turn is not 0), and its box center lies inside
         every edge's line, along the edge's outward unit normal (dy, -dx) /
-        |d| (negated on a clockwise loop), by more than the rounding slack."""
-        step = np.diff(order) % len(order)
-        if ccw is None or not ((step == 1).all() or (step == len(order) - 1).all()):
+        |d| (negated where the angles fall), by more than the rounding
+        slack."""
+        if not turn:
             return False
-        scale = (1.0 if ccw is self.pts else -1.0) / np.sqrt(self.seg_len2)
+        scale = turn / np.sqrt(self.seg_len2)
         nx, ny = self.seg_d[:, 1] * scale, -self.seg_d[:, 0] * scale
         c = self.box_center
         inside = (c[0] - self.seg_a[:, 0]) * nx + (c[1] - self.seg_a[:, 1]) * ny
@@ -373,28 +342,19 @@ class _LoopGeometry:
         return self.pts
 
     def _window(self, refl):
-        """(cols, theta, pos): each reflected point's angular window, a
-        (width, m) array of segments, with its angle and sorted position j.
-        The window holds the segments at the vertices at sorted positions
-        j - 2 .. j + 1.  On a loop that certifies, these are consecutive
-        along the loop, so their 8 segments are the 5 distinct ones
-        _sector_seg[j - 3 .. j + 1]; otherwise the 8 are each vertex, then
-        the segment that ends at it."""
+        """(cols, theta, pos): each reflected point's angular window, the
+        (5, m) array of segments _sector_seg[j - 3 .. j + 1], with its angle
+        and sorted position j."""
         theta = self._angles(refl)
         pos = np.searchsorted(self._sorted_angles, theta)
-        if self._cert_angles is not None:
-            return self._ring[pos + _CERT_OFFSETS], theta, pos
-        verts = self._ring[pos + _WINDOW_OFFSETS]
-        # vertex v starts segment v; segment v - 1 (-1: the closing one) ends at v
-        return np.concatenate([verts, verts - 1]), theta, pos
+        return self._ring[pos + _WINDOW_COLS], theta, pos
 
     def _bound_dist2(self, refl):
         """A bound pass over refl: (bound, theta, pos), each reflected
         point's squared distance to the nearest segment of its angular
         window, with the angle and sorted position of _window."""
         cols, theta, pos = self._window(refl)
-        bound = max_min_dist_candidates(refl, self.seg_a, self.seg_d, self.seg_len2, cols.T,
-                                        work=self._work)
+        bound = max_min_dist_candidates(refl, self.seg_a, self.seg_d, self.seg_len2, cols.T)
         return bound, theta, pos
 
     def _sector(self, center, refl, bound):
@@ -435,25 +395,32 @@ class _LoopGeometry:
         first[every] = 0
         last[every] = n - 1
         width = last - first + 1
-        # widest first; a width is at most n, so a block of at most
-        # _BOUND_SEGS * n pairs holds at least one row and fits _work
+        # widest first; a width is at most n, so a block holds at least one row
         order = todo[np.argsort(-width[todo], kind="stable")]
         start = 0
         while start < len(order):
             span = int(width[order[start]])
-            block = order[start : start + _BOUND_SEGS * n // span]
+            block = order[start : start + _BLOCK_ROWS * n // span]
             cols = first[block] + np.arange(span)[:, None]
             out[block] = max_min_dist_candidates(refl[block], self.seg_a, self.seg_d,
-                                                 self.seg_len2, self._sector_seg[cols % n].T,
-                                                 work=self._work)
+                                                 self.seg_len2, self._sector_seg[cols % n].T)
             start += len(block)
+        return out
+
+    def _all_dist2(self, refl):
+        """The values of the rows refl on a loop of the general class, by
+        the all-pairs scan, _BLOCK_ROWS rows at a time."""
+        out = np.empty(len(refl))
+        for start in range(0, len(refl), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            out[block] = max_min_dist_all(refl[block], self.seg_a, self.seg_d, self.seg_len2)
         return out
 
     def _values(self, center, refl, rows, bounds):
         """The values of rows, from the bound pass bounds over refl, which
         only a loop that certifies reads."""
         if self._cert_angles is None:
-            return self._row_dist2(refl[rows])
+            return self._all_dist2(refl[rows])
         return self._sector_dist2(center, refl, bounds, rows)
 
     def _slack(self, center):
@@ -461,18 +428,6 @@ class _LoopGeometry:
         rounding moves them by a few ulp of the coordinates and the
         distances involved, which this exceeds a thousandfold."""
         return _SLACK * (self._slack_scale + abs(center[0]) + abs(center[1]))
-
-    def _row_dist2(self, refl):
-        """Each row's value on a loop of the general class: the squared
-        distance from each reflected point to the nearest segment of its
-        near set and its window."""
-        if self._brute:
-            # the near set is every segment, the window's among them
-            return max_min_dist_all(refl, self.seg_a, self.seg_d, self.seg_len2)
-        idx = self._tree.query(refl, k=_KNN)[1].T
-        # idx - 1 is -1 for vertex 0, which indexes the closing segment
-        cols = np.concatenate([idx, idx - 1, self._window(refl)[0]])
-        return max_min_dist_candidates(refl, self.seg_a, self.seg_d, self.seg_len2, cols.T)
 
     def reflect_dist2(self, center, rows=None):
         """Every scored row's value, all refined: the reference for max_dist2.
@@ -542,20 +497,13 @@ def _box(pts):
     return lo, hi, float((hi - lo).max())
 
 
-def _convex_ccw(pts):
-    """The loop counterclockwise (pts itself when it already is), if it is
-    a strictly convex polygon that winds once; otherwise None.  Reversed,
-    a loop's turn cross products are its own negated, bit for bit."""
-    for loop in (pts, pts[::-1]):
-        e = np.diff(np.concatenate([loop, loop[:2]]), axis=0)  # edges 0 .. n-1, 0
-        if (e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0] > 0.0).all():
-            # Every turn is a left turn below pi, so the edge angles,
-            # unwrapped to [phi_0, phi_0 + 2 pi), rise throughout exactly
-            # when the total turning is 2 pi.
-            phi = np.arctan2(e[:-1, 1], e[:-1, 0])
-            phi[phi < phi[0]] += 2.0 * np.pi
-            return None if (phi[1:] < phi[:-1]).any() else loop
-    return None
+def _scaled(pts):
+    """(p, e): the points times 2^-e, e the binary exponent of the larger
+    side s of their box, so that p's box has its larger side in [1/2, 1)
+    (module docstring)."""
+    with np.errstate(over="ignore"):
+        e = math.frexp(_box(pts)[2])[1]
+        return np.ldexp(pts, -e), e
 
 
 def asymmetry_at(loop, center):
@@ -567,17 +515,22 @@ def asymmetry_at(loop, center):
     finite, or whose reflections or their distances overflow, raises
     InvalidDomain.
     """
-    return _asymmetry(_LoopGeometry(loop), center)
-
-
-def _asymmetry(geom, center):
+    pts, e = _scaled(_as_points(loop))
+    geom = _LoopGeometry(pts)
     center = np.asarray(center, dtype=float)
     if center.shape != (2,) or not np.isfinite(center).all():
         raise InvalidDomain(f"center must be two finite numbers, got {center.tolist()!r}")
+    return _asymmetry(geom, center, e)
+
+
+def _asymmetry(geom, center, e):
+    """The score of geom, the loop scaled by 2^-e, about center, which is
+    scaled alike."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(2.0 * center - geom.pts).all():
+        scaled = np.ldexp(center, -e)
+        if not np.isfinite(2.0 * scaled - geom.pts).all():
             raise InvalidDomain(f"reflections about {center.tolist()!r} overflow")
-        dist = _root(geom.max_dist2(center))
+        dist = _root(geom.max_dist2(scaled))
     if not math.isfinite(dist):
         raise InvalidDomain(f"distances of the reflections about {center.tolist()!r} overflow")
     return dist / geom.side
@@ -602,22 +555,23 @@ def centrality(loop, tol, free_center=False, bound=False):
     With bound=True and the center pinned, a y-mirror loop first takes a
     certified upper bound on the midpoint's score (_midpoint_bound), which
     builds no loop geometry.  When that bound is within tol, the midpoint
-    is returned with the bound as its asymmetry: at most tol and, on a loop
-    that certifies, at least the midpoint's score, so the report is central
-    as the exact one is, with the same center.  Otherwise, and on any
-    other loop, the exact score is taken as without bound.
+    is returned with the bound as its asymmetry: at most tol and at least
+    the midpoint's score, so the report is central as the exact one is,
+    with the same center.  Otherwise, and on any other loop, the exact
+    score is taken as without bound.
     """
     _check_tol(tol)
+    pts = _as_points(loop)
     if bound and not free_center:
-        loop = _as_points(loop)
-        passed = _midpoint_bound(loop, tol)
+        passed = _midpoint_bound(pts, tol)
         if passed is not None:
             return passed
-    geom = _LoopGeometry(loop)
-    center = geom.box_center.copy()
+    pts, e = _scaled(pts)
+    geom = _LoopGeometry(pts)
+    center = np.ldexp(geom.box_center, e)
     if not free_center:
         center[0] = 0.0
-    return _report(center, _asymmetry(geom, center), tol)
+    return _report(center, _asymmetry(geom, center, e), tol)
 
 
 def _check_tol(tol):
@@ -630,29 +584,26 @@ def _midpoint_bound(pts, tol):
     certified upper bound on the midpoint's score as its asymmetry, when
     that bound is within tol; else None, and on any other loop.
 
-    The midpoint (0, (min z + max z) / 2) is the exact test's, bit for
-    bit, and so are the scored rows 0 .. h-1 and their reflections.  Each
-    row i is scored against only the two segments at vertex (h + i - 1)
-    mod n, which sits at the row's Chebyshev level on the other branch,
-    where a central loop's reflection lands.  Each point-segment pair has
-    the bits it has in the exact test, so the row's value, a minimum over
-    fewer segments, is at least the row's distance to the whole polyline.
-    That is the row's exact value on every loop that certifies (quadric
-    sections among them) and on every small one; on a large loop of the
-    general class the exact value is a minimum over a near set, which
-    holds that vertex wherever the reflection lands close to it.  The
-    maximum is divided by the exact test's s (_box), bit for bit.
-    None, too, wherever the exact test raises: the segments read are the
-    lower branch's and the two upper ones at its ends, and the lower
-    branch mirrors the upper one bit for bit, so their squared lengths are
-    those of every edge, which the exact test rejects when one overflows or
-    all are 0 (edges shorter than about 1e-162 square to 0); every later
-    error is a center, reflection or distance that is not finite, which
-    makes the bound nan or inf.
+    The loop is scaled as the exact test scales it (_scaled), and the
+    midpoint (0, (min z + max z) / 2) is the exact test's, bit for bit, and
+    so are the scored rows 0 .. h-1 and their reflections.  Each row i is
+    scored against only the two segments at vertex (h + i - 1) mod n,
+    which sits at the row's Chebyshev level on the other branch, where a
+    central loop's reflection lands.  Each point-segment pair has the bits
+    it has in the exact test, so the row's value, a minimum over fewer
+    segments, is at least the row's exact value, its distance to the whole
+    polyline.  The maximum is divided by the exact test's s (_box), bit
+    for bit.  None, too, wherever the exact test raises: the segments read
+    are the lower branch's and the two upper ones at its ends, and the
+    lower branch mirrors the upper one bit for bit, so their squared
+    lengths are those of every edge, which the exact test rejects when one
+    is not finite or all are 0; every later error is a center, reflection
+    or distance that is not finite, which makes the bound nan or inf.
     """
     h = _mirror_half(pts)
     if h is None:
         return None
+    pts, e = _scaled(pts)
     with np.errstate(all="ignore"):
         # the h + 1 segments the rows read: h - 2 .. n - 1, then 0
         ends = np.concatenate((pts[h - 2 :], pts[:2]))
@@ -665,7 +616,7 @@ def _midpoint_bound(pts, tol):
         d2 = max_min_dist_candidates(2.0 * center - pts[:h], ends[:-1], seg_d,
                                      np.where(len2 > 0.0, len2, 1.0), _bound_candidates(h))
         asym = _root(d2.max()) / side
-    return _report(center, asym, tol) if asym <= tol else None
+    return _report(np.ldexp(center, e), asym, tol) if asym <= tol else None
 
 
 @lru_cache(maxsize=1)

@@ -1,7 +1,7 @@
 """Shared fixtures and independent oracle implementations.
 
 The oracles here deliberately avoid the library's geometry code paths
-(window bounds, sector refinement, k-d tree pruning, split-column kernels,
+(window bounds, sector refinement, split-column kernels,
 normal equations): they are plain quadratic-cost numpy so that fast-path
 results can be checked against a second, independently written route.  The two reference kernels are the
 exception: they keep the library's earlier (N, K, 2) formulation, which the

@@ -11,13 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
-from scipy.spatial import cKDTree
 
 import revquad as rq
 from revquad import DegenerateLoop, InvalidDomain, Plane
 
 from revquad import symmetry
-from revquad.symmetry import _LoopGeometry
+from revquad.symmetry import CentralityReport, _LoopGeometry
 
 from conftest import (
     oracle_asymmetry,
@@ -68,17 +67,35 @@ def polygons(draw):
     return np.column_stack([rad * np.cos(ang), 0.6 * rad * np.sin(ang)]) + rng.normal(0.0, 3.0, 2)
 
 
-def wiggly_section(n):
-    """A traced section of F = 2 + 0.3 sin(10 z), a 400-row table on
-    [-1, 1], cut by Plane(0.4, 0): a loop of 2n - 2 points that is not
-    convex, so it is in the general class."""
+def wiggly_section(n, amp=0.3, m=0.4, beta=0.0):
+    """A traced section of F = 2 + amp sin(10 z), a 400-row table on
+    [-1, 1], cut by Plane(m, beta): a loop of 2n - 2 points that is not
+    convex, yet star-shaped about its box center, so it certifies."""
     z = np.linspace(-1.0, 1.0, 400)
-    prof = rq.make_sampled_profile(z, 2.0 + 0.3 * np.sin(10.0 * z))
-    return rq.trace_section(prof, Plane(0.4, 0.0), n)
+    prof = rq.make_sampled_profile(z, 2.0 + amp * np.sin(10.0 * z))
+    return rq.trace_section(prof, Plane(m, beta), n)
 
 
-# 254 points, scanned all-pairs, and 2046, pruned by the k-d tree
+# 254 and 2046 points
 WIGGLY = {n: wiggly_section(n) for n in (128, 1024)}
+
+
+def noisy_table(seed, noise=1e-3):
+    """A 401-row table of the sphere on |z| <= 0.95 with Gaussian noise in F."""
+    z = np.linspace(-0.95, 0.95, 401)
+    f = 1.0 - z * z + np.random.default_rng(seed).normal(0.0, noise, len(z))
+    return rq.make_sampled_profile(z, f)
+
+
+def noisy_circle(n, noise=0.05, seed=None):
+    """n points of the unit circle with Gaussian noise; at 0.05 their sorted
+    angles leave loop order, so the loop is in the general class."""
+    rng = np.random.default_rng(n if seed is None else seed)
+    return circle_points(0.0, 0.0, 1.0, n) + rng.normal(0.0, noise, (n, 2))
+
+
+# loops of the general class, centered on the axis: 254 and 2046 points
+GENERAL = {n: synthetic_loop(noisy_circle(n)) for n in (254, 2046)}
 
 
 class TestCentroid:
@@ -116,27 +133,28 @@ class TestCentroid:
         assert rep.center == tuple(box)
         assert rep.asymmetry == rq.asymmetry_at(pts, box) == pytest.approx(0.2832, abs=1e-4)
         # pinned, the midpoint (0, 1e160): its reflections lie 2e160 away,
-        # and their squared distances overflow, with no warning
-        with pytest.raises(InvalidDomain, match="distances of the reflections about"):
-            rq.centrality(pts, 1e-4)
+        # some 8.5e9 box sides; the loop is scored at its box's scale, so
+        # their squared distances stay finite
+        mid = 0.5 * (pts[:, 1].min() + pts[:, 1].max())
+        rep = rq.centrality(pts, 1e-4)
+        assert rep.center == (0.0, mid) and not rep.central
+        assert rep.asymmetry == rq.asymmetry_at(pts, (0.0, mid)) == pytest.approx(8.475e9, rel=1e-3)
 
     def test_pinned_search_far_from_the_axis_warns_of_nothing(self):
-        # about (1e155, 1e155) every pinned centre's squared distances
-        # overflow: centrality raises at the midpoint as asymmetry_at does
-        # there, with no warning
+        # about (1e155, 1e155) the pinned midpoint's reflections lie some
+        # 1e5 box sides away: centrality scores the midpoint as asymmetry_at
+        # does there, with no warning
         t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         r = 1e150 * (1.0 + 0.3 * np.cos(3.0 * t))
         pts = 1e155 + r[:, None] * np.column_stack([np.cos(t), np.sin(t)])
         mid = 0.5 * (pts[:, 1].min() + pts[:, 1].max())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidDomain, match="distances of the reflections about") as want:
-                rq.asymmetry_at(synthetic_loop(pts), (0.0, mid))
-            with pytest.raises(InvalidDomain, match="distances of the reflections about") as got:
-                rq.centrality(pts, 1e-4)
-        assert str(got.value) == str(want.value)
+            want = rq.asymmetry_at(synthetic_loop(pts), (0.0, mid))
+            got = rq.centrality(pts, 1e-4)
+        assert got.asymmetry == want and got.center == (0.0, mid) and not got.central
         # the free centre is the box centre, near the loop
-        assert rq.centrality(pts, 1e-4, free_center=True).asymmetry < math.inf
+        assert rq.centrality(pts, 1e-4, free_center=True).asymmetry < 1.0
 
     @given(
         vy=st.floats(-5.0, 5.0),
@@ -176,12 +194,11 @@ class TestAsymmetryAt:
 
     @pytest.mark.parametrize("n", [32, 513])
     def test_non_finite_or_overflowing_center_rejected(self, cubic, n):
-        # the cubic's 62 or 1024 points refine in sectors; the wiggly
-        # section's 254 are scanned all-pairs, its 2046 pruned by the k-d tree
-        wiggly = WIGGLY[128 if n == 32 else 1024]
-        geom = symmetry._LoopGeometry(wiggly)
-        assert geom._cert_angles is None and geom._brute == (n == 32)
-        for loop in (rq.trace_section(cubic, Plane(0.4, 0.0), n), wiggly):
+        # the cubic's 62 or 1024 points refine in sectors; the noisy
+        # circle's 254 or 2046, of the general class, by the all-pairs scan
+        noisy = GENERAL[254 if n == 32 else 2046]
+        assert _LoopGeometry(noisy)._cert_angles is None
+        for loop in (rq.trace_section(cubic, Plane(0.4, 0.0), n), noisy):
             for center in ((math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan),
                            (1e300, 1e300), (1e308, 0.0), (0.0, -1.7e308)):
                 with pytest.raises(InvalidDomain):
@@ -216,7 +233,7 @@ class TestAsymmetryAt:
 
     @given(seed=st.integers(0, 10_000))
     def test_matches_brute_force_oracle(self, seed):
-        # the tree-pruned fast path must agree with the quadratic-cost oracle
+        # the bound-then-refine path must agree with the quadratic-cost oracle
         rng = np.random.default_rng(seed)
         pts = circle_points(0.0, 0.0, 1.0, 70) + rng.normal(0.0, 0.08, (70, 2))
         center = (rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
@@ -225,10 +242,9 @@ class TestAsymmetryAt:
         assert abs(fast - brute) <= 1e-12 + 1e-9 * brute
 
     def test_matches_oracle_on_large_noisy_loop(self):
-        # 1500 points, not convex: the distances come from the k-d tree's
-        # candidates
-        rng = np.random.default_rng(1500)
-        pts = circle_points(0.0, 0.0, 1.0, 1500) + rng.normal(0.0, 0.05, (1500, 2))
+        # 1500 points whose sorted angles leave loop order: the general
+        # class, refined by the all-pairs scan
+        pts = noisy_circle(1500)
         center = (0.02, -0.01)
         fast = rq.asymmetry_at(synthetic_loop(pts), center)
         brute = oracle_asymmetry(pts, center)
@@ -236,8 +252,8 @@ class TestAsymmetryAt:
 
     def test_matches_oracle_on_large_traced_loop(self, hyperboloid):
         # the hyperboloid's section refines in sectors, at a symmetric and an
-        # offset center; the wiggly sections are scanned all-pairs or pruned
-        # by the k-d tree, at the center centrality reports and off it
+        # offset center; so do the wiggly sections, which are not convex, at
+        # the center centrality reports and off it
         loop = rq.trace_section(hyperboloid, Plane(0.4, 0.3), 256)
         cases = [(loop, (0.0, 0.3215)), (loop, (0.05, 0.25))]
         for wiggly in WIGGLY.values():
@@ -267,26 +283,23 @@ def reference_window(pts, refl):
     return np.concatenate([verts, verts - 1], axis=1) % len(pts)
 
 
+def all_pairs_dist2(geom, refl):
+    """Each point's squared distance to the nearest segment of the whole
+    loop, by max_min_dist_all over blocks of 256 points."""
+    args = (geom.seg_a, geom.seg_d, geom.seg_len2)
+    return np.concatenate([symmetry.max_min_dist_all(refl[i : i + 256], *args)
+                           for i in range(0, len(refl), 256)])
+
+
 def reference_score(geom, center, all_rows=False):
-    """Unnormalized asymmetry through the (N, K, 2) reference kernels, on the
-    rows _LoopGeometry scores: rows 0 .. h-1 of a y-mirror loop about a
-    center on the axis, otherwise (or with all_rows) every row.  A row's
-    value is the smaller of its k-d candidates' and its angular window's:
-    np.minimum with the bound.  A small loop scans every segment, which
-    holds the window's."""
+    """Unnormalized asymmetry by the all-pairs scan, on the rows
+    _LoopGeometry scores: rows 0 .. h-1 of a y-mirror loop about a center on
+    the axis, otherwise (or with all_rows) every row."""
     center = np.asarray(center, dtype=float)
     pts = geom.pts
     if not all_rows and geom._half is not None and center[0] == 0.0:
         pts = pts[: geom._half]
-    refl = 2.0 * center - pts
-    args = (geom.seg_a, geom.seg_d, geom.seg_len2)
-    if geom._brute:
-        return reference_max_min_dist_all(refl, *args)
-    _, idx = geom._tree.query(refl, k=symmetry._KNN)
-    cand = np.concatenate([idx, idx - 1], axis=1) % len(geom.pts)
-    knn = reference_min_dist2_candidates(refl, *args, cand)
-    bound = reference_min_dist2_candidates(refl, *args, reference_window(geom.pts, refl))
-    return float(np.sqrt(np.minimum(knn, bound).max()))
+    return float(np.sqrt(all_pairs_dist2(geom, 2.0 * center - pts).max()))
 
 
 def sampled_cubic():
@@ -295,8 +308,7 @@ def sampled_cubic():
 
 
 def kernel_loops():
-    """Seeded noisy circles and a traced cubic section, on both sides of
-    the all-pairs limit."""
+    """Seeded noisy circles and a traced cubic section, of both classes."""
     for seed, n_pts in ((0, 96), (1, 254), (2, 700)):
         rng = np.random.default_rng(seed)
         yield circle_points(0.1, -0.2, 1.0, n_pts) + rng.normal(0.0, 0.01, (n_pts, 2))
@@ -311,13 +323,13 @@ class TestKernels:
         paths = set()
         for pts in kernel_loops():
             geom = _LoopGeometry(synthetic_loop(pts))
-            paths.add(geom._brute)
+            paths.add(geom._cert_angles is None)
             args = (geom.seg_a, geom.seg_d, geom.seg_len2)
             for _ in range(3):
                 center = rng.normal(0.0, 0.05, 2) + pts.mean(axis=0)
                 refl = 2.0 * center - pts
-                _, idx = cKDTree(pts).query(refl, k=8)
-                cand = np.concatenate([idx, idx - 1], axis=1) % len(pts)
+                # 16 candidates per point, -1 the closing segment among them
+                cand = rng.integers(-1, len(pts), (len(pts), 16))
                 d2 = symmetry.max_min_dist_candidates(refl, *args, cand)
                 assert float(np.sqrt(d2.max())) == reference_max_min_dist_candidates(
                     refl, *args, cand
@@ -371,19 +383,23 @@ class TestHalfEvaluation:
         # the midpoint, the centroid height and shifts both ways, which put
         # one or the other turning point's image outside the loop
         heights = [mid, rq.centroid(loop)[1]] + [mid + s * geom.side for s in shifts]
+        # every row's value is the all-pairs scan's (TestExactRows), so the
+        # rows refined by reflect_dist2 are the reference here
         for z in heights:
             center = (0.0, z)
             d2 = geom.reflect_dist2(center)
-            assert np.array_equal(d2, geom.reflect_dist2(center, np.arange(len(pts)))[:n])
+            every = geom.reflect_dist2(center, np.arange(len(pts)))
+            assert np.array_equal(d2, every[:n])
             half = math.sqrt(geom.max_dist2(center)) / geom.side
-            full = reference_score(geom, center, all_rows=True) / geom.side
+            full = math.sqrt(every.max()) / geom.side
             assert half <= full
             assert full - half <= 2.0**-52
-            assert half == reference_score(geom, center) / geom.side
+            assert half == math.sqrt(d2.max()) / geom.side
         # off the axis, however slightly, every row is scored
         for cy in (5e-324, -1e-3 * geom.side):
-            assert len(geom.reflect_dist2((cy, mid))) == len(pts)
-            assert math.sqrt(geom.max_dist2((cy, mid))) == reference_score(geom, (cy, mid))
+            d2 = geom.reflect_dist2((cy, mid))
+            assert len(d2) == len(pts)
+            assert geom.max_dist2((cy, mid)) == d2.max()
 
     @pytest.mark.parametrize("n", [128, 1024])
     def test_broken_mirrors_score_all_rows(self, quartic, cylinder, n):
@@ -511,8 +527,11 @@ def nearby_centers(geom, rng):
 def certificate_loops(draw):
     """A loop the window certificate may take: a small strictly convex
     polygon (3-8 vertices, some a hair apart, shifted and scaled, in either
-    orientation), a traced section, or an m = 0 circle."""
-    kind = draw(st.sampled_from(("polygon", "traced", "circle")))
+    orientation), a star-shaped polygon of random radii, a traced section,
+    or an m = 0 circle."""
+    kind = draw(st.sampled_from(("polygon", "star", "traced", "circle")))
+    if kind == "star":
+        return draw(polar_polygons())
     if kind == "traced":
         spec = draw(st.sampled_from(TestHalfEvaluation.SPECS))
         prof = sampled_cubic() if spec == "sampled" else rq.parse_profile(spec)
@@ -569,6 +588,19 @@ def refine_every_row(mp):
                lambda self, refl: uncertified(bound_pass(self, refl), len(self.pts)))
 
 
+@st.composite
+def polar_polygons(draw, n_max=40):
+    """A polygon of random radii at sorted random angles about a random
+    point, in either orientation: star-shaped about that point, which need
+    not be its box center."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(5, n_max))
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    rad = rng.uniform(draw(st.sampled_from((0.2, 0.6, 0.95))), 1.0, n)
+    pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)]) + rng.normal(0.0, 2.0, 2)
+    return pts[::-1] if draw(st.booleans()) else pts
+
+
 def count_kernel_runs(mp):
     """Record the (rows, columns) of every candidate-kernel run."""
     runs = []
@@ -581,6 +613,45 @@ def count_kernel_runs(mp):
 
 def cannot_certify(geom):
     return geom._cert_angles is None
+
+
+def is_convex(pts):
+    """Whether the loop is a strictly convex polygon that winds once."""
+    e = np.diff(np.vstack([pts, pts[:1]]), axis=0)
+    f = np.roll(e, -1, axis=0)
+    cross = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
+    turning = np.arctan2(cross, (e * f).sum(axis=1)).sum()
+    same = (cross > 0.0).all() or (cross < 0.0).all()
+    return bool(same and abs(abs(turning) - 2.0 * np.pi) < 1e-6)
+
+
+def star_shaped_margin(pts, c):
+    """How clearly the loop is star-shaped about c, in units of its box's
+    larger side: where it winds once around c, the smallest distance of c
+    inside an edge's line (negative when c lies outside one); where it
+    does not, -1."""
+    a = pts - c
+    b = np.roll(a, -1, axis=0)
+    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    turns = np.arctan2(cross, (a * b).sum(axis=1)).sum() / (2.0 * np.pi)
+    if abs(abs(turns) - 1.0) > 1e-6:
+        return -1.0
+    length = np.hypot(*(b - a).T)
+    dist = np.sign(turns) * cross / np.where(length > 0.0, length, np.inf)
+    return float(dist.min() / np.ptp(pts, axis=0).max())
+
+
+def named_loop(cubic, name):
+    """Loops of the general class, and a zigzag star that certifies."""
+    traced = rq.trace_section(cubic, Plane(0.45, -0.2), 64).points
+    arc = np.radians([-10.0, 20.0, 50.0, 80.0])
+    return {
+        "crescent": crescent_points(np.random.default_rng(3), 200, 0.0),
+        "doubly wound": np.vstack([traced, traced]),
+        "right triangle": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        "arc and chord": np.column_stack([np.cos(arc), np.sin(arc)]),
+        "zigzag star": circle_points(0.0, 0.0, 1.0, 40) * (1.0 + 0.3 * (np.arange(40) % 2))[:, None],
+    }[name]
 
 
 class TestWindowCertificate:
@@ -643,8 +714,8 @@ class TestWindowCertificate:
     @pytest.mark.parametrize("n", [128, 1024])
     def test_quadric_sections_certify_every_row(self, n, monkeypatch):
         scans = []
-        refine = _LoopGeometry._row_dist2
-        monkeypatch.setattr(_LoopGeometry, "_row_dist2",
+        refine = _LoopGeometry._all_dist2
+        monkeypatch.setattr(_LoopGeometry, "_all_dist2",
                             lambda self, refl: scans.append(len(refl)) or refine(self, refl))
         runs = count_kernel_runs(monkeypatch)
         for spec in ("sphere", "cylinder:1,10", "hyperboloid:1,2", "paraboloid:2,1"):
@@ -662,35 +733,38 @@ class TestWindowCertificate:
                 assert rq.centrality(loop, 1e-4).central
                 # one kernel run, the bound pass over the scored rows: no
                 # row was refined
-                assert runs == [(len(refl), symmetry._CERT_SEGS)]
-        # no all-pairs scan, no k-d tree
+                assert runs == [(len(refl), symmetry._WINDOW_SEGS)]
+        # no all-pairs scan
         assert scans == []
 
-    @given(poly=polygons())
-    def test_non_convex_loops_never_certify(self, poly):
+    @given(poly=st.one_of(polygons(), polar_polygons()))
+    def test_certifies_exactly_the_star_shaped_loops(self, poly):
+        # a loop that is star-shaped about its box center by a clear margin
+        # certifies, and one that is clearly not does not
         geom = _LoopGeometry(synthetic_loop(poly))
-        if symmetry._convex_ccw(poly) is None:
+        star = star_shaped_margin(poly, geom.box_center)
+        if star > 1e-9:
+            assert not cannot_certify(geom)
+        elif star < -1e-9:
             assert cannot_certify(geom)
 
-    @pytest.mark.parametrize("name", [
-        "crescent", "doubly wound", "star", "right triangle", "arc and chord"])
+    @pytest.mark.parametrize("name", ["crescent", "doubly wound", "right triangle",
+                                      "arc and chord"])
     def test_named_loops_never_certify(self, cubic, name):
-        # a convex loop's box center lies inside it or on its boundary; the
-        # triangle's lies on its hypotenuse, the arc's on its chord, so
-        # these two convex loops are in the general class too
-        traced = rq.trace_section(cubic, Plane(0.45, -0.2), 64).points
-        arc = np.radians([-10.0, 20.0, 50.0, 80.0])
-        pts = {
-            "crescent": crescent_points(np.random.default_rng(3), 200, 0.0),
-            "doubly wound": np.vstack([traced, traced]),
-            "star": circle_points(0.0, 0.0, 1.0, 40) * (1.0 + 0.3 * (np.arange(40) % 2))[:, None],
-            "right triangle": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-            "arc and chord": np.column_stack([np.cos(arc), np.sin(arc)]),
-        }[name]
-        geom = _LoopGeometry(synthetic_loop(pts))
-        assert cannot_certify(geom)
-        assert (symmetry._convex_ccw(pts) is not None) == (
-            name in ("right triangle", "arc and chord"))
+        # the crescent's box center lies in its hollow, and a doubly wound
+        # loop's sorted angles interleave its two turns; a convex loop's
+        # box center may lie on its boundary, the triangle's on its
+        # hypotenuse, the arc's on its chord, so these two convex loops are
+        # in the general class too
+        pts = named_loop(cubic, name)
+        assert cannot_certify(_LoopGeometry(synthetic_loop(pts)))
+        assert is_convex(pts) == (name in ("right triangle", "arc and chord"))
+
+    def test_zigzag_star_certifies(self, cubic):
+        # not convex, but star-shaped about its box center
+        pts = named_loop(cubic, "zigzag star")
+        assert not is_convex(pts)
+        assert not cannot_certify(_LoopGeometry(synthetic_loop(pts)))
 
     def test_nan_certifies_nothing(self, sphere):
         loop = rq.trace_section(sphere, Plane(0.3, 0.1), 256)
@@ -726,44 +800,34 @@ class TestWindowCertificate:
 def never_takes_the_bound(geom):
     """Check that no row of geom, a loop of the general class, keeps its
     bound about the box center: with every bound pass value zeroed, each
-    row still takes its refined value, at most its window bound and, on a
-    loop small enough for the all-pairs scan, its distance to the whole
-    polyline, bit for bit."""
+    row still takes its distance to the whole polyline, bit for bit, which
+    is at most its window bound."""
     assert cannot_certify(geom)
     center = geom.box_center
     refl = 2.0 * center - geom.pts
     bound, theta, pos = geom._bound_dist2(refl)
     rows = np.arange(len(refl))
     got = geom._values(center, refl, rows, (np.zeros_like(bound), theta, pos))
-    assert np.array_equal(got, geom._row_dist2(refl))
+    assert np.array_equal(got, all_segments_dist2(geom, refl))
     assert (got <= bound).all()
-    if geom._brute:
-        assert np.array_equal(got, all_segments_dist2(geom, refl))
 
 
 class TestLowerBound:
     """A row's distance to the whole polyline bounds its value from below
     and its window minimum from above.  A loop that certifies may keep the
-    window minimum as the value; a non-convex loop never takes the bound:
-    each of its rows is refined, to the lower bound itself where the loop
-    is small enough for the all-pairs scan."""
+    window minimum as the value; a loop of the general class never takes
+    the bound: each of its rows is refined, to the lower bound itself."""
 
     @given(poly=polygons())
-    def test_non_convex_loops_never_take_the_bound(self, poly):
-        if symmetry._convex_ccw(poly) is not None:
-            return
-        never_takes_the_bound(_LoopGeometry(synthetic_loop(poly)))
+    def test_general_loops_never_take_the_bound(self, poly):
+        geom = _LoopGeometry(synthetic_loop(poly))
+        if cannot_certify(geom):
+            never_takes_the_bound(geom)
 
-    @pytest.mark.parametrize("name", ["crescent", "doubly wound", "star"])
+    @pytest.mark.parametrize("name", ["crescent", "doubly wound"])
     def test_named_non_convex_loops(self, cubic, name):
-        rng = np.random.default_rng(3)
-        traced = rq.trace_section(cubic, Plane(0.45, -0.2), 64).points
-        pts = {
-            "crescent": crescent_points(rng, 200, 0.0),
-            "doubly wound": np.vstack([traced, traced]),
-            "star": circle_points(0.0, 0.0, 1.0, 40) * (1.0 + 0.3 * (np.arange(40) % 2))[:, None],
-        }[name]
-        assert symmetry._convex_ccw(pts) is None
+        pts = named_loop(cubic, name)
+        assert not is_convex(pts)
         never_takes_the_bound(_LoopGeometry(synthetic_loop(pts)))
 
 
@@ -822,9 +886,101 @@ class TestSectorRefinement:
         got = geom._sector_dist2(center, refl, bounds, np.arange(n))
         assert np.array_equal(got, all_segments_dist2(geom, refl))
         assert sum(rows for rows, _ in runs) == n
-        assert all(rows * cols <= symmetry._BOUND_SEGS * n for rows, cols in runs)
+        assert all(rows * cols <= symmetry._BLOCK_ROWS * n for rows, cols in runs)
         widths = [cols for _, cols in runs]
         assert widths[0] == n and widths[-1] < n and widths == sorted(widths, reverse=True)
+
+
+def traced_or_skip(make):
+    """make(), or no example where its loop escapes the domain."""
+    try:
+        return make()
+    except rq.LoopEscapesDomain:
+        assume(False)
+
+
+@st.composite
+def non_convex_sections(draw):
+    """A traced section of a wiggly table, F = 2 + amp sin(10 z), or of a
+    noisy sphere table: y-mirror loops that are not convex, some of the
+    general class (wiggly ones at the steeper slopes)."""
+    m, beta = draw(st.floats(0.1, 0.6)), draw(st.floats(-0.3, 0.3))
+    n = draw(st.sampled_from((32, 128, 1024)))
+    if draw(st.booleans()):
+        amp = draw(st.sampled_from((0.3, 0.9, 1.5, 1.9)))
+        return traced_or_skip(lambda: wiggly_section(n, amp, m, beta))
+    prof = noisy_table(draw(st.integers(0, 4)))
+    return traced_or_skip(lambda: rq.trace_section(prof, Plane(m, beta), n))
+
+
+@st.composite
+def exact_loops(draw):
+    """A loop of either class: a polar polygon of random radii in either
+    orientation, a zigzag or 5-lobed star, a wiggly or noisy-table section,
+    a noisy circle of more than 500 points, a crescent, or a doubly wound
+    loop."""
+    kind = draw(st.sampled_from(("polar", "zigzag", "lobed", "section", "noisy circle",
+                                 "crescent", "doubly wound")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "polar":
+        return draw(polar_polygons(n_max=200))
+    if kind == "section":
+        return draw(non_convex_sections()).points
+    if kind == "noisy circle":
+        return noisy_circle(draw(st.integers(501, 900)), draw(st.sampled_from((0.01, 0.05))),
+                            seed=draw(st.integers(0, 10_000)))
+    if kind == "crescent":
+        return crescent_points(rng, draw(st.sampled_from((60, 400, 900))),
+                               draw(st.sampled_from((0.0, 1e-3, 0.03))))
+    if kind == "doubly wound":
+        once = draw(polar_polygons(n_max=100))
+        return np.vstack([once, once])
+    n = draw(st.integers(10, 512))
+    t = 2.0 * np.pi * np.arange(n) / n
+    depth = draw(st.floats(0.1, 0.6))
+    rad = 1.0 + depth * (np.arange(n) % 2 if kind == "zigzag" else np.cos(5.0 * t))
+    pts = rad[:, None] * np.column_stack([np.cos(t), np.sin(t)])
+    return pts[::-1] if draw(st.booleans()) else pts
+
+
+class TestExactRows:
+    """Every row's value is its distance to the whole polyline, bit for
+    bit the all-pairs scan's, on a loop of either class and about any
+    center."""
+
+    @given(pts=exact_loops(), seed=st.integers(0, 2**32 - 1))
+    @example(pts=WIGGLY[1024].points, seed=0)
+    @example(pts=GENERAL[2046].points, seed=0)
+    def test_every_row_is_the_all_pairs_value(self, pts, seed):
+        geom = _LoopGeometry(synthetic_loop(pts))
+        rng = np.random.default_rng(seed)
+        span = geom.side
+        centers = [geom.box_center, (0.0, geom.box_center[1])] + [
+            geom.box_center + rng.uniform(-span, span, 2) for _ in range(2)]
+        for center in centers:
+            center = np.asarray(center)
+            want = all_pairs_dist2(geom, 2.0 * center - geom.pts)
+            assert np.array_equal(geom.reflect_dist2(center, np.arange(len(pts))), want)
+            assert geom.max_dist2(center) == want[: len(geom._scored(center))].max()
+
+    @pytest.mark.parametrize("kind, certifies", [
+        ("zigzag star", True), ("5-lobed star", True), ("wiggly", True), ("noisy table", True),
+        ("steep wiggly", False), ("noisy circle", False), ("crescent", False),
+        ("doubly wound", False)])
+    def test_both_classes_are_drawn(self, cubic, kind, certifies):
+        t = 2.0 * np.pi * np.arange(600) / 600
+        pts = {
+            "zigzag star": named_loop(cubic, "zigzag star"),
+            "5-lobed star": (1.0 + 0.3 * np.cos(5.0 * t))[:, None]
+            * np.column_stack([np.cos(t), np.sin(t)]),
+            "wiggly": WIGGLY[128].points,
+            "noisy table": rq.trace_section(noisy_table(0), Plane(0.5, 0.0), 128).points,
+            "steep wiggly": wiggly_section(128, 1.9, 0.6, 0.0).points,
+            "noisy circle": noisy_circle(600, 0.01),
+            "crescent": crescent_points(np.random.default_rng(3), 400, 1e-3),
+            "doubly wound": named_loop(cubic, "doubly wound"),
+        }[kind]
+        assert cannot_certify(_LoopGeometry(synthetic_loop(pts))) != certifies
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -845,23 +1001,21 @@ loop = rq.trace_section(rq.parse_profile("poly:1,0,1,0,1;1"), rq.Plane(0.4, -0.2
 assert not rq.centrality(loop, 1e-4, free_center=True).central
 wiggly = rq.make_sampled_profile(z := np.linspace(-1.0, 1.0, 400), 2.0 + 0.3 * np.sin(10.0 * z))
 assert not rq.centrality(rq.trace_section(wiggly, rq.Plane(0.4, 0.0), 128), 1e-4).central
-loaded = [name for name in sys.modules if name.startswith("scipy")]
-assert not loaded, f"a run on traced loops loaded {loaded}"
 print(repr(rq.centrality(np.array(eval(sys.stdin.read())), 1e-4, free_center=True)))
-assert "scipy.spatial" in sys.modules
+loaded = [name for name in sys.modules if name.startswith("scipy")]
+assert not loaded, f"a run loaded {loaded}"
 """
 
 
 def test_quadric_runs_leave_scipy_spatial_out():
     # a fresh interpreter: this one has imported scipy already.  Quadric,
     # non-quadric and sampled verdicts, a free centrality test on a traced
-    # loop and a test of a 254-point wiggly one, which is not convex, load
-    # no scipy module: every score is divided by the loop's box, with no
-    # hull.  A 1500-point noisy circle is not convex either, and too large
-    # for the all-pairs scan: it takes its rows from the k-d tree, loaded
-    # on first use
-    rng = np.random.default_rng(1500)
-    pts = circle_points(0.0, 0.0, 1.0, 1500) + rng.normal(0.0, 0.05, (1500, 2))
+    # loop, a test of a 254-point wiggly one, which is not convex, and a
+    # free test of a 1500-point noisy circle of the general class load no
+    # scipy module: every score is divided by the loop's box, with no hull,
+    # and every row is refined in sectors or by the all-pairs scan, with no
+    # k-d tree
+    pts = noisy_circle(1500)
     out = subprocess.run([sys.executable, "-c", COLD_PROBE], input=repr(pts.tolist()),
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": SRC}, timeout=300)
@@ -938,7 +1092,6 @@ class TestChartDiameter:
         rng = np.random.default_rng(0)
         unit = circle_points(0.0, 0.0, 1.0, 300) + rng.normal(0.0, 0.05, (300, 2))
         pts = scale * unit
-        assert symmetry._convex_ccw(pts) is None
         side = symmetry._box(pts)[2]
         assert side == float(np.ptp(pts, axis=0).max())
         assert abs(side / scale - check_side_against_diameter(unit)) <= 1e-15
@@ -948,7 +1101,7 @@ class TestChartDiameter:
     @pytest.mark.parametrize("n", [16, 1024])
     def test_orientation_start_and_winding(self, cubic, n):
         pts = rq.trace_section(cubic, Plane(0.45, -0.2), n).points
-        assert symmetry._convex_ccw(pts) is pts
+        assert is_convex(pts)
         side = check_side_against_diameter(pts, 1.0001)
         copies = {
             "clockwise": pts[::-1],
@@ -956,8 +1109,10 @@ class TestChartDiameter:
             "doubly wound": np.vstack([pts, pts]),
         }
         for name, copy in copies.items():
-            assert _LoopGeometry(synthetic_loop(copy)).side == side, name
-        assert symmetry._convex_ccw(copies["doubly wound"]) is None
+            geom = _LoopGeometry(synthetic_loop(copy))
+            assert geom.side == side, name
+            # a doubly wound loop's sorted angles interleave its two turns
+            assert cannot_certify(geom) == (name == "doubly wound"), name
 
     def test_parallel_opposite_edges(self):
         # a centrally symmetric hexagon, every edge exactly parallel to its
@@ -1024,18 +1179,41 @@ class TestCentrality:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("free_center", [False, True])
     def test_overflowing_loop_rejected(self, free_center):
-        # a 64-point ellipse: scaled by 1e160 its squared edge lengths
-        # overflow, by 1e300 everything squared does; at 1e150 every square
-        # is finite and the loop is scored
+        # a 64-point ellipse: scaled by 8e307 its box's width overflows, so
+        # it has no scale to be scored at.  At 1e150, 1e160 and 1e300 the
+        # squares of its lengths would overflow, but it is scored at its
+        # box's scale, as at scale 1
         t = 2.0 * np.pi * np.arange(64) / 64
         ellipse = np.column_stack([2.0 * np.cos(t), np.sin(t) + 0.3])
-        for scale in (1e160, 1e300):
-            with pytest.raises(InvalidDomain, match="overflow"):
-                rq.centrality(ellipse * scale, 1e-4, free_center=free_center)
-        rep = rq.centrality(ellipse * 1e150, 1e-4, free_center=free_center)
-        assert rep.central is True
-        assert rep.asymmetry <= 1e-12
-        assert rep.center[0] / 1e150 == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(InvalidDomain, match="overflow"):
+            rq.centrality(ellipse * 8e307, 1e-4, free_center=free_center)
+        for scale in (1e150, 1e160, 1e300):
+            rep = rq.centrality(ellipse * scale, 1e-4, free_center=free_center)
+            assert rep.central is True
+            assert rep.asymmetry <= 1e-12
+            assert rep.center[0] / scale == pytest.approx(0.0, abs=1e-12)
+            assert rep.center[1] / scale == pytest.approx(0.3, rel=1e-12)
+
+    @pytest.mark.parametrize("free", [False, True])
+    def test_tiny_and_huge_copies_score_as_at_scale_one(self, cubic, free):
+        # scored at scale 1, the 30-point cubic section is not central; its
+        # squared distances would underflow to 0 at 2^-535, and it would
+        # score 0.0, but every copy is scored at its box's scale: a copy by
+        # a power of two keeps every bit, any other scale the score to
+        # rounding
+        pts = rq.trace_section(cubic, Plane(0.4, 0.0), 16).points
+        want = rq.centrality(pts, 1e-4, free_center=free)
+        assert want.asymmetry == 0.012837866951651851 and not want.central
+        for bound in (False, True):
+            for k in (-535, -1000, 500, 1000):
+                got = rq.centrality(np.ldexp(pts, k), 1e-4, free_center=free, bound=bound)
+                assert got == CentralityReport(tuple(np.ldexp(want.center, k).tolist()),
+                                               want.asymmetry, 1e-4, False)
+            for scale in (1e-200, 1e200):
+                got = rq.centrality(pts * scale, 1e-4, free_center=free, bound=bound)
+                assert got.asymmetry == pytest.approx(want.asymmetry, rel=1e-12)
+        tiny = np.ldexp(pts, -535)
+        assert rq.asymmetry_at(tiny, np.ldexp(want.center, -535)) == want.asymmetry
 
     def test_report_invariants(self, paraboloid):
         loop = rq.trace_section(paraboloid, Plane(0.3, 0.1), 256)
@@ -1085,6 +1263,8 @@ class TestCentrality:
            tol=st.sampled_from((1e-5, 1e-4, 3e-3)), bound=st.booleans())
     @example(case=(WIGGLY[128], False), tol=1e-4, bound=True)
     @example(case=(WIGGLY[1024], True), tol=1e-4, bound=False)
+    @example(case=(GENERAL[254], False), tol=1e-4, bound=True)
+    @example(case=(GENERAL[2046], True), tol=1e-4, bound=False)
     def test_score_is_asymmetry_at_the_box_midpoint(self, case, tol, bound):
         # a loop the midpoint bound does not settle is scored once, at the
         # box midpoint b, with the bits asymmetry_at gives there
@@ -1101,7 +1281,9 @@ class TestCentrality:
             mp.setattr(_LoopGeometry, "max_dist2",
                        lambda self, center: scored.append(tuple(center)) or evaluate(self, center))
             rep = rq.centrality(loop, tol, free_center=free, bound=bound)
-        assert scored == [tuple(b)]
+        # scored on the loop scaled by 2^-e, s = m 2^e with m in [1/2, 1)
+        e = math.frexp(float(np.ptp(pts, axis=0).max()))[1]
+        assert scored == [tuple(np.ldexp(b, -e))]
         assert repr(rep.center) == repr(tuple(b.tolist()))
         assert rep.asymmetry == rq.asymmetry_at(loop, b)
 
@@ -1171,9 +1353,9 @@ class TestMidpointBound:
     def test_bound_and_exact_agree_across_scales(self, sphere, cubic, scale, free):
         # where the exact test raises, the bound declines, so the error is
         # the exact one's; elsewhere the center and verdict are the exact
-        # ones, at no lower a score.  Below about 1e-162 every squared edge
-        # length underflows to 0 and the exact test raises; at 1e155 the
-        # squared diameter would overflow, but s takes no square
+        # ones, at no lower a score.  Both score the loop at its box's
+        # scale, so no squared length underflows or overflows at any of
+        # these scales
         for prof, plane in ((sphere, Plane(0.5, 0.3)), (cubic, Plane(0.4, 0.0))):
             pts = rq.trace_section(prof, plane, 128).points * scale
             outcomes = []
@@ -1213,8 +1395,11 @@ class TestMidpointBound:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_declines_the_bound(self, sphere):
         pts = rq.trace_section(sphere, Plane(1.0, 0.0), 256).points
-        # squared edge lengths overflow: both paths raise the exact one's error
-        big = pts * 1e160
+        # the box's height overflows, so the loop has no scale to be scored
+        # at: both paths raise the exact one's error
+        big = pts * (0.75 * np.finfo(float).max / np.abs(pts).max())
+        with np.errstate(over="ignore"):
+            assert symmetry._box(big)[2] == math.inf
         assert symmetry._midpoint_bound(big, 1e-4) is None
         with pytest.raises(InvalidDomain, match="overflow") as exact:
             rq.centrality(big, 1e-4)
@@ -1232,6 +1417,19 @@ class TestMidpointBound:
         assert got == rq.centrality(tall, 1e-4, bound=True)
         assert got.center == exact.center and exact.central
         assert exact.asymmetry <= got.asymmetry <= 1e-4
+
+
+    @given(loop=non_convex_sections())
+    @example(loop=WIGGLY[1024])
+    def test_bound_is_at_least_the_exact_score_on_non_convex_loops(self, loop):
+        # each row's exact value is its distance to the whole polyline, on
+        # a loop of either class, so the bound's two segments never undercut it
+        pts = loop.points
+        assume(not is_convex(pts))
+        got = symmetry._midpoint_bound(pts, 1e300)
+        exact = rq.centrality(loop, 1e-4)
+        assert got.center == exact.center
+        assert got.asymmetry >= exact.asymmetry
 
 
 class TestMidpointMachinery:
